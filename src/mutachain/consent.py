@@ -88,12 +88,13 @@ def apply_consent(tx: Transaction, height: int, *,
                   infos: dict[bytes, InfoRecord],
                   chains: dict[tuple[bytes, bytes], ConsentChain],
                   register_outpoint: OutPoint) -> ConsentChain:
-    """Validate a consent against the current chain state and apply it.
+    """Validate a consent against the current chain state.
 
     The caller has already checked shape, signature, and that the
     signer is registered; ``register_outpoint`` is the signer's own
-    register output.  Mutates ``chains`` and returns the new chain
-    state for the (signer, info) pair.
+    register output.  Returns the new chain state for the (signer,
+    info) pair and leaves ``chains`` untouched: storing it is the
+    caller's write.
     """
     info_ref = tx.payload.info_ref
     info = infos.get(info_ref.txid)
@@ -122,10 +123,8 @@ def apply_consent(tx: Transaction, height: int, *,
     out = OutPoint(tx.txid, 0) if tx.value != 0 else None
     history = (chain.history if chain is not None else ()) + (
         ConsentEvent(tx.txid, tx.value, height),)
-    updated = ConsentChain(subject=tx.signer, info=info.txid,
-                           outpoint=out, value=tx.value, history=history)
-    chains[key] = updated
-    return updated
+    return ConsentChain(subject=tx.signer, info=info.txid,
+                        outpoint=out, value=tx.value, history=history)
 
 
 def current_grant(chains: dict[tuple[bytes, bytes], ConsentChain],

@@ -218,10 +218,10 @@ class ScenarioError(MutachainError):
         super().__init__(prefix + message)
 
 
-class SyncAborted(MutachainError):
-    """Peer served inconsistent data; ``evidence`` carries the verification
-    report or a description of the mismatch."""
+class HistoryRejected(MutachainError):
+    """A replayed history broke ``cause``'s rule; ``chain`` is its verified prefix."""
 
-    def __init__(self, message: str, evidence=None):
-        self.evidence = evidence
-        super().__init__(message)
+    def __init__(self, cause: MutachainError, chain):
+        self.cause = cause
+        self.chain = chain
+        super().__init__(f"{type(cause).__name__}: {cause}")

@@ -3,8 +3,9 @@
 ``Chain`` holds the permanent spine plus one record per closed
 interval.  Blocks arrive as segments: the removable blocks of interval
 ``I_k`` followed by the permanent block at height ``k`` that closes it.
-A segment is validated against a staged copy and committed atomically,
-so a rejected block leaves no partial state behind.
+A segment is applied inside ``stage()``, which journals every write
+and undoes them unless the whole segment passed, so a rejected block
+leaves no partial state behind; mempool trials stage and never commit.
 
 Within a segment the interval's transactions are indexed before the
 permanent body is applied.  A prepare in ``B_k`` may therefore name
@@ -28,7 +29,8 @@ the interval's status flips to Deleted at that moment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import consent
@@ -108,17 +110,18 @@ class Chain:
         # legitimately lacks deleted interval bodies; duplicate evidence
         # hidden inside such a gap is then taken on trust
         self._tolerant = tolerant
-        self._blocks: list[PermanentBlock] = []
+        self._blocks: dict[int, PermanentBlock] = {}
         self._intervals: dict[int, IntervalRecord] = {}
         self._registrations: dict[bytes, bytes] = {}     # pubkey -> register txid
         self._infos: dict[bytes, consent.InfoRecord] = {}
         self._consents: dict[tuple[bytes, bytes], consent.ConsentChain] = {}
         self._prepares: dict[bytes, PrepareRecord] = {}  # prepare txid -> record
-        self._spent_prepares: set[bytes] = set()
+        self._spent_prepares: dict[bytes, bytes] = {}    # prepare txid -> delete txid
         self._deletes: dict[int, DeleteRecord] = {}      # interval -> record
-        self._dup_index: dict[bytes, set[int]] = {}      # removable txid -> live intervals
-        self._permanent_txids: set[bytes] = set()
-        self._gone_txids: set[bytes] = set()             # no live copy anywhere
+        self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> live intervals
+        self._permanent_txids: dict[bytes, int] = {}     # txid -> height confirmed
+        self._gone_txids: dict[bytes, int] = {}          # txid -> interval of its last copy
+        self._journal: list | None = None                # undo entries while staging
 
     # ------------------------------------------------------------------
     # construction
@@ -134,31 +137,44 @@ class Chain:
 
     def copy(self) -> "Chain":
         other = Chain(self.params, tolerant=self._tolerant)
-        other._blocks = list(self._blocks)
-        other._intervals = dict(self._intervals)
-        other._registrations = dict(self._registrations)
-        other._infos = dict(self._infos)
-        other._consents = dict(self._consents)
-        other._prepares = dict(self._prepares)
-        other._spent_prepares = set(self._spent_prepares)
-        other._deletes = dict(self._deletes)
-        other._dup_index = {k: set(v) for k, v in self._dup_index.items()}
-        other._permanent_txids = set(self._permanent_txids)
-        other._gone_txids = set(self._gone_txids)
+        for name, table in vars(self).items():
+            if isinstance(table, dict):
+                setattr(other, name, dict(table))
         return other
 
-    def _adopt(self, staged: "Chain") -> None:
-        self._blocks = staged._blocks
-        self._intervals = staged._intervals
-        self._registrations = staged._registrations
-        self._infos = staged._infos
-        self._consents = staged._consents
-        self._prepares = staged._prepares
-        self._spent_prepares = staged._spent_prepares
-        self._deletes = staged._deletes
-        self._dup_index = staged._dup_index
-        self._permanent_txids = staged._permanent_txids
-        self._gone_txids = staged._gone_txids
+    def make_strict(self) -> None:
+        """End a replay: refuse gaps and take no duplicate on trust."""
+        self._tolerant = False
+
+    # ------------------------------------------------------------------
+    # staging
+
+    @contextmanager
+    def stage(self):
+        """Apply changes to the live state; on exit undo them all unless
+        ``commit()`` was called inside."""
+        self._journal = []
+        try:
+            yield
+        finally:
+            journal, self._journal = self._journal or [], None
+            for entry in reversed(journal):
+                self._write(*entry)
+
+    def commit(self) -> None:
+        """Keep everything written in the open stage."""
+        self._journal = None
+
+    def _write(self, table: dict, key, value=None) -> None:
+        """Set ``table[key]``, or delete it when ``value`` is None.  All
+        state changes go through here and no table holds None or a
+        mutable value, so a stage need only journal the old value."""
+        if self._journal is not None:
+            self._journal.append((table, key, table.get(key)))
+        if value is None:
+            table.pop(key, None)
+        else:
+            table[key] = value
 
     # ------------------------------------------------------------------
     # tip accessors
@@ -169,14 +185,10 @@ class Chain:
 
     @property
     def tip_hash(self) -> bytes:
-        return self._blocks[-1].block_hash if self._blocks else NULL_HASH
-
-    @property
-    def permanent_blocks(self) -> tuple[PermanentBlock, ...]:
-        return tuple(self._blocks)
+        return self._blocks[self.height].block_hash if self._blocks else NULL_HASH
 
     def block_at(self, height: int) -> PermanentBlock:
-        if not 0 <= height < len(self._blocks):
+        if height not in self._blocks:
             raise UnknownParent(f"no permanent block at height {height}")
         return self._blocks[height]
 
@@ -185,22 +197,22 @@ class Chain:
 
     def append_segment(self, removable_blocks, block: PermanentBlock) -> None:
         """Validate and commit interval blocks plus their closing block."""
-        staged = self.copy()
-        staged._apply_segment(tuple(removable_blocks), block)
-        self._adopt(staged)
+        with self.stage():
+            self._apply_segment(tuple(removable_blocks), block)
+            self.commit()
 
     def append_gap_segment(self, block: PermanentBlock) -> None:
         """Commit a permanent block whose interval body is unavailable.
 
         Only a tolerant chain accepts this; whether the gap is excused
         by delete evidence is settled once the whole history is in (see
-        ``verify.verify_chain``).
+        ``verify.replay_verified``).
         """
         if not self._tolerant:
             raise LedgerError("interval body missing on a strict chain")
-        staged = self.copy()
-        staged._apply_segment(None, block)
-        self._adopt(staged)
+        with self.stage():
+            self._apply_segment(None, block)
+            self.commit()
 
     def _apply_segment(self, removable_blocks, block: PermanentBlock) -> None:
         height = len(self._blocks)
@@ -213,10 +225,7 @@ class Chain:
             raise UnknownParent("prev link does not match the tip hash")
         check_permanent_shape(block)
 
-        absent = removable_blocks is None
-        if absent:
-            txids = frozenset()
-        else:
+        if removable_blocks is not None:
             if len(removable_blocks) != h.interval_len:
                 raise IntervalLenMismatch(
                     f"{len(removable_blocks)} interval blocks, header says {h.interval_len}")
@@ -244,19 +253,23 @@ class Chain:
             for tx in interval_txs:
                 validate_stateless(tx)
             for tx in interval_txs:
-                self._apply_removable(tx, height)
-            txids = frozenset(tx.txid for tx in interval_txs)
-
-        status = IntervalStatus.DELETED if absent else IntervalStatus.PRESENT
-        self._intervals[height] = IntervalRecord(
-            status=status, length=h.interval_len, p_list=h.p_list,
-            blocks=None if absent else tuple(removable_blocks), txids=txids)
+                self.apply_removable(tx, height)
+        self.close_interval(height, h.interval_len, h.p_list, removable_blocks)
 
         for tx in block.txs:
             validate_stateless(tx)
         for tx in block.txs:
-            self._apply_body_tx(tx, height)
-        self._blocks.append(block)
+            self.apply_body_tx(tx, height)
+        self._write(self._blocks, height, block)
+
+    def close_interval(self, height: int, length: int, p_list: tuple[bytes, ...],
+                       blocks: tuple[RemovableBlock, ...] | None) -> None:
+        """Record interval ``height`` as closed, so body rules can name
+        it; ``blocks`` None records an absent interval."""
+        self._write(self._intervals, height, IntervalRecord(
+            status=IntervalStatus.DELETED if blocks is None else IntervalStatus.PRESENT,
+            length=length, p_list=p_list, blocks=blocks,
+            txids=frozenset(tx.txid for rb in blocks or () for tx in rb.txs)))
 
     # ------------------------------------------------------------------
     # transaction rules
@@ -277,12 +290,15 @@ class Chain:
             raise UnknownRegisterRef(
                 f"input {got.txid.hex()[:12]}:{got.index} is not the signer's register output")
 
-    def _apply_removable(self, tx: Transaction, height: int) -> None:
+    def apply_removable(self, tx: Transaction, height: int) -> None:
+        """Admit a removable transaction into interval ``height``."""
         self._check_register_input(tx)
-        self._dup_index.setdefault(tx.txid, set()).add(height)
-        self._gone_txids.discard(tx.txid)
+        self._write(self._dup_index, tx.txid,
+                    self._dup_index.get(tx.txid, frozenset()) | {height})
+        self._write(self._gone_txids, tx.txid)
 
-    def _apply_body_tx(self, tx: Transaction, height: int) -> None:
+    def apply_body_tx(self, tx: Transaction, height: int) -> None:
+        """Admit a permanent-body transaction confirmed at ``height``."""
         # kind rules first: deterministic signing makes a rebuilt
         # transaction byte-identical, so the replay guard alone would
         # shadow the specific duplicate-register / already-deleted errors
@@ -292,29 +308,30 @@ class Chain:
                     f"key {tx.signer.hex()[:12]} is already registered")
         elif tx.kind is TxKind.PREPARE:
             self._validate_prepare(tx)
-            self._prepares[tx.txid] = PrepareRecord(
+            self._write(self._prepares, tx.txid, PrepareRecord(
                 txid=tx.txid, signer=tx.signer,
-                interval=tx.payload.interval, height=height)
+                interval=tx.payload.interval, height=height))
         elif tx.kind is TxKind.DELETE:
             used = self._validate_delete(tx)
-            self._deletes[tx.payload.interval] = DeleteRecord(
+            self._write(self._deletes, tx.payload.interval, DeleteRecord(
                 txid=tx.txid, signer=tx.signer,
-                interval=tx.payload.interval, height=height)
+                interval=tx.payload.interval, height=height))
             if used is not None:
-                self._spent_prepares.add(used)
+                self._write(self._spent_prepares, used, tx.txid)
         elif tx.kind is TxKind.INFO:
             self._check_register_input(tx)
-            self._infos[tx.txid] = consent.make_info_record(tx)
+            self._write(self._infos, tx.txid, consent.make_info_record(tx))
         elif tx.kind is TxKind.CONSENT:
             reg = self._register_outpoint(tx.signer)
-            consent.apply_consent(tx, height, infos=self._infos,
-                                  chains=self._consents, register_outpoint=reg)
+            updated = consent.apply_consent(tx, height, infos=self._infos,
+                                            chains=self._consents, register_outpoint=reg)
+            self._write(self._consents, (updated.subject, updated.info), updated)
         if tx.txid in self._permanent_txids:
             raise LedgerError(
                 f"transaction {tx.txid.hex()[:12]} already confirmed")
         if tx.kind is TxKind.REGISTER:
-            self._registrations[tx.signer] = tx.txid
-        self._permanent_txids.add(tx.txid)
+            self._write(self._registrations, tx.signer, tx.txid)
+        self._write(self._permanent_txids, tx.txid, height)
 
     def _interval_for_removal(self, x: int) -> IntervalRecord:
         rec = self._intervals.get(x)
@@ -408,16 +425,12 @@ class Chain:
         for x in dropped:
             rec = self._intervals[x]
             for txid in rec.txids:
-                sites = self._dup_index.get(txid)
-                if sites is None:
-                    continue
-                sites.discard(x)
+                sites = self._dup_index[txid] - {x}
+                self._write(self._dup_index, txid, sites or None)
                 if not sites:
-                    del self._dup_index[txid]
-                    self._gone_txids.add(txid)
-            self._intervals[x] = IntervalRecord(
-                status=IntervalStatus.DELETED, length=rec.length,
-                p_list=rec.p_list, blocks=None, txids=rec.txids)
+                    self._write(self._gone_txids, txid, x)
+            self._write(self._intervals, x, replace(
+                rec, status=IntervalStatus.DELETED, blocks=None))
         return dropped
 
     # ------------------------------------------------------------------

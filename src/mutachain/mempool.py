@@ -1,12 +1,13 @@
 """Pending transactions, re-inclusion, and block candidate assembly.
 
-Admission replays the transaction against a throwaway copy of the
-chain, so the mempool enforces exactly the rules a block would.  Two
-queues feed candidates: the re-inclusion queue and the ordinary pending
-queue.  The re-inclusion queue fills when a confirmed prepare is
-observed; it holds byte-identical copies of the prepared interval's
-transactions signed by anyone but the preparer, and it drains first so
-a deletion can never outrun the duplicates that make it safe.
+Admission trial-applies the transaction in a chain stage that is never
+committed, so the mempool enforces exactly the rules a block would and
+leaves the chain as it found it.  Two queues feed candidates: the
+re-inclusion queue and the ordinary pending queue.  The re-inclusion
+queue fills when a confirmed prepare is observed; it holds
+byte-identical copies of the prepared interval's transactions signed
+by anyone but the preparer, and it drains first so a deletion can
+never outrun the duplicates that make it safe.
 
 Deletes additionally pass the judgment hook, a callable deciding
 whether this miner is willing to carry an (otherwise valid) deletion.
@@ -43,7 +44,7 @@ from .errors import (
     UnknownRegisterRef,
     UnknownSigner,
 )
-from .ledger import Chain, IntervalRecord, IntervalStatus
+from .ledger import Chain
 from .tx import Transaction, TxKind, validate_stateless
 
 MAX_BLOCK_TXS = 8
@@ -93,15 +94,13 @@ class Mempool:
         self._pending[tx.txid] = tx
 
     def _check_stateful(self, tx: Transaction, chain: Chain) -> None:
-        probe = chain.copy()
         try:
-            if tx.kind is TxKind.REMOVABLE:
-                probe._apply_removable(tx, chain.height + 1)
-            else:
-                probe._apply_body_tx(tx, chain.height + 1)
-        except MissingDuplicates as exc:
-            raise self._delete_timing(tx, chain, exc)
-        except NotSoleOwnerAndNoPrepare as exc:
+            with chain.stage():
+                if tx.kind is TxKind.REMOVABLE:
+                    chain.apply_removable(tx, chain.height + 1)
+                else:
+                    chain.apply_body_tx(tx, chain.height + 1)
+        except (MissingDuplicates, NotSoleOwnerAndNoPrepare) as exc:
             raise self._delete_timing(tx, chain, exc)
         except InvalidPrepare as exc:
             raise IneligiblePrepare(str(exc))
@@ -160,71 +159,69 @@ class Mempool:
         Fills up to ``max_interval_blocks`` removable blocks (re-imports
         first), then the permanent body, trial-applying every pick so
         the result is valid by construction.  Transactions that do not
-        fit or do not apply stay queued.
+        fit or do not apply stay queued.  Both trials run in chain stages
+        that are never committed.
         """
         height = chain.height + 1
-        staged = chain.copy()
 
         # a prepare that is about to confirm in this very block needs
         # the other signers' duplicates out no later than this interval,
         # so pull them in ahead of everything else
         urgent: list[Transaction] = []
-        probe = chain.copy()
-        for tx in self._pending.values():
-            if tx.kind is not TxKind.PREPARE:
-                continue
-            try:
-                probe._apply_body_tx(tx, height)
-            except LedgerError:
-                continue
-            urgent.extend(chain.reinclusion_candidates(tx))
+        with chain.stage():
+            for tx in self._pending.values():
+                if tx.kind is not TxKind.PREPARE:
+                    continue
+                try:
+                    chain.apply_body_tx(tx, height)
+                except LedgerError:
+                    continue
+                urgent.extend(chain.reinclusion_candidates(tx))
 
         chosen: list[Transaction] = []
         picked: set[bytes] = set()
         signers: set[bytes] = set()
         capacity = max_interval_blocks * MAX_BLOCK_TXS
-        if max_interval_blocks > 0:
-            for tx in urgent + self.pending():
-                if len(chosen) >= capacity:
-                    break
-                if tx.kind is not TxKind.REMOVABLE or tx.txid in picked:
-                    continue
-                if len(signers | {tx.signer}) > MAX_P_LIST:
+        with chain.stage():
+            if max_interval_blocks > 0:
+                for tx in urgent + self.pending():
+                    if len(chosen) >= capacity:
+                        break
+                    if tx.kind is not TxKind.REMOVABLE or tx.txid in picked:
+                        continue
+                    if len(signers | {tx.signer}) > MAX_P_LIST:
+                        continue
+                    try:
+                        chain.apply_removable(tx, height)
+                    except LedgerError:
+                        continue
+                    chosen.append(tx)
+                    picked.add(tx.txid)
+                    signers.add(tx.signer)
+
+            interval: list[RemovableBlock] = []
+            anchor = chain.tip_hash
+            for start in range(0, len(chosen), MAX_BLOCK_TXS):
+                rb = build_removable_block(
+                    interval=height, seq=len(interval) + 1, prev=anchor,
+                    txs=chosen[start:start + MAX_BLOCK_TXS])
+                interval.append(rb)
+                anchor = rb.block_hash
+
+            # the interval must be closed before body rules run, exactly
+            # as segment admission does
+            p_list = compute_p_list(chosen)
+            chain.close_interval(height, len(interval), p_list, tuple(interval))
+
+            body: list[Transaction] = []
+            for tx in list(self._pending.values()):
+                if tx.kind is TxKind.REMOVABLE:
                     continue
                 try:
-                    staged._apply_removable(tx, height)
+                    chain.apply_body_tx(tx, height)
                 except LedgerError:
                     continue
-                chosen.append(tx)
-                picked.add(tx.txid)
-                signers.add(tx.signer)
-
-        interval: list[RemovableBlock] = []
-        anchor = chain.tip_hash
-        for start in range(0, len(chosen), MAX_BLOCK_TXS):
-            rb = build_removable_block(
-                interval=height, seq=len(interval) + 1, prev=anchor,
-                txs=chosen[start:start + MAX_BLOCK_TXS])
-            interval.append(rb)
-            anchor = rb.block_hash
-
-        # the staged chain must see the interval as closed before body
-        # rules run, exactly as segment admission does
-        p_list = compute_p_list(chosen)
-        staged._intervals[height] = IntervalRecord(
-            status=IntervalStatus.PRESENT, length=len(interval),
-            p_list=p_list, blocks=tuple(interval),
-            txids=frozenset(tx.txid for tx in chosen))
-
-        body: list[Transaction] = []
-        for tx in list(self._pending.values()):
-            if tx.kind is TxKind.REMOVABLE:
-                continue
-            try:
-                staged._apply_body_tx(tx, height)
-            except LedgerError:
-                continue
-            body.append(tx)
+                body.append(tx)
 
         block = build_permanent_block(
             height=height, prev_permanent=chain.tip_hash,

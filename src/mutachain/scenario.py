@@ -108,16 +108,19 @@ class _Parser:
                 if not tokens:
                     self.fail(no, "try needs a directive")
                 word = tokens[0]
-            if word in CONFIG_DIRECTIVES:
-                if scn is not None:
-                    self.fail(no, f"{word} must come before the first action")
-                self.configure(no, word, tokens[1:])
-                continue
-            if word not in ACTION_DIRECTIVES:
-                self.fail(no, f"unknown directive {word!r}")
-            if scn is None:
-                scn = self.start()
-            self.act(scn, no, word, tokens[1:], tolerate)
+            try:
+                if word in CONFIG_DIRECTIVES:
+                    if scn is not None:
+                        self.fail(no, f"{word} must come before the first action")
+                    self.configure(no, word, tokens[1:])
+                    continue
+                if word not in ACTION_DIRECTIVES:
+                    self.fail(no, f"unknown directive {word!r}")
+                if scn is None:
+                    scn = self.start()
+                self.act(scn, no, word, tokens[1:], tolerate)
+            except (IndexError, ValueError) as exc:   # missing or non-numeric argument
+                self.fail(no, f"malformed {word} directive: {exc}")
         return scn if scn is not None else self.start()
 
     def configure(self, no: int, word: str, args: list[str]) -> None:

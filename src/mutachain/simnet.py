@@ -28,14 +28,14 @@ from .blocks import PermanentBlock, RemovableBlock, build_permanent_block
 from .crypto import KeyPair
 from .errors import (
     AlreadyKnown,
+    HistoryRejected,
     MempoolRejection,
     MutachainError,
-    SyncAborted,
 )
 from .ledger import Chain, ChainParams, IntervalStatus
 from .mempool import Mempool
 from .tx import Transaction, build_delete
-from .verify import gaps_without_evidence, replay_segments
+from .verify import replay_verified
 
 
 @dataclass(frozen=True)
@@ -179,18 +179,13 @@ class SimNode:
             else:
                 segments.append((fills.get(block.height), block))
         try:
-            rebuilt = replay_segments(segments, self.chain.params)
-            unbacked = gaps_without_evidence(rebuilt)
-            if unbacked:
-                raise SyncAborted("gap without delete evidence",
-                                  evidence=unbacked)
-        except MutachainError as exc:
+            rebuilt = replay_verified(segments, self.chain.params)
+        except HistoryRejected as exc:
             net.log(self.id, ev="sync-abort", peer=peer,
-                    err=type(exc).__name__)
+                    err=type(exc.cause).__name__)
             self._backlog.clear()
             return
         if rebuilt.height > self.chain.height:
-            rebuilt._tolerant = False
             self.chain = rebuilt
             self.chain.prune()
             if self.store is not None:

@@ -37,12 +37,13 @@ from .blocks import PermanentBlock, RemovableBlock
 from .crypto import digest
 from .errors import (
     CorruptStore,
+    HistoryRejected,
     MissingDeleteEvidence,
     MutachainError,
     StoreLocked,
 )
 from .ledger import Chain, ChainParams, IntervalStatus
-from .verify import gaps_without_evidence, replay_segments
+from .verify import replay_verified
 
 MANIFEST = "manifest.json"
 LOG = "permanent.log"
@@ -280,16 +281,12 @@ class BlockStore:
 
     def load_chain(self) -> Chain:
         """Replay and fully re-verify the store's contents."""
-        segments = self.segments()
         try:
-            chain = replay_segments(segments, self.params)
-        except MutachainError as exc:
+            return replay_verified(self.segments(), self.params)
+        except HistoryRejected as exc:
+            if isinstance(exc.cause, MissingDeleteEvidence):
+                raise exc.cause
             raise CorruptStore(f"stored chain does not verify: {exc}")
-        unbacked = gaps_without_evidence(chain)
-        if unbacked:
-            raise MissingDeleteEvidence(unbacked, "stored intervals are absent")
-        chain._tolerant = False
-        return chain
 
     # ------------------------------------------------------------------
 

@@ -227,16 +227,14 @@ def _decode_payload(kind: TxKind, r: codec.Reader) -> Payload:
         return DeletePayload(interval=r.u32())
     if kind is TxKind.INFO:
         controller = r.byte_string()
-        purposes = tuple(r.byte_string().decode("utf-8") for _ in range(r.count()))
+        try:
+            purposes = tuple(r.byte_string().decode("utf-8") for _ in range(r.count()))
+        except UnicodeDecodeError as exc:
+            raise DecodingError(f"purpose label is not UTF-8: {exc}") from None
         return InfoPayload(controller=controller, purposes=purposes)
     if kind is TxKind.CONSENT:
         return ConsentPayload(info_ref=OutPoint.decode_from(r))
     raise DecodingError(f"unhandled kind {kind}")  # pragma: no cover
-
-
-def tx_id(tx: Transaction) -> bytes:
-    """Digest of the full canonical encoding, signature included."""
-    return tx.txid
 
 
 def _signed(kind: TxKind, signer: KeyPair, inputs: tuple[OutPoint, ...],

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import PermanentBlock, RemovableBlock
-from .errors import MissingDeleteEvidence, MutachainError
+from .errors import HistoryRejected, MissingDeleteEvidence, MutachainError
 from .ledger import Chain, ChainParams
-
-Segment = tuple[tuple[RemovableBlock, ...] | None, PermanentBlock]
 
 
 @dataclass(frozen=True)
@@ -38,16 +35,20 @@ class VerifyReport:
 def replay_segments(segments, params: ChainParams | None = None) -> Chain:
     """Rebuild a chain from (interval_blocks, permanent_block) pairs.
 
-    ``None`` interval blocks mark a gap.  Raises on the first rule
-    violation; gap evidence is not settled here (the delete may follow
-    later in the spine), use ``verify_chain`` for the full judgment.
+    ``None`` interval blocks mark a gap.  The first rule violation is
+    raised as ``HistoryRejected``; gap evidence is not settled here (the
+    delete may follow later in the spine), use ``replay_verified`` for
+    the full judgment.
     """
     chain = Chain(params, tolerant=True)
     for removable_blocks, block in segments:
-        if removable_blocks is None and block.header.interval_len > 0:
-            chain.append_gap_segment(block)
-        else:
-            chain.append_segment(removable_blocks or (), block)
+        try:
+            if removable_blocks is None and block.header.interval_len > 0:
+                chain.append_gap_segment(block)
+            else:
+                chain.append_segment(removable_blocks or (), block)
+        except MutachainError as exc:
+            raise HistoryRejected(exc, chain) from exc
     return chain
 
 
@@ -60,36 +61,29 @@ def gaps_without_evidence(chain: Chain) -> list[int]:
     return heights
 
 
-def verify_chain(segments, params: ChainParams | None = None) -> VerifyReport:
-    """Full verification of a stored or received history."""
-    chain = Chain(params, tolerant=True)
-    for removable_blocks, block in segments:
-        try:
-            if removable_blocks is None and block.header.interval_len > 0:
-                chain.append_gap_segment(block)
-            else:
-                chain.append_segment(removable_blocks or (), block)
-        except MutachainError as exc:
-            return VerifyReport(ok=False, height=chain.height,
-                                present=_present(chain), deleted=_absent(chain),
-                                problem=f"{type(exc).__name__}: {exc}")
+def replay_verified(segments, params: ChainParams | None = None) -> Chain:
+    """The one replay path for stored, synced and audited histories:
+    replay, then require a confirmed delete for every absent interval.
+    Raises ``HistoryRejected``; the chain returned is strict."""
+    chain = replay_segments(segments, params)
     unbacked = gaps_without_evidence(chain)
     if unbacked:
-        err = MissingDeleteEvidence(unbacked)
-        return VerifyReport(ok=False, height=chain.height,
-                            present=_present(chain), deleted=_absent(chain),
-                            problem=f"{type(err).__name__}: {err}")
-    return VerifyReport(ok=True, height=chain.height,
-                        present=_present(chain), deleted=_absent(chain))
+        raise HistoryRejected(MissingDeleteEvidence(unbacked), chain)
+    chain.make_strict()
+    return chain
 
 
-def _present(chain: Chain) -> int:
-    return sum(1 for x in range(chain.height + 1)
-               if chain.interval_record(x).blocks is not None
-               and chain.interval_record(x).length > 0)
+def verify_chain(segments, params: ChainParams | None = None) -> VerifyReport:
+    """Full verification of a stored or received history."""
+    try:
+        return _report(replay_verified(segments, params))
+    except HistoryRejected as exc:
+        return _report(exc.chain, problem=str(exc))
 
 
-def _absent(chain: Chain) -> int:
-    return sum(1 for x in range(chain.height + 1)
-               if chain.interval_record(x).blocks is None
-               and chain.interval_record(x).length > 0)
+def _report(chain: Chain, problem: str | None = None) -> VerifyReport:
+    absent = [chain.interval_record(x).blocks is None for x in range(chain.height + 1)
+              if chain.interval_record(x).length > 0]
+    return VerifyReport(ok=problem is None, height=chain.height,
+                        present=absent.count(False), deleted=absent.count(True),
+                        problem=problem)

@@ -36,9 +36,11 @@ def test_minimal_scenario():
 
 
 def test_unknown_directive_reports_its_line():
-    with pytest.raises(ScenarioError) as err:
-        run_scenario("entity A\ngenesis A\nfrobnicate A\n")
-    assert err.value.line_no == 3
+    # an unknown word, a missing argument, a number that is not one
+    for bad in ("frobnicate A", "nodes", "step x"):
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(f"entity A\ngenesis A\n{bad}\n")
+        assert err.value.line_no == 3
 
 
 def test_config_after_actions_rejected():

@@ -10,6 +10,7 @@ from mutachain import (
     build_removable,
     verify_chain,
 )
+from mutachain.simnet import FillResponse, SyncSpine
 from support import ALICE, BOB, CAROL
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -100,6 +101,23 @@ def test_rejoined_node_sees_gap_not_deleted_bodies():
     segments = [(late.interval_record(x).blocks, late.block_at(x))
                 for x in range(late.height + 1)]
     assert verify_chain(segments, late.params).ok
+
+
+def test_sync_aborts_when_a_live_interval_is_withheld():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    net.set_online(2, False)
+    net.submit(rem(net, ALICE, b"kept"))
+    net.step(6)
+    peer = net.nodes[0].chain
+    assert peer.interval_record(1).length == 1 and peer.delete_record(1) is None
+    late = net.nodes[2]
+    late._syncing = True
+    late.handle(0, SyncSpine(tuple(peer.block_at(h)
+                                   for h in range(1, peer.height + 1))), net)
+    late.handle(0, FillResponse({}), net)      # every body withheld
+    assert late.chain.height == 0
+    assert net.events[-1]["ev"] == "sync-abort"
+    assert net.events[-1]["err"] == "MissingDeleteEvidence"
 
 
 def test_mid_sync_announcements_are_not_lost():

@@ -111,6 +111,10 @@ def test_trailing_garbage_rejected():
         Transaction.decode(tx.encoded[:-1])
     with pytest.raises(DecodingError):
         Transaction.decode(b"\x09" + tx.encoded[1:])   # unknown kind byte
+    info = sample(TxKind.INFO).encoded
+    at = info.index(b"analytics")
+    with pytest.raises(DecodingError):                 # label not UTF-8
+        Transaction.decode(info[:at] + b"\xff" + info[at + 1:])
 
 
 def violating(tx: Transaction, **changes) -> Transaction:
