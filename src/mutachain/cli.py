@@ -18,7 +18,7 @@ import click
 
 from .blocks import header_overhead
 from .crypto import KeyPair, keypair_from_seed
-from .errors import MempoolRejection, MutachainError
+from .errors import MempoolRejection, MutachainError, UnknownRegisterRef
 from .ledger import Chain, ChainParams
 from .mempool import Mempool
 from .scenario import run_scenario
@@ -102,11 +102,12 @@ def _queue_tx(store_dir: str, chain: Chain, tx: Transaction) -> None:
     click.echo(f"queued {tx.kind.name.lower()} {tx.txid.hex()[:12]}")
 
 
-def _register_ref(chain: Chain, kp: KeyPair, name: str) -> OutPoint:
-    ref = chain.register_outpoint(kp.pubkey)
-    if ref is None:
+def _input_for(chain: Chain, kind: TxKind, kp: KeyPair, name: str,
+               **where) -> OutPoint | None:
+    try:
+        return chain.input_for(kind, kp.pubkey, **where)
+    except UnknownRegisterRef:
         raise click.ClickException(f"{name} is not registered on the chain yet")
-    return ref
 
 
 @click.group()
@@ -191,7 +192,7 @@ def removable(store_dir: str, name: str, data: str, is_hex: bool) -> None:
     payload = bytes.fromhex(data) if is_hex else data.encode("utf-8")
     with _open_store(store_dir) as store:
         chain = store.load_chain()
-        ref = _register_ref(chain, kp, name)
+        ref = _input_for(chain, TxKind.REMOVABLE, kp, name)
         _queue_tx(store_dir, chain, build_removable(kp, ref, payload))
 
 
@@ -204,7 +205,7 @@ def prepare(store_dir: str, name: str, interval: int) -> None:
     kp = _load_key(store_dir, name)
     with _open_store(store_dir) as store:
         chain = store.load_chain()
-        ref = _register_ref(chain, kp, name)
+        ref = _input_for(chain, TxKind.PREPARE, kp, name)
         _queue_tx(store_dir, chain, build_prepare(kp, ref, interval))
 
 
@@ -217,8 +218,7 @@ def delete(store_dir: str, name: str, interval: int) -> None:
     kp = _load_key(store_dir, name)
     with _open_store(store_dir) as store:
         chain = store.load_chain()
-        preps = chain.prepares_for(kp.pubkey, interval)
-        ref = OutPoint(preps[0].txid, 0) if preps else None
+        ref = _input_for(chain, TxKind.DELETE, kp, name, interval=interval)
         _queue_tx(store_dir, chain, build_delete(kp, interval, prepare_ref=ref))
 
 
@@ -235,7 +235,7 @@ def info(store_dir: str, name: str, label: str, purposes: str,
     kp = _load_key(store_dir, name)
     with _open_store(store_dir) as store:
         chain = store.load_chain()
-        ref = _register_ref(chain, kp, name)
+        ref = _input_for(chain, TxKind.INFO, kp, name)
         tx = build_info(kp, ref, (controller or name).encode("utf-8"),
                         tuple(purposes.split(",")))
         _queue_tx(store_dir, chain, tx)
@@ -258,11 +258,7 @@ def consent(store_dir: str, name: str, info_label: str, value: int) -> None:
     info_txid = bytes.fromhex(labels[info_label])
     with _open_store(store_dir) as store:
         chain = store.load_chain()
-        open_chain = chain.consent_chain(kp.pubkey, info_txid)
-        if open_chain is not None and open_chain.live:
-            spend = open_chain.outpoint
-        else:
-            spend = _register_ref(chain, kp, name)
+        spend = _input_for(chain, TxKind.CONSENT, kp, name, info=info_txid)
         tx = build_consent(kp, spend, OutPoint(info_txid, 0), value)
         _queue_tx(store_dir, chain, tx)
 

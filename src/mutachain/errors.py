@@ -121,11 +121,14 @@ class NotEligible(InvalidPrepare):
 
 
 class MissingDuplicates(InvalidPrepare):
-    """Other signers' removable transactions lack confirmed copies."""
+    """Other signers' removable transactions lack confirmed copies;
+    ``missing_txids`` is empty when the target is a gap."""
 
-    def __init__(self, missing_txids):
+    def __init__(self, missing_txids, signers):
         self.missing_txids = tuple(missing_txids)
-        super().__init__(f"missing duplicates for {len(self.missing_txids)} tx(s)")
+        self.signers = tuple(signers)
+        names = ", ".join(s.hex()[:12] for s in self.signers)
+        super().__init__(f"missing duplicates for {len(self.missing_txids)} tx(s) of {names}")
 
 
 class InvalidDelete(LedgerError):

@@ -21,6 +21,12 @@ Deletion of interval ``I_x`` is authorized two ways:
   ``I_x`` signed by someone else already has a byte-identical duplicate
   confirmed in another live interval.
 
+A replayed history may lack interval bodies (gaps).  Only headers
+survive pruning, so a gap ``j != x`` whose delete has not confirmed
+yet counts as a copy of ``I_x``'s data for each signer in its p_list;
+if ``I_x`` is a gap, any undeleted ``j != x`` naming the signer counts.
+A live chain's gaps all carry their deletes, so it excuses nothing.
+
 A confirmed delete does not remove anything by itself.  ``prune`` drops
 interval bodies once the delete is ``confirm_depth`` blocks deep and at
 least ``delete_lock`` blocks younger than the interval it targets;
@@ -103,13 +109,8 @@ class DeleteRecord:
 class Chain:
     """Validated view of one chain, from genesis to the current tip."""
 
-    def __init__(self, params: ChainParams | None = None, *,
-                 tolerant: bool = False):
+    def __init__(self, params: ChainParams | None = None):
         self.params = params or ChainParams()
-        # tolerant mode is for replaying a stored or synced history that
-        # legitimately lacks deleted interval bodies; duplicate evidence
-        # hidden inside such a gap is then taken on trust
-        self._tolerant = tolerant
         self._blocks: dict[int, PermanentBlock] = {}
         self._intervals: dict[int, IntervalRecord] = {}
         self._registrations: dict[bytes, bytes] = {}     # pubkey -> register txid
@@ -136,15 +137,11 @@ class Chain:
         return chain
 
     def copy(self) -> "Chain":
-        other = Chain(self.params, tolerant=self._tolerant)
+        other = Chain(self.params)
         for name, table in vars(self).items():
             if isinstance(table, dict):
                 setattr(other, name, dict(table))
         return other
-
-    def make_strict(self) -> None:
-        """End a replay: refuse gaps and take no duplicate on trust."""
-        self._tolerant = False
 
     # ------------------------------------------------------------------
     # staging
@@ -202,14 +199,8 @@ class Chain:
             self.commit()
 
     def append_gap_segment(self, block: PermanentBlock) -> None:
-        """Commit a permanent block whose interval body is unavailable.
-
-        Only a tolerant chain accepts this; whether the gap is excused
-        by delete evidence is settled once the whole history is in (see
-        ``verify.replay_verified``).
-        """
-        if not self._tolerant:
-            raise LedgerError("interval body missing on a strict chain")
+        """Commit a permanent block whose interval body is unavailable;
+        ``verify.replay_verified`` settles whether a delete excuses it."""
         with self.stage():
             self._apply_segment(None, block)
             self.commit()
@@ -377,31 +368,42 @@ class Chain:
         if prep.signer != tx.signer:
             raise PrepareSignerMismatch(
                 "prepare and delete are signed by different keys")
-        missing = self._missing_duplicates(x, exclude=tx.signer)
-        if missing and not (self._tolerant and self._has_gap_after(x)):
-            raise MissingDuplicates(missing)
+        self._check_duplicates(x, exclude=tx.signer)
         return op.txid
 
-    def _missing_duplicates(self, x: int, exclude: bytes) -> list[bytes]:
-        rec = self._intervals[x]
-        if rec.blocks is None:
+    def _uncopied(self, x: int, exclude: bytes) -> list[Transaction]:
+        """Transactions of ``I_x`` not signed by ``exclude`` that no other
+        undeleted interval holds, each once; none if the body is absent."""
+        rec = self._intervals.get(x)
+        if rec is None or rec.blocks is None:
             return []
-        missing = []
+        out = {}
         for rb in rec.blocks:
             for tx in rb.txs:
-                if tx.signer == exclude:
-                    continue
-                sites = self._dup_index.get(tx.txid, ())
-                if not any(j != x and j not in self._deletes
-                           and self._intervals[j].status is IntervalStatus.PRESENT
-                           for j in sites):
-                    missing.append(tx.txid)
-        return missing
+                if tx.signer != exclude and not any(
+                        j != x and j not in self._deletes
+                        for j in self._dup_index.get(tx.txid, ())):
+                    out[tx.txid] = tx
+        return list(out.values())
 
-    def _has_gap_after(self, x: int) -> bool:
-        return any(rec.status is IntervalStatus.DELETED and rec.blocks is None
-                   and rec.txids == frozenset() and i > x
-                   for i, rec in self._intervals.items())
+    def _check_duplicates(self, x: int, exclude: bytes) -> None:
+        """Raise ``MissingDuplicates`` unless every signer of ``I_x`` but
+        ``exclude`` keeps a copy of its data outside ``I_x``, judging gaps
+        by their headers alone (see the module docstring)."""
+        rec = self._intervals[x]
+        missing = self._uncopied(x, exclude)
+        uncovered = set(rec.p_list) - {exclude} if rec.blocks is None \
+            else {tx.signer for tx in missing}
+        for j, other in reversed(self._intervals.items()):
+            if not uncovered:
+                return
+            if j != x and j not in self._deletes \
+                    and (other.blocks is None or rec.blocks is None):
+                uncovered -= set(other.p_list)
+        if uncovered:
+            raise MissingDuplicates(
+                [tx.txid for tx in missing if tx.signer in uncovered],
+                sorted(uncovered))
 
     # ------------------------------------------------------------------
     # pruning
@@ -457,21 +459,7 @@ class Chain:
     def reinclusion_candidates(self, prepare: Transaction) -> list[Transaction]:
         """Other signers' transactions of the prepared interval that still
         lack a live duplicate elsewhere, ready for re-broadcast."""
-        x = prepare.payload.interval
-        rec = self._intervals.get(x)
-        if rec is None or rec.blocks is None:
-            return []
-        out = []
-        seen = set()
-        for rb in rec.blocks:
-            for tx in rb.txs:
-                if tx.signer == prepare.signer or tx.txid in seen:
-                    continue
-                seen.add(tx.txid)
-                sites = self._dup_index.get(tx.txid, ())
-                if not any(j != x and j not in self._deletes for j in sites):
-                    out.append(tx)
-        return out
+        return self._uncopied(prepare.payload.interval, prepare.signer)
 
     def registered(self, pubkey: bytes) -> bool:
         return pubkey in self._registrations
@@ -479,6 +467,21 @@ class Chain:
     def register_outpoint(self, pubkey: bytes) -> OutPoint | None:
         txid = self._registrations.get(pubkey)
         return OutPoint(txid, 0) if txid is not None else None
+
+    def input_for(self, kind: TxKind, pubkey: bytes, *, interval: int | None = None,
+                  info: bytes | None = None) -> OutPoint | None:
+        """The outpoint a new ``kind`` transaction by ``pubkey`` spends: a
+        delete its unspent prepare for ``interval`` (None: fast path), a
+        consent its live chain's output under ``info``, else the register
+        output (``UnknownRegisterRef`` if there is none)."""
+        if kind is TxKind.DELETE:
+            preps = self.prepares_for(pubkey, interval)
+            return OutPoint(preps[0].txid, 0) if preps else None
+        if kind is TxKind.CONSENT:
+            open_chain = self._consents.get((pubkey, info))
+            if open_chain is not None and open_chain.live:
+                return open_chain.outpoint
+        return self._register_outpoint(pubkey)
 
     def info_record(self, txid: bytes) -> consent.InfoRecord | None:
         return self._infos.get(txid)

@@ -33,7 +33,6 @@ from .errors import (
     AdmissionFailed,
     AlreadyKnown,
     IneligiblePrepare,
-    InvalidPrepare,
     LedgerError,
     MinerJudgmentRejected,
     MissingDuplicates,
@@ -41,7 +40,6 @@ from .errors import (
     PrematureDelete,
     StatelessInvalid,
     TxValidationError,
-    UnknownRegisterRef,
     UnknownSigner,
 )
 from .ledger import Chain
@@ -102,10 +100,6 @@ class Mempool:
                     chain.apply_body_tx(tx, chain.height + 1)
         except (MissingDuplicates, NotSoleOwnerAndNoPrepare) as exc:
             raise self._delete_timing(tx, chain, exc)
-        except InvalidPrepare as exc:
-            raise IneligiblePrepare(str(exc))
-        except UnknownRegisterRef as exc:
-            raise UnknownSigner(str(exc))
         except LedgerError as exc:
             if tx.kind is TxKind.PREPARE:
                 raise IneligiblePrepare(str(exc))

@@ -39,11 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .crypto import KeyPair, digest, keypair_from_seed
-from .errors import MempoolRejection, ScenarioError
+from .errors import MempoolRejection, ScenarioError, UnknownRegisterRef
 from .ledger import ChainParams
 from .simnet import SimNet
 from .tx import (
     OutPoint,
+    TxKind,
     build_consent,
     build_delete,
     build_info,
@@ -191,53 +192,43 @@ class _Parser:
         via = int(opts.get("via", "0"))
         chain = net.nodes[via].chain
         kp = self.entity(no, plain[0])
-        if word == "register":
-            tx = build_register(kp)
-        elif word == "removable":
-            label = plain[1]
-            data = bytes.fromhex(opts["data"]) if "data" in opts \
-                else label.encode("utf-8")
-            ref = chain.register_outpoint(kp.pubkey)
-            if ref is None:
-                self.fail(no, f"{plain[0]} is not registered yet")
-            tx = build_removable(kp, ref, data)
-            scn.labels[label] = tx.txid
-        elif word == "prepare":
-            ref = chain.register_outpoint(kp.pubkey)
-            if ref is None:
-                self.fail(no, f"{plain[0]} is not registered yet")
-            tx = build_prepare(kp, ref, int(plain[1]))
-        elif word == "delete":
-            interval = int(plain[1])
-            preps = chain.prepares_for(kp.pubkey, interval)
-            ref = OutPoint(preps[0].txid, 0) if preps else None
-            tx = build_delete(kp, interval, prepare_ref=ref)
-        elif word == "info":
-            label = plain[1]
-            purposes = opts.get("purposes", "").split(",")
-            if purposes == [""]:
-                self.fail(no, "info needs purposes=a,b,...")
-            controller = opts.get("controller", plain[0]).encode("utf-8")
-            ref = chain.register_outpoint(kp.pubkey)
-            if ref is None:
-                self.fail(no, f"{plain[0]} is not registered yet")
-            tx = build_info(kp, ref, controller, tuple(purposes))
-            scn.labels[label] = tx.txid
-        elif word == "consent":
-            info_txid = scn.labels.get(plain[1])
-            if info_txid is None:
-                self.fail(no, f"unknown info label {plain[1]!r}")
-            value = int(plain[2])
-            open_chain = chain.consent_chain(kp.pubkey, info_txid)
-            if open_chain is not None and open_chain.live:
-                spend = open_chain.outpoint
-            else:
-                spend = chain.register_outpoint(kp.pubkey)
-                if spend is None:
-                    self.fail(no, f"{plain[0]} is not registered yet")
-            tx = build_consent(kp, spend, OutPoint(info_txid, 0), value)
-        else:  # pragma: no cover
-            self.fail(no, f"unhandled directive {word!r}")
+        try:
+            if word == "register":
+                tx = build_register(kp)
+            elif word == "removable":
+                label = plain[1]
+                data = bytes.fromhex(opts["data"]) if "data" in opts \
+                    else label.encode("utf-8")
+                tx = build_removable(
+                    kp, chain.input_for(TxKind.REMOVABLE, kp.pubkey), data)
+                scn.labels[label] = tx.txid
+            elif word == "prepare":
+                tx = build_prepare(
+                    kp, chain.input_for(TxKind.PREPARE, kp.pubkey), int(plain[1]))
+            elif word == "delete":
+                interval = int(plain[1])
+                ref = chain.input_for(TxKind.DELETE, kp.pubkey, interval=interval)
+                tx = build_delete(kp, interval, prepare_ref=ref)
+            elif word == "info":
+                label = plain[1]
+                purposes = opts.get("purposes", "").split(",")
+                if purposes == [""]:
+                    self.fail(no, "info needs purposes=a,b,...")
+                controller = opts.get("controller", plain[0]).encode("utf-8")
+                tx = build_info(kp, chain.input_for(TxKind.INFO, kp.pubkey),
+                                controller, tuple(purposes))
+                scn.labels[label] = tx.txid
+            elif word == "consent":
+                info_txid = scn.labels.get(plain[1])
+                if info_txid is None:
+                    self.fail(no, f"unknown info label {plain[1]!r}")
+                value = int(plain[2])
+                spend = chain.input_for(TxKind.CONSENT, kp.pubkey, info=info_txid)
+                tx = build_consent(kp, spend, OutPoint(info_txid, 0), value)
+            else:  # pragma: no cover
+                self.fail(no, f"unhandled directive {word!r}")
+        except UnknownRegisterRef:
+            self.fail(no, f"{plain[0]} is not registered yet")
         try:
             net.submit(tx, via=via)
         except MempoolRejection as exc:

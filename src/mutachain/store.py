@@ -11,14 +11,14 @@ Layout under the store root:
   length, per-interval status.  The manifest rename is the commit
   point: every mutation writes data files first and the manifest last,
   through a temp file and an atomic rename.
-* ``.lock``: exclusive-open guard against concurrent writers.
+* ``.lock``: ``flock``-ed against concurrent writers; the lock dies
+  with the process that holds it.
 
-Loading reads only the committed log prefix and sweeps leftovers from
-an interrupted append (log tail, orphan interval directories) or an
-interrupted prune (stray block files whose interval is recorded
-deleted, or gone from disk with the delete confirmed on the spine).
+Loading reads only the committed log prefix and sweeps leftovers of an
+interrupted append (log tail, directories above the committed height).
+An interval missing block files is served as a gap and left on disk.
 The rebuilt chain is re-verified, including delete evidence for every
-absent interval, before the store is considered usable.
+gap, and only then does ``prune`` erase what an interrupted prune left.
 
 ``crash_hook`` is a test seam: when set, it is called with a named
 point before each mutation step and may raise to simulate a crash.
@@ -26,6 +26,7 @@ point before each mutation step and may raise to simulate a crash.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
@@ -48,6 +49,7 @@ from .verify import replay_verified
 MANIFEST = "manifest.json"
 LOG = "permanent.log"
 LOCK = ".lock"
+MANIFEST_FIELDS = ("params", "height", "log_bytes", "intervals")
 
 
 def _interval_dir(root: Path, x: int) -> Path:
@@ -79,7 +81,9 @@ class BlockStore:
         else:
             try:
                 self._manifest = json.loads((self.root / MANIFEST).read_text())
-            except (OSError, ValueError) as exc:
+                if not all(k in self._manifest for k in MANIFEST_FIELDS):
+                    raise ValueError(f"fields {MANIFEST_FIELDS} expected")
+            except (OSError, ValueError, TypeError) as exc:
                 self._release_lock()
                 raise CorruptStore(f"unreadable manifest: {exc}")
 
@@ -87,17 +91,17 @@ class BlockStore:
     # lifecycle
 
     def _acquire_lock(self) -> None:
+        fd = os.open(self.root / LOCK, os.O_CREAT | os.O_WRONLY)
         try:
-            self._lock_fd = os.open(self.root / LOCK,
-                                    os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreLocked(f"{self.root} is in use (stale {LOCK}?)")
-        os.write(self._lock_fd, str(os.getpid()).encode())
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise StoreLocked(f"{self.root} is in use")
+        self._lock_fd = fd
 
     def _release_lock(self) -> None:
         if self._lock_fd is not None:
-            os.close(self._lock_fd)
-            (self.root / LOCK).unlink(missing_ok=True)
+            os.close(self._lock_fd)     # closing drops the flock
             self._lock_fd = None
 
     def close(self) -> None:
@@ -206,7 +210,7 @@ class BlockStore:
     # loading
 
     def segments(self) -> list:
-        """Committed segments, sweeping debris from interrupted writes."""
+        """Committed segments, sweeping debris from interrupted appends."""
         log_bytes = self._manifest["log_bytes"]
         log_path = self.root / LOG
         raw = log_path.read_bytes() if log_path.exists() else b""
@@ -233,15 +237,11 @@ class BlockStore:
         for child in sorted(self.root.iterdir()):
             if not child.name.startswith("interval_"):
                 continue
-            x = child.name.split("_", 1)[1]
-            entry = known.get(x)
-            if entry is None or entry["status"] == "deleted":
-                # orphan of a torn append, or leftovers of a prune that
-                # lost the race with a crash: finish the removal
+            if child.name.split("_", 1)[1] not in known:
+                # orphan of a torn append above the committed height
                 shutil.rmtree(child)
 
         segments = []
-        changed = False
         for block in blocks:
             x = block.height
             entry = known.get(str(x))
@@ -252,41 +252,40 @@ class BlockStore:
                 segments.append(((), block))
                 continue
             d = _interval_dir(self.root, x)
-            if entry["status"] == "deleted":
-                segments.append((None, block))
-                continue
-            files = sorted(d.glob("*.blk"),
-                           key=lambda p: int(p.stem)) if d.exists() else []
-            if len(files) != n:
-                # an interrupted prune may have taken some files before
-                # the manifest flipped; the spine will prove whether the
-                # deletion was real
-                for f in files:
-                    f.unlink()
-                if d.exists():
-                    d.rmdir()
-                entry["status"] = "deleted"
-                changed = True
+            names = [f"{seq}.blk" for seq in range(1, n + 1)]
+            on_disk = {f.name for f in d.glob("*.blk")}
+            if on_disk - set(names):
+                raise CorruptStore(
+                    f"interval {x} holds stray files {sorted(on_disk - set(names))}")
+            if entry["status"] == "deleted" or len(on_disk) != n:
+                # a gap: pruned, or cut short by an interrupted prune,
+                # which the spine must prove
                 segments.append((None, block))
                 continue
             try:
-                rbs = tuple(RemovableBlock.decode(f.read_bytes())
-                            for f in files)
+                rbs = tuple(RemovableBlock.decode((d / name).read_bytes())
+                            for name in names)
             except MutachainError as exc:
                 raise CorruptStore(f"undecodable interval {x}: {exc}")
             segments.append((rbs, block))
-        if changed:
-            self._write_manifest()
         return segments
 
     def load_chain(self) -> Chain:
-        """Replay and fully re-verify the store's contents."""
+        """Replay and fully re-verify the store's contents, then finish
+        any prune a crash interrupted."""
+        segments = self.segments()
         try:
-            return replay_verified(self.segments(), self.params)
+            chain = replay_verified(segments, self.params)
         except HistoryRejected as exc:
             if isinstance(exc.cause, MissingDeleteEvidence):
                 raise exc.cause
             raise CorruptStore(f"stored chain does not verify: {exc}")
+        for rbs, block in segments:
+            x = block.height
+            if rbs is None and (self._manifest["intervals"][str(x)]["status"] != "deleted"
+                                or _interval_dir(self.root, x).exists()):
+                self.prune(x)
+        return chain
 
     # ------------------------------------------------------------------
 

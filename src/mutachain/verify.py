@@ -1,4 +1,4 @@
-"""Whole-history verification, tolerant of pruned intervals.
+"""Whole-history verification over pruned intervals.
 
 A verifier replays segments in order: first every structural rule
 (links, interval chains, p_lists, transaction roots), then the stateful
@@ -7,6 +7,10 @@ may legitimately be missing, because deletion is the point: a gap is
 accepted only when the permanent spine contains a confirmed delete for
 that exact interval.  A gap without such evidence fails verification
 with the offending heights listed.
+
+The replay runs on an ordinary ``Chain`` with no rule relaxed: a
+restricted delete may count a gap as holding duplicates only as far as
+the gap's header shows (see ``Chain._check_duplicates``).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ def replay_segments(segments, params: ChainParams | None = None) -> Chain:
     delete may follow later in the spine), use ``replay_verified`` for
     the full judgment.
     """
-    chain = Chain(params, tolerant=True)
+    chain = Chain(params)
     for removable_blocks, block in segments:
         try:
             if removable_blocks is None and block.header.interval_len > 0:
@@ -64,12 +68,12 @@ def gaps_without_evidence(chain: Chain) -> list[int]:
 def replay_verified(segments, params: ChainParams | None = None) -> Chain:
     """The one replay path for stored, synced and audited histories:
     replay, then require a confirmed delete for every absent interval.
-    Raises ``HistoryRejected``; the chain returned is strict."""
+    Raises ``HistoryRejected``; in the chain returned every gap has its
+    delete, so no gap can stand in for a duplicate any more."""
     chain = replay_segments(segments, params)
     unbacked = gaps_without_evidence(chain)
     if unbacked:
         raise HistoryRejected(MissingDeleteEvidence(unbacked), chain)
-    chain.make_strict()
     return chain
 
 

@@ -28,6 +28,7 @@ from mutachain import (
     build_prepare,
     build_register,
     build_removable,
+    build_removable_block,
     digest,
     keypair_from_seed,
 )
@@ -264,6 +265,52 @@ class _DegenerateFlow:
         if fault == 5:
             return build_removable(k, ref, b"does not belong here")
         return build_info(k, ref, b"c", ("dup", "dup"))
+
+
+def forged_hidden_duplicate_history() -> list[tuple]:
+    """A history that erases a bystander's data, as (interval_blocks,
+    permanent_block) segments with every body present.
+
+    A and B share interval 1 and A prepares it; interval 2 holds only
+    A's filler.  A deletes interval 1 although B's transaction has no
+    copy anywhere else, then deletes interval 2 as its sole owner.  The
+    segments are assembled with the block builders alone, so no chain
+    rule is consulted; a verifier must reject the history whichever of
+    intervals 1 and 2 it receives as gaps.
+    """
+    a = keypair_from_seed(digest(b"forged-hidden-dup:A"))
+    b = keypair_from_seed(digest(b"forged-hidden-dup:B"))
+    reg_a, reg_b = build_register(a), build_register(b)
+    ref_a = OutPoint(sha(reg_a.encoded), 0)
+    ref_b = OutPoint(sha(reg_b.encoded), 0)
+    prep = build_prepare(a, ref_a, 1)
+    plan = [
+        ((), (reg_a, reg_b)),                                            # 0
+        ((build_removable(a, ref_a, b"a's data"),
+          build_removable(b, ref_b, b"b's data")), ()),                  # 1
+        ((build_removable(a, ref_a, b"a's filler"),), (prep,)),          # 2
+        ((), (build_delete(a, 1, OutPoint(sha(prep.encoded), 0)),)),     # 3
+        ((), (build_delete(a, 2),)),                                     # 4
+        ((), ()),                                                        # 5
+        ((), ()),                                                        # 6
+    ]
+    segments = []
+    tip = NULL_HASH
+    for height, (removable_txs, body) in enumerate(plan):
+        interval = ()
+        anchor = tip
+        if removable_txs:
+            rb = build_removable_block(height, 1, tip, removable_txs)
+            interval, anchor = (rb,), rb.block_hash
+        block = build_permanent_block(
+            height=height, prev_permanent=tip,
+            prev_removable=anchor if interval else NULL_HASH,
+            interval_len=len(interval),
+            p_list=tuple(sorted({tx.signer for tx in removable_txs})),
+            txs=body)
+        segments.append((interval, block))
+        tip = block.block_hash
+    return segments
 
 
 def degenerate_sequence(rng: random.Random, tag: str) -> list[PermanentBlock]:

@@ -148,3 +148,11 @@ def test_mine_reports_rejected_queue_state(runner, tmp_path):
     boot(runner, store)
     out = run(runner, "mine", "--store", store)   # nothing queued
     assert "0 body tx(s)" in out
+
+
+def test_unregistered_key_is_refused_by_name(runner, tmp_path):
+    store = tmp_path / "chain"
+    run(runner, "init", "--store", store)
+    run(runner, "key", "new", "carol", "--store", store)
+    out = run(runner, "removable", "carol", "hello", "--store", store, expect=1)
+    assert "carol is not registered on the chain yet" in out

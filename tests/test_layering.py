@@ -1,5 +1,6 @@
 """Only ledger.py reaches into a Chain's private members; every other
-module goes through its public methods."""
+module goes through its public methods.  Only the verifier feeds a
+chain interval bodies it never saw."""
 
 import ast
 from pathlib import Path
@@ -23,7 +24,7 @@ def chain_private_members() -> set[str]:
 
 def test_only_the_ledger_touches_private_chain_members():
     private = chain_private_members()
-    assert {"_intervals", "_tolerant", "_write"} <= private
+    assert {"_intervals", "_write"} <= private
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "ledger.py":
@@ -33,3 +34,13 @@ def test_only_the_ledger_touches_private_chain_members():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert offenders == []
+
+
+def test_only_the_verifier_appends_gap_segments():
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "append_gap_segment" \
+                    and isinstance(node.ctx, ast.Load):
+                callers.append(path.name)
+    assert callers == ["verify.py"]

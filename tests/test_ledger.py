@@ -8,7 +8,10 @@ from mutachain import (
     IntervalStatus,
     NULL_HASH,
     OutPoint,
+    TxKind,
+    build_consent,
     build_delete,
+    build_info,
     build_prepare,
     build_register,
     build_removable,
@@ -346,3 +349,39 @@ def test_genesis_must_close_an_empty_interval():
     fresh = Chain()
     with pytest.raises((BlockShapeError, UnknownParent)):
         fresh.append_segment(interval, block)
+
+
+def test_input_for_names_the_outpoint_each_kind_spends():
+    ch = fresh_chain(ALICE, BOB)
+    register = reg(ch, ALICE)
+    for kind in (TxKind.REMOVABLE, TxKind.PREPARE, TxKind.INFO):
+        assert ch.input_for(kind, ALICE.pubkey) == register
+    with pytest.raises(UnknownRegisterRef):
+        ch.input_for(TxKind.REMOVABLE, CAROL.pubkey)
+    extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")])
+    # no prepare yet: the fast path spends nothing
+    assert ch.input_for(TxKind.DELETE, ALICE.pubkey, interval=1) is None
+    prep = build_prepare(ALICE, register, 1)
+    info = build_info(BOB, reg(ch, BOB), b"ctl", ("ads",))
+    extend(ch, body_txs=[prep, info])
+    assert ch.input_for(TxKind.DELETE, ALICE.pubkey, interval=1) == OutPoint(prep.txid, 0)
+    # a consent opens from the register output, then spends its own
+    assert ch.input_for(TxKind.CONSENT, ALICE.pubkey, info=info.txid) == register
+    grant = build_consent(ALICE, register, OutPoint(info.txid, 0), 1)
+    extend(ch, body_txs=[grant])
+    assert ch.input_for(TxKind.CONSENT, ALICE.pubkey, info=info.txid) == OutPoint(grant.txid, 0)
+
+
+def test_other_data_of_the_signer_is_no_duplicate():
+    # bob signs interval 2 too, but not the transaction at stake: on a
+    # chain that saw every body, only a byte-identical copy counts
+    ch = fresh_chain(ALICE, BOB)
+    b_tx = rem(ch, BOB, b"at stake")
+    extend(ch, [rem(ch, ALICE, b"a"), b_tx])
+    extend(ch, [rem(ch, BOB, b"unrelated")])
+    prep = build_prepare(ALICE, reg(ch, ALICE), 1)
+    extend(ch, body_txs=[prep])
+    with pytest.raises(MissingDuplicates) as err:
+        extend(ch, body_txs=[build_delete(ALICE, 1, OutPoint(prep.txid, 0))])
+    assert err.value.missing_txids == (b_tx.txid,)
+    assert err.value.signers == (BOB.pubkey,)

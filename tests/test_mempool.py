@@ -22,6 +22,7 @@ from mutachain.errors import (
     MempoolRejection,
     PrematureDelete,
     StatelessInvalid,
+    UnknownRegisterRef,
     UnknownSigner,
 )
 from support import ALICE, BOB, CAROL, extend, fresh_chain, kp, reg, rem
@@ -70,6 +71,11 @@ def test_stateless_garbage_and_unknown_signers_bounce():
     stranger = build_removable(CAROL, OutPoint(digest(b"?"), 0), b"x")
     with pytest.raises(UnknownSigner):
         pool.submit(stranger, ch)
+    # a registered key spending a dangling outpoint is no stranger
+    dangling = build_removable(ALICE, OutPoint(digest(b"?"), 0), b"x")
+    with pytest.raises(AdmissionFailed) as err:
+        pool.submit(dangling, ch)
+    assert isinstance(err.value.cause, UnknownRegisterRef)
     # a register for a new key is the one kind a stranger may submit
     pool.submit(build_register(CAROL), ch)
     mine(pool, ch)

@@ -109,3 +109,12 @@ def test_rejoin_scenario_all_nodes_verify():
         segments = [(chain.interval_record(x).blocks, chain.block_at(x))
                     for x in range(chain.height + 1)]
         assert verify_chain(segments, chain.params).ok
+
+
+def test_unregistered_entity_is_named_with_its_line():
+    for bad in ("removable A note", "prepare A 1", "info A schema purposes=x",
+                "consent A schema 1"):
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(f"entity A B\ngenesis B\ninfo B schema purposes=x\n{bad}\n")
+        assert err.value.line_no == 4
+        assert "A is not registered" in str(err.value)

@@ -8,11 +8,18 @@ from mutachain import (
     BlockStore,
     ChainParams,
     IntervalStatus,
+    OutPoint,
     build_delete,
+    build_prepare,
     verify_chain,
 )
-from mutachain.errors import CorruptStore, MissingDeleteEvidence, StoreLocked
-from support import ALICE, BOB, extend, fresh_chain, rem
+from mutachain.errors import (
+    CorruptStore,
+    MissingDeleteEvidence,
+    MissingDuplicates,
+    StoreLocked,
+)
+from support import ALICE, BOB, extend, fresh_chain, reg, rem
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
@@ -44,7 +51,33 @@ def test_round_trip_through_disk(tmp_path):
         loaded = store.load_chain()
     assert loaded.tip_hash == ch.tip_hash
     assert loaded.interval_txs(1) == ch.interval_txs(1)
-    assert not loaded._tolerant
+
+
+def test_loaded_gap_excuses_no_missing_duplicate(tmp_path):
+    # interval 1 names bob and is pruned on disk; once loaded, its
+    # delete is on record, so it cannot stand in for a copy of bob's
+    # later data
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    b_tx = rem(ch, BOB, b"bobs")
+    extend(ch, [rem(ch, ALICE, b"a"), b_tx])                          # 1
+    prep = build_prepare(ALICE, reg(ch, ALICE), 1)
+    extend(ch, [b_tx], [prep])                                        # 2
+    extend(ch, body_txs=[build_delete(ALICE, 1, OutPoint(prep.txid, 0))])
+    extend(ch)
+    assert ch.prune() == [1]
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, ch)
+        store.prune(1)
+    with BlockStore(tmp_path / "s") as store:
+        loaded = store.load_chain()
+    assert loaded.interval_blocks(1) is None
+    extend(loaded, [rem(loaded, ALICE, b"a2"), rem(loaded, BOB, b"b2")])
+    x = loaded.height
+    prep2 = build_prepare(ALICE, reg(loaded, ALICE), x)
+    extend(loaded, body_txs=[prep2])
+    with pytest.raises(MissingDuplicates) as err:
+        extend(loaded, body_txs=[build_delete(ALICE, x, OutPoint(prep2.txid, 0))])
+    assert err.value.signers == (BOB.pubkey,)
 
 
 def test_lock_excludes_second_writer(tmp_path):
@@ -54,6 +87,15 @@ def test_lock_excludes_second_writer(tmp_path):
     # released on close
     with BlockStore(tmp_path / "s"):
         pass
+
+
+def test_leftover_lock_file_does_not_block_opening(tmp_path):
+    with BlockStore(tmp_path / "s", create=True):
+        pass
+    # what a crashed process leaves behind: the file, but no lock on it
+    (tmp_path / "s" / ".lock").write_text("4242")
+    with BlockStore(tmp_path / "s") as store:
+        assert store.height == -1
 
 
 def test_open_missing_store_fails(tmp_path):
@@ -165,13 +207,50 @@ def test_crash_mid_prune_completes_on_load(tmp_path):
 
 
 def test_missing_body_without_evidence_fails_load(tmp_path):
-    ch = simple_chain()
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"first"), rem(ch, BOB, b"second")],
+           per_block=1)
+    extend(ch)
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
         (store.root / "interval_1" / "1.blk").unlink()
+        survivor = (store.root / "interval_1" / "2.blk").read_bytes()
+        manifest = (store.root / "manifest.json").read_text()
     with BlockStore(tmp_path / "s") as store:
+        assert store.segments()[1][0] is None
         with pytest.raises(MissingDeleteEvidence):
             store.load_chain()
+    # no delete on the spine, so nothing may be erased or rewritten
+    assert (tmp_path / "s" / "interval_1" / "2.blk").read_bytes() == survivor
+    assert (tmp_path / "s" / "manifest.json").read_text() == manifest
+
+
+def test_stray_block_file_is_corruption(tmp_path):
+    ch = simple_chain()
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, ch)
+        (store.root / "interval_1" / "x.blk").write_bytes(b"stray")
+    with BlockStore(tmp_path / "s") as store:
+        with pytest.raises(CorruptStore):
+            store.load_chain()
+
+
+def test_manifest_missing_a_field_is_corruption(tmp_path):
+    with BlockStore(tmp_path / "s", create=True):
+        pass
+    path = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["log_bytes"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptStore):
+        BlockStore(tmp_path / "s")
+    path.write_text("[1, 2]")
+    with pytest.raises(CorruptStore):
+        BlockStore(tmp_path / "s")
+    # a failed open leaves the store unlocked
+    path.write_text(json.dumps({**manifest, "log_bytes": 0}))
+    with BlockStore(tmp_path / "s") as store:
+        assert store.height == -1
 
 
 def test_tampered_block_file_fails_load(tmp_path):

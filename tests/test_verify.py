@@ -14,7 +14,9 @@ from mutachain import (
     replay_segments,
     verify_chain,
 )
-from mutachain.errors import LedgerError, MissingDuplicates
+from mutachain.errors import HistoryRejected, MissingDuplicates
+from mutachain.verify import replay_verified
+from oracles import forged_hidden_duplicate_history
 from support import ALICE, BOB, extend, fresh_chain, reg, rem
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -76,14 +78,6 @@ def test_gap_without_evidence_fails():
     assert "1" in report.problem
 
 
-def test_strict_chain_refuses_gaps():
-    ch, segments = deleted_history()
-    strict = fresh_chain(ALICE, BOB, params=FAST)
-    gap_block = segments[1][1]
-    with pytest.raises(LedgerError):
-        strict.append_gap_segment(gap_block)
-
-
 def test_tampered_spine_fails_verification():
     ch, segments = deleted_history()
     block = segments[4][1]
@@ -143,3 +137,49 @@ def test_strict_mode_rejects_bare_duplicate_claims():
     extend(ch, body_txs=[prep_a])   # no duplicate anywhere
     with pytest.raises(MissingDuplicates):
         extend(ch, body_txs=[build_delete(ALICE, 1, OutPoint(prep_a.txid, 0))])
+
+
+def honest_hidden_duplicate_history():
+    """The honest transcript above, pruned, as a verifier receives it
+    with every body that survives the prune."""
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    b_tx = rem(ch, BOB, b"bobs")
+    extend(ch, [rem(ch, ALICE, b"a"), b_tx])                 # 1
+    prep_a = build_prepare(ALICE, reg(ch, ALICE), 1)
+    extend(ch, [b_tx], [prep_a])                             # 2
+    extend(ch, body_txs=[build_delete(ALICE, 1, OutPoint(prep_a.txid, 0))])  # 3
+    prep_b = build_prepare(BOB, reg(ch, BOB), 2)
+    extend(ch, body_txs=[prep_b])                            # 4
+    extend(ch, body_txs=[build_delete(BOB, 2, OutPoint(prep_b.txid, 0))])    # 5
+    extend(ch)                                               # 6
+    segments = [(ch.interval_record(x).blocks, ch.block_at(x))
+                for x in range(ch.height + 1)]
+    return ch, segments
+
+
+@pytest.mark.parametrize("gaps", [(1,), (2,), (1, 2)])
+def test_honest_hidden_duplicate_verifies_under_every_gap_placement(gaps):
+    # the duplicate of bob's transaction lives in interval 2: present,
+    # it is seen; a gap whose delete comes later, its p_list names bob
+    ch, segments = honest_hidden_duplicate_history()
+    for x in gaps:
+        segments[x] = (None, segments[x][1])
+    report = verify_chain(segments, ch.params)
+    assert report.ok and report.deleted == len(gaps)
+
+
+@pytest.mark.parametrize("gaps", [(), (1,), (2,), (1, 2)])
+def test_forged_hidden_duplicate_is_rejected_under_every_gap_placement(gaps):
+    # bob's only copy sat in interval 1, and interval 2's p_list does
+    # not name bob, so no placement of gaps can excuse the delete of 1
+    segments = forged_hidden_duplicate_history()
+    for x in gaps:
+        segments[x] = (None, segments[x][1])
+    report = verify_chain(segments)
+    assert not report.ok
+    assert "MissingDuplicates" in report.problem
+    assert report.height == 2        # the delete of interval 1 is refused
+    with pytest.raises(HistoryRejected) as err:
+        replay_verified(segments)
+    assert isinstance(err.value.cause, MissingDuplicates)
+    assert err.value.cause.signers == (segments[0][1].txs[1].signer,)
