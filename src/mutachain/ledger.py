@@ -200,7 +200,7 @@ class Chain:
 
     def append_gap_segment(self, block: PermanentBlock) -> None:
         """Commit a permanent block whose interval body is unavailable;
-        ``verify.replay_verified`` settles whether a delete excuses it."""
+        ``verify.replay_segments`` settles whether a delete excuses it."""
         with self.stage():
             self._apply_segment(None, block)
             self.commit()

@@ -4,21 +4,24 @@ Layout under the store root:
 
 * ``permanent.log``: the spine, concatenated canonical block encodings,
   append-only.
-* ``interval_<x>/<seq>.blk``: one file per removable block, so erasing
-  interval ``x`` is unlinking its files; nothing else on disk holds
-  those bytes.
-* ``manifest.json``: parameters, committed height, committed log
-  length, per-interval status.  The manifest rename is the commit
-  point: every mutation writes data files first and the manifest last,
-  through a temp file and an atomic rename.
+* ``interval_<x>.blk``: interval ``x``'s removable blocks, each framed
+  as a codec byte string.  Erasing the interval is unlinking this one
+  file; nothing else on disk holds those bytes.  The spine header says
+  how many blocks it holds; whether it exists says present or pruned.
+* ``manifest.json``: format version, parameters, committed height and
+  committed log length, a size that does not grow with the chain.  Its
+  rename is the commit point: an append fsyncs the interval file and
+  the log first and the manifest last, through a temp file and an
+  atomic rename.  The root directory is fsynced after that rename and
+  after a prune's unlink, so commits and erasures survive power loss.
 * ``.lock``: ``flock``-ed against concurrent writers; the lock dies
   with the process that holds it.
 
 Loading reads only the committed log prefix and sweeps leftovers of an
-interrupted append (log tail, directories above the committed height).
-An interval missing block files is served as a gap and left on disk.
-The rebuilt chain is re-verified, including delete evidence for every
-gap, and only then does ``prune`` erase what an interrupted prune left.
+interrupted append (log tail, interval files above the committed
+height), erasing nothing at or below it.  A missing interval file is
+served as a gap; the rebuilt chain is re-verified, including delete
+evidence for every gap.
 
 ``crash_hook`` is a test seam: when set, it is called with a named
 point before each mutation step and may raise to simulate a crash.
@@ -29,11 +32,12 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import shutil
+import re
 from pathlib import Path
 from typing import Callable
 
-from . import codec
+# replay through the module: a wrapper set on verify.replay_segments sees it
+from . import codec, verify
 from .blocks import PermanentBlock, RemovableBlock
 from .crypto import digest
 from .errors import (
@@ -43,17 +47,39 @@ from .errors import (
     MutachainError,
     StoreLocked,
 )
-from .ledger import Chain, ChainParams, IntervalStatus
-from .verify import replay_verified
+from .ledger import Chain, ChainParams
 
 MANIFEST = "manifest.json"
 LOG = "permanent.log"
 LOCK = ".lock"
-MANIFEST_FIELDS = ("params", "height", "log_bytes", "intervals")
+VERSION = 2
+PARAM_FIELDS = ("confirm_depth", "delete_lock")
+INTERVAL_FILE = re.compile(r"interval_(0|[1-9][0-9]*)\.blk")
 
 
-def _interval_dir(root: Path, x: int) -> Path:
-    return root / f"interval_{x}"
+def _write_synced(path: Path, data: bytes, mode: str) -> None:
+    with open(path, mode) as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _checked_manifest(manifest) -> dict:
+    """``manifest`` if every field has its type and range, else ValueError."""
+    if not isinstance(manifest, dict):
+        raise ValueError("not a JSON object")
+    version = manifest.get("version")
+    if type(version) is not int or version != VERSION:
+        raise ValueError(f"format version {version!r}, expected {VERSION}")
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise ValueError(f"params {params!r} is not an object")
+    for fields, key, low in ((manifest, "height", -1), (manifest, "log_bytes", 0),
+                             *((params, key, 0) for key in PARAM_FIELDS)):
+        value = fields.get(key)
+        if type(value) is not int or value < low:
+            raise ValueError(f"{key} {value!r} is not an int >= {low}")
+    return manifest
 
 
 class BlockStore:
@@ -70,20 +96,18 @@ class BlockStore:
         self._acquire_lock()
         if create:
             self._manifest = {
-                "version": 1,
+                "version": VERSION,
                 "params": {"confirm_depth": ChainParams().confirm_depth,
                            "delete_lock": ChainParams().delete_lock},
                 "height": -1,
                 "log_bytes": 0,
-                "intervals": {},
             }
             self._write_manifest()
         else:
             try:
-                self._manifest = json.loads((self.root / MANIFEST).read_text())
-                if not all(k in self._manifest for k in MANIFEST_FIELDS):
-                    raise ValueError(f"fields {MANIFEST_FIELDS} expected")
-            except (OSError, ValueError, TypeError) as exc:
+                self._manifest = _checked_manifest(
+                    json.loads((self.root / MANIFEST).read_text()))
+            except (OSError, ValueError) as exc:
                 self._release_lock()
                 raise CorruptStore(f"unreadable manifest: {exc}")
 
@@ -120,18 +144,24 @@ class BlockStore:
         if self.crash_hook is not None:
             self.crash_hook(point)
 
-    def _write_file(self, path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+    def _interval_path(self, x: int) -> Path:
+        return self.root / f"interval_{x}.blk"
+
+    def _sync_root(self) -> None:
+        """Make the root's entries (new names, renames, unlinks) durable."""
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def _write_manifest(self) -> None:
         self._crash("manifest")
         text = json.dumps(self._manifest, sort_keys=True, indent=2) + "\n"
-        self._write_file(self.root / MANIFEST, text.encode("utf-8"))
+        tmp = self.root / (MANIFEST + ".tmp")
+        _write_synced(tmp, text.encode("utf-8"), "wb")
+        os.replace(tmp, self.root / MANIFEST)
+        self._sync_root()
 
     @property
     def params(self) -> ChainParams:
@@ -159,52 +189,37 @@ class BlockStore:
             raise CorruptStore(
                 f"appending height {x} onto committed height {self.height}")
         if removable_blocks:
-            d = _interval_dir(self.root, x)
-            d.mkdir(exist_ok=True)
-            for rb in removable_blocks:
-                self._crash("interval-file")
-                self._write_file(d / f"{rb.seq}.blk", rb.encoded)
+            # no temp file: until the manifest flips it is an orphan
+            self._crash("interval-file")
+            _write_synced(self._interval_path(x),
+                          b"".join(codec.encode_byte_string(rb.encoded)
+                                   for rb in removable_blocks), "wb")
         self._crash("log-append")
-        with open(self.root / LOG, "ab") as fh:
-            fh.write(block.encoded)
-            fh.flush()
-            os.fsync(fh.fileno())
+        _write_synced(self.root / LOG, block.encoded, "ab")
         self._manifest["height"] = x
         self._manifest["log_bytes"] += len(block.encoded)
-        self._manifest["intervals"][str(x)] = {
-            "status": "present", "blocks": block.header.interval_len}
         self._write_manifest()
 
     def prune(self, x: int) -> None:
         """Physically erase interval ``x`` from disk."""
-        entry = self._manifest["intervals"].get(str(x))
-        if entry is None:
+        if not 0 <= x <= self.height:
             raise CorruptStore(f"interval {x} is not in this store")
-        d = _interval_dir(self.root, x)
-        if d.exists():
-            for blk in sorted(d.iterdir()):
-                self._crash("prune-file")
-                blk.unlink()
-            d.rmdir()
-        entry["status"] = "deleted"
-        self._write_manifest()
+        self._crash("prune-file")
+        self._interval_path(x).unlink(missing_ok=True)
+        self._sync_root()
 
     def rebuild(self, chain: Chain) -> None:
         """Replace all block data with the given chain's contents."""
-        for child in self.root.iterdir():
-            if child.name.startswith("interval_"):
-                shutil.rmtree(child)
-        (self.root / LOG).unlink(missing_ok=True)
+        # commit the empty store first: a crash below leaves only a log
+        # tail and orphan interval files, both swept on load
         self._manifest["height"] = -1
         self._manifest["log_bytes"] = 0
-        self._manifest["intervals"] = {}
         self.set_params(chain.params)
+        for child in self.root.glob("interval_*"):
+            child.unlink()
+        (self.root / LOG).unlink(missing_ok=True)
         for x in range(chain.height + 1):
-            rec = chain.interval_record(x)
-            self.append_segment(rec.blocks, chain.block_at(x))
-            if rec.status is IntervalStatus.DELETED:
-                self._manifest["intervals"][str(x)]["status"] = "deleted"
-        self._write_manifest()
+            self.append_segment(chain.interval_blocks(x), chain.block_at(x))
 
     # ------------------------------------------------------------------
     # loading
@@ -217,12 +232,7 @@ class BlockStore:
         if len(raw) < log_bytes:
             raise CorruptStore(
                 f"log holds {len(raw)} bytes, manifest committed {log_bytes}")
-        if len(raw) > log_bytes:
-            # torn append: drop the uncommitted tail
-            with open(log_path, "r+b") as fh:
-                fh.truncate(log_bytes)
-            raw = raw[:log_bytes]
-        reader = codec.Reader(raw)
+        reader = codec.Reader(raw[:log_bytes])
         blocks = []
         try:
             while not reader.exhausted:
@@ -232,60 +242,49 @@ class BlockStore:
         if len(blocks) != self.height + 1:
             raise CorruptStore(
                 f"{len(blocks)} blocks in log, manifest height {self.height}")
+        if len(raw) > log_bytes:
+            # torn append: drop the uncommitted tail
+            with open(log_path, "r+b") as fh:
+                fh.truncate(log_bytes)
 
-        known = self._manifest["intervals"]
-        for child in sorted(self.root.iterdir()):
-            if not child.name.startswith("interval_"):
-                continue
-            if child.name.split("_", 1)[1] not in known:
-                # orphan of a torn append above the committed height
-                shutil.rmtree(child)
+        bodied = {self._interval_path(b.height).name
+                  for b in blocks if b.header.interval_len}
+        for child in self.root.glob("interval_*"):
+            m = INTERVAL_FILE.fullmatch(child.name)
+            if m and int(m[1]) > self.height and child.is_file():
+                child.unlink()      # orphan of a torn append
+            elif not (child.name in bodied and child.is_file()):
+                raise CorruptStore(f"stray {child.name} in {self.root}")
 
         segments = []
         for block in blocks:
             x = block.height
-            entry = known.get(str(x))
-            if entry is None:
-                raise CorruptStore(f"no manifest entry for interval {x}")
-            n = block.header.interval_len
-            if n == 0:
+            if block.header.interval_len == 0:
                 segments.append(((), block))
                 continue
-            d = _interval_dir(self.root, x)
-            names = [f"{seq}.blk" for seq in range(1, n + 1)]
-            on_disk = {f.name for f in d.glob("*.blk")}
-            if on_disk - set(names):
-                raise CorruptStore(
-                    f"interval {x} holds stray files {sorted(on_disk - set(names))}")
-            if entry["status"] == "deleted" or len(on_disk) != n:
-                # a gap: pruned, or cut short by an interrupted prune,
-                # which the spine must prove
+            try:
+                reader = codec.Reader(self._interval_path(x).read_bytes())
+            except FileNotFoundError:
+                # pruned: the spine must prove the delete
                 segments.append((None, block))
                 continue
+            rbs = []
             try:
-                rbs = tuple(RemovableBlock.decode((d / name).read_bytes())
-                            for name in names)
+                while not reader.exhausted:
+                    rbs.append(RemovableBlock.decode(reader.byte_string()))
             except MutachainError as exc:
                 raise CorruptStore(f"undecodable interval {x}: {exc}")
-            segments.append((rbs, block))
+            segments.append((tuple(rbs), block))   # replay checks the count
         return segments
 
     def load_chain(self) -> Chain:
-        """Replay and fully re-verify the store's contents, then finish
-        any prune a crash interrupted."""
-        segments = self.segments()
+        """Replay and fully re-verify the store's contents."""
         try:
-            chain = replay_verified(segments, self.params)
+            return verify.replay_segments(self.segments(), self.params)
         except HistoryRejected as exc:
             if isinstance(exc.cause, MissingDeleteEvidence):
                 raise exc.cause
             raise CorruptStore(f"stored chain does not verify: {exc}")
-        for rbs, block in segments:
-            x = block.height
-            if rbs is None and (self._manifest["intervals"][str(x)]["status"] != "deleted"
-                                or _interval_dir(self.root, x).exists()):
-                self.prune(x)
-        return chain
 
     # ------------------------------------------------------------------
 

@@ -37,12 +37,15 @@ class VerifyReport:
 
 
 def replay_segments(segments, params: ChainParams | None = None) -> Chain:
-    """Rebuild a chain from (interval_blocks, permanent_block) pairs.
+    """The one replay path for stored, synced and audited histories:
+    rebuild a chain from (interval_blocks, permanent_block) pairs, then
+    require a confirmed delete for every absent interval.
 
-    ``None`` interval blocks mark a gap.  The first rule violation is
-    raised as ``HistoryRejected``; gap evidence is not settled here (the
-    delete may follow later in the spine), use ``replay_verified`` for
-    the full judgment.
+    ``segments`` may be any iterable; it is read once.  ``None``
+    interval blocks mark a gap.  The first rule violation, or a gap no
+    delete backs, is raised as ``HistoryRejected``.  In the chain
+    returned every gap has its delete, so no gap can stand in for a
+    duplicate any more.
     """
     chain = Chain(params)
     for removable_blocks, block in segments:
@@ -53,6 +56,9 @@ def replay_segments(segments, params: ChainParams | None = None) -> Chain:
                 chain.append_segment(removable_blocks or (), block)
         except MutachainError as exc:
             raise HistoryRejected(exc, chain) from exc
+    unbacked = gaps_without_evidence(chain)
+    if unbacked:
+        raise HistoryRejected(MissingDeleteEvidence(unbacked), chain)
     return chain
 
 
@@ -65,22 +71,10 @@ def gaps_without_evidence(chain: Chain) -> list[int]:
     return heights
 
 
-def replay_verified(segments, params: ChainParams | None = None) -> Chain:
-    """The one replay path for stored, synced and audited histories:
-    replay, then require a confirmed delete for every absent interval.
-    Raises ``HistoryRejected``; in the chain returned every gap has its
-    delete, so no gap can stand in for a duplicate any more."""
-    chain = replay_segments(segments, params)
-    unbacked = gaps_without_evidence(chain)
-    if unbacked:
-        raise HistoryRejected(MissingDeleteEvidence(unbacked), chain)
-    return chain
-
-
 def verify_chain(segments, params: ChainParams | None = None) -> VerifyReport:
     """Full verification of a stored or received history."""
     try:
-        return _report(replay_verified(segments, params))
+        return _report(replay_segments(segments, params))
     except HistoryRejected as exc:
         return _report(exc.chain, problem=str(exc))
 

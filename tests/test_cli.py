@@ -116,7 +116,7 @@ def test_verify_flags_manipulation(runner, tmp_path):
     run(runner, "mine", "--store", store)
     assert "valid" in run(runner, "verify", "--store", store)
     # rip out the interval body behind the store's back
-    blk = next(Path(store).glob("interval_*/1.blk"))
+    blk = next(Path(store).glob("interval_*.blk"))
     blk.unlink()
     out = run(runner, "verify", "--store", store, expect=1)
     assert "invalid" in out or "MissingDeleteEvidence" in out

@@ -1,6 +1,9 @@
 """Disk layout, crash recovery, physical erasure, and store digests."""
 
 import json
+import os
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,21 @@ def simple_chain():
     extend(ch, [rem(ch, ALICE, b"first"), rem(ch, BOB, b"second")])
     extend(ch)
     return ch
+
+
+def two_block_chain():
+    """Interval 1 holds two blocks, interval 2 one; no delete anywhere."""
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"first"), rem(ch, BOB, b"second")],
+           per_block=1)
+    extend(ch, [rem(ch, ALICE, b"third")])
+    extend(ch)
+    return ch
+
+
+def file_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_round_trip_through_disk(tmp_path):
@@ -123,12 +141,13 @@ def test_prune_unlinks_interval_files(tmp_path):
     extend(ch)
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
-        assert (store.root / "interval_1" / "1.blk").exists()
+        assert (store.root / "interval_1.blk").exists()
+        manifest = (store.root / "manifest.json").read_bytes()
         assert ch.prune() == [1]
         store.prune(1)
-        assert not (store.root / "interval_1").exists()
-        manifest = json.loads((store.root / "manifest.json").read_text())
-        assert manifest["intervals"]["1"]["status"] == "deleted"
+        assert not (store.root / "interval_1.blk").exists()
+        # the file's absence is the record: prune commits nothing else
+        assert (store.root / "manifest.json").read_bytes() == manifest
     with BlockStore(tmp_path / "s") as store:
         loaded = store.load_chain()
     assert loaded.interval_status(1) is IntervalStatus.DELETED
@@ -152,6 +171,23 @@ def test_torn_log_append_is_swept(tmp_path):
     assert b"\xde\xad\xbe\xef" not in log
 
 
+def test_manifest_behind_the_log_truncates_nothing(tmp_path):
+    # a manifest committing fewer log bytes than its height needs is
+    # corrupt, not a torn append: the log stays whole
+    ch = simple_chain()
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, ch)
+    path = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["log_bytes"] -= len(ch.block_at(ch.height).encoded)
+    path.write_text(json.dumps(manifest))
+    log = (tmp_path / "s" / "permanent.log").read_bytes()
+    with BlockStore(tmp_path / "s") as store:
+        with pytest.raises(CorruptStore):
+            store.load_chain()
+    assert (tmp_path / "s" / "permanent.log").read_bytes() == log
+
+
 def test_crash_between_interval_file_and_manifest(tmp_path):
     ch = simple_chain()
     with BlockStore(tmp_path / "s", create=True) as store:
@@ -170,10 +206,11 @@ def test_crash_between_interval_file_and_manifest(tmp_path):
         assert hits["n"] == 1
         # interval files were written, but nothing was committed
         assert store.height == 0
+        assert (store.root / "interval_1.blk").exists()
     with BlockStore(tmp_path / "s") as store:
-        loaded = store.load_chain()   # orphan directory swept
+        loaded = store.load_chain()   # orphan file swept
         assert loaded.height == 0
-        assert not (store.root / "interval_1").exists()
+        assert not (store.root / "interval_1.blk").exists()
 
 
 def test_crash_mid_prune_completes_on_load(tmp_path):
@@ -184,55 +221,72 @@ def test_crash_mid_prune_completes_on_load(tmp_path):
     extend(ch)
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
-        ch.prune()
-        taken = {"n": 0}
+        assert ch.prune() == [1]
 
         def bomb(point):
-            if point == "prune-file" and taken["n"] == 1:
+            if point == "prune-file":
                 raise Crash(point)
-            taken["n"] += 1
 
         store.crash_hook = bomb
         with pytest.raises(Crash):
             store.prune(1)
-        # one of two block files removed, manifest still says present
-        left = list((store.root / "interval_1").glob("*.blk"))
-        assert len(left) == 1
+        # a prune is one unlink: the crash came before it, so the
+        # interval is whole, never half erased
+        assert (store.root / "interval_1.blk").exists()
     with BlockStore(tmp_path / "s") as store:
         loaded = store.load_chain()
-        # the spine's delete evidence lets the half-pruned interval be
-        # treated as deleted, and the leftovers are erased
-        assert loaded.interval_status(1) is IntervalStatus.DELETED
-        assert not (store.root / "interval_1").exists()
+        # the spine's matured delete makes the loaded chain prune again
+        assert loaded.prune() == [1]
+        store.prune(1)
+        assert not (store.root / "interval_1.blk").exists()
+    with BlockStore(tmp_path / "s") as store:
+        assert store.load_chain().interval_status(1) is IntervalStatus.DELETED
 
 
 def test_missing_body_without_evidence_fails_load(tmp_path):
-    ch = fresh_chain(ALICE, BOB, params=FAST)
-    extend(ch, [rem(ch, ALICE, b"first"), rem(ch, BOB, b"second")],
-           per_block=1)
-    extend(ch)
     with BlockStore(tmp_path / "s", create=True) as store:
-        fill(store, ch)
-        (store.root / "interval_1" / "1.blk").unlink()
-        survivor = (store.root / "interval_1" / "2.blk").read_bytes()
-        manifest = (store.root / "manifest.json").read_text()
+        fill(store, two_block_chain())
+        (store.root / "interval_1.blk").unlink()
+        before = file_bytes(store.root)
     with BlockStore(tmp_path / "s") as store:
         assert store.segments()[1][0] is None
         with pytest.raises(MissingDeleteEvidence):
             store.load_chain()
     # no delete on the spine, so nothing may be erased or rewritten
-    assert (tmp_path / "s" / "interval_1" / "2.blk").read_bytes() == survivor
-    assert (tmp_path / "s" / "manifest.json").read_text() == manifest
+    assert file_bytes(tmp_path / "s") == before
+
+
+def test_interval_file_cut_short_is_corruption(tmp_path):
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, two_block_chain())
+        path = store.root / "interval_1.blk"
+        data = path.read_bytes()
+        first = 4 + int.from_bytes(data[:4], "little")   # one framed block
+        path.write_bytes(data[:first])
+    with BlockStore(tmp_path / "s") as store:
+        with pytest.raises(CorruptStore):
+            store.load_chain()
+    assert path.read_bytes() == data[:first]
 
 
 def test_stray_block_file_is_corruption(tmp_path):
     ch = simple_chain()
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
-        (store.root / "interval_1" / "x.blk").write_bytes(b"stray")
-    with BlockStore(tmp_path / "s") as store:
+    root = tmp_path / "s"
+    (root / "interval_1.bak").write_bytes(b"stray")
+    with BlockStore(root) as store:
         with pytest.raises(CorruptStore):
             store.load_chain()
+    (root / "interval_1.bak").unlink()
+    # a directory of the old one-file-per-block layout
+    (root / "interval_1").mkdir()
+    (root / "interval_1" / "1.blk").write_bytes(b"old layout")
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(CorruptStore):
+            store.load_chain()
+    assert file_bytes(root) == before
 
 
 def test_manifest_missing_a_field_is_corruption(tmp_path):
@@ -247,17 +301,70 @@ def test_manifest_missing_a_field_is_corruption(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(CorruptStore):
         BlockStore(tmp_path / "s")
+    manifest["log_bytes"] = 0
+    # a store of the old layout names its version
+    path.write_text(json.dumps({**manifest, "version": 1}))
+    with pytest.raises(CorruptStore, match="version 1"):
+        BlockStore(tmp_path / "s")
+    for field, value in [("version", True), ("version", "2"), ("version", 2.0),
+                         ("height", -2), ("height", "0"), ("height", None),
+                         ("height", True), ("log_bytes", -1), ("log_bytes", 0.5),
+                         ("params", []), ("params", {"confirm_depth": 1}),
+                         ("params", {"confirm_depth": "1", "delete_lock": 0}),
+                         ("params", {"confirm_depth": 1, "delete_lock": -1})]:
+        path.write_text(json.dumps({**manifest, field: value}))
+        with pytest.raises(CorruptStore):
+            BlockStore(tmp_path / "s")
     # a failed open leaves the store unlocked
     path.write_text(json.dumps({**manifest, "log_bytes": 0}))
     with BlockStore(tmp_path / "s") as store:
         assert store.height == -1
 
 
+def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
+    # the manifest rename and a prune's unlink each reach the disk only
+    # with an fsync of the directory that holds them
+    ch = fresh_chain(ALICE, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"purge me")])
+    extend(ch, body_txs=[build_delete(ALICE, 1)])
+    extend(ch)
+    root = tmp_path / "s"
+    calls = []
+    real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        on_root = stat.S_ISDIR(st.st_mode) and os.path.samestat(st, os.stat(root))
+        calls.append("fsync root" if on_root else "fsync")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    def unlink(path, missing_ok=False):
+        calls.append("unlink")
+        real_unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+        assert ch.prune() == [1]
+        store.prune(1)
+    assert calls.count("replace") == ch.height + 3   # create, params, appends
+    assert calls.count("unlink") == 1
+    for k, call in enumerate(calls):
+        if call in ("replace", "unlink"):
+            assert calls[k + 1:k + 2] == ["fsync root"], (k, calls)
+
+
 def test_tampered_block_file_fails_load(tmp_path):
     ch = simple_chain()
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
-        path = store.root / "interval_1" / "1.blk"
+        path = store.root / "interval_1.blk"
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -291,7 +398,7 @@ def test_digest_tracks_content(tmp_path):
         before = store.digest()
         assert before == store.digest()
         store.prune_probe = None
-        (store.root / "interval_1" / "1.blk").write_bytes(b"altered")
+        (store.root / "interval_1.blk").write_bytes(b"altered")
         assert store.digest() != before
 
 

@@ -1,0 +1,119 @@
+"""Store loading is total and erases nothing on failure: after one
+mutation of a small store, opening and loading it either succeeds or
+raises a ``MutachainError``, and a failed load has removed no interval
+file at or below the committed height and left the log as it was."""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mutachain import BlockStore, ChainParams, build_delete
+from mutachain.errors import MutachainError
+from mutachain.store import INTERVAL_FILE
+from support import ALICE, BOB, extend, fresh_chain, rem
+
+FAST = ChainParams(confirm_depth=1, delete_lock=0)
+HEIGHT = 3
+DATA_FILES = ["permanent.log", "interval_2.blk", "interval_3.blk"]
+STRAYS = ["interval_0.blk", "interval_1.blk", "interval_4.blk", "interval_01.blk",
+          "interval_2.bak", "interval_2", "interval_x.blk"]
+ABSENT = object()
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 1 << 12),
+                 st.floats(allow_nan=False), st.text(max_size=3),
+                 st.lists(st.integers(0, 3), max_size=2),
+                 st.dictionaries(st.sampled_from(["confirm_depth", "delete_lock"]),
+                                 st.integers(-1, 5)))
+
+
+@pytest.fixture(scope="module")
+def template(tmp_path_factory):
+    """Interval 1 erased from disk, interval 2 of two blocks and
+    interval 3 of one live, at committed height 3."""
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"purge me")])                          # 1
+    extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")],
+           [build_delete(ALICE, 1)], per_block=1)                      # 2
+    extend(ch, [rem(ch, BOB, b"c")])                                   # 3
+    assert ch.height == HEIGHT and ch.prune() == [1]
+    root = tmp_path_factory.mktemp("store") / "s"
+    with BlockStore(root, create=True) as store:
+        store.set_params(ch.params)
+        for x in range(HEIGHT + 1):
+            store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
+        store.prune(1)
+    return root
+
+
+@st.composite
+def mutations(draw):
+    kind = draw(st.sampled_from(["flip", "truncate", "append", "delete",
+                                 "stray", "field"]))
+    if kind in ("flip", "truncate", "append"):
+        return (kind, draw(st.sampled_from(DATA_FILES)), draw(st.integers(0, 1 << 16)),
+                draw(st.binary(min_size=1, max_size=16)))
+    if kind == "delete":
+        return kind, draw(st.sampled_from(DATA_FILES + ["manifest.json"]))
+    if kind == "stray":
+        return (kind, draw(st.sampled_from(STRAYS)), draw(st.booleans()),
+                draw(st.binary(max_size=16)))
+    key = draw(st.sampled_from(["version", "params", "height", "log_bytes",
+                                "params.confirm_depth", "params.delete_lock"]))
+    return kind, key, draw(st.one_of(st.just(ABSENT), JUNK))
+
+
+def mutate(root: Path, mutation) -> None:
+    kind, name, *args = mutation
+    path = root / name
+    if kind in ("flip", "truncate", "append"):
+        at, junk = args
+        data = bytearray(path.read_bytes())
+        at %= len(data)
+        if kind == "flip":
+            data[at] ^= junk[0] or 0xFF
+        elif kind == "truncate":
+            del data[at:]
+        else:
+            data += junk
+        path.write_bytes(bytes(data))
+    elif kind == "delete":
+        path.unlink()
+    elif kind == "stray":
+        as_dir, data = args
+        if as_dir:
+            path.mkdir(exist_ok=True)
+        else:
+            path.write_bytes(data)
+    else:
+        manifest = json.loads((root / "manifest.json").read_text())
+        *owner, key = name.split(".")
+        fields = manifest[owner[0]] if owner else manifest
+        if args[0] is ABSENT:
+            del fields[key]
+        else:
+            fields[key] = args[0]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def committed_data(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file() and (
+        p.name == "permanent.log"
+        or (m := INTERVAL_FILE.fullmatch(p.name)) and int(m[1]) <= HEIGHT)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations())
+def test_mutated_store_loads_or_fails_without_erasing(template, mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "s"
+        shutil.copytree(template, root)
+        mutate(root, mutation)
+        before = committed_data(root)
+        try:
+            with BlockStore(root) as store:
+                store.load_chain()
+        except MutachainError:
+            assert committed_data(root) == before

@@ -14,8 +14,7 @@ from mutachain import (
     replay_segments,
     verify_chain,
 )
-from mutachain.errors import HistoryRejected, MissingDuplicates
-from mutachain.verify import replay_verified
+from mutachain.errors import HistoryRejected, MissingDeleteEvidence, MissingDuplicates
 from oracles import forged_hidden_duplicate_history
 from support import ALICE, BOB, extend, fresh_chain, reg, rem
 
@@ -76,6 +75,23 @@ def test_gap_without_evidence_fails():
     assert not report.ok
     assert "MissingDeleteEvidence" in report.problem
     assert "1" in report.problem
+
+
+def test_replay_refuses_an_unbacked_gap_before_it_can_excuse_a_duplicate():
+    # interval 2 names bob but is served as a gap with no delete
+    # anywhere; a chain replayed from it would let that gap stand in for
+    # bob's copy when alice deletes interval 1
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")])      # 1
+    extend(ch, [rem(ch, BOB, b"other")])                        # 2
+    extend(ch)
+    segments = [(ch.interval_record(x).blocks, ch.block_at(x))
+                for x in range(ch.height + 1)]
+    segments[2] = (None, segments[2][1])
+    with pytest.raises(HistoryRejected) as err:
+        replay_segments(iter(segments), ch.params)
+    assert isinstance(err.value.cause, MissingDeleteEvidence)
+    assert err.value.cause.intervals == (2,)
 
 
 def test_tampered_spine_fails_verification():
@@ -180,6 +196,6 @@ def test_forged_hidden_duplicate_is_rejected_under_every_gap_placement(gaps):
     assert "MissingDuplicates" in report.problem
     assert report.height == 2        # the delete of interval 1 is refused
     with pytest.raises(HistoryRejected) as err:
-        replay_verified(segments)
+        replay_segments(segments)
     assert isinstance(err.value.cause, MissingDuplicates)
     assert err.value.cause.signers == (segments[0][1].txs[1].signer,)
