@@ -3,20 +3,26 @@
 State lives in a store directory (``--store``, default ``./chainstore``):
 block data managed by ``BlockStore``, key seeds under ``keys/``, queued
 transactions under ``pending/``, and the info-label registry in
-``labels.json``.  Submission commands validate against the stored chain
-and queue the transaction; ``mine`` turns the queue into the next
-segment; ``prune`` erases every interval whose deletion has matured.
+``labels.json``.  A command that reads the chain runs in one session:
+the store opened and its chain loaded and verified once.  Bad input
+ends a command with exit 1 and an error that names it, a
+``MutachainError`` as ``Error: <Class>: message``, never a traceback.
+Submission commands number each queue file one above the highest
+queued, so ``mine`` takes the queue in submission order; it drops the
+files of confirmed transactions and prunes matured deletions.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
-from .blocks import header_overhead
+from .blocks import MAX_P_LIST, header_overhead
+from .consent import labels_for_mask
 from .crypto import KeyPair, keypair_from_seed
 from .errors import MempoolRejection, MutachainError, UnknownRegisterRef
 from .ledger import Chain, ChainParams
@@ -34,7 +40,7 @@ from .tx import (
     build_register,
     build_removable,
 )
-from .verify import verify_chain
+from .verify import chain_report
 
 
 def _store_opt(fn):
@@ -44,18 +50,40 @@ def _store_opt(fn):
         help="Store directory.")(fn)
 
 
-def _open_store(store_dir: str) -> BlockStore:
+@contextmanager
+def _named_errors():
+    """End the command with exit 1, naming any ``MutachainError``."""
     try:
-        return BlockStore(store_dir)
+        yield
     except MutachainError as exc:
-        raise click.ClickException(str(exc))
+        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+
+@contextmanager
+def _session(store_dir: str):
+    """The open store and its verified chain, with errors named."""
+    with _named_errors(), BlockStore(store_dir) as store:
+        yield store, store.load_chain()
+
+
+def _unhex(text: str, what: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise click.ClickException(f"{what} {text!r} is not hex") from None
+
+
+def _seed_key(path: Path) -> KeyPair:
+    seed = _unhex(path.read_text(errors="replace").strip(), f"key file {path.name}")
+    with _named_errors():
+        return keypair_from_seed(seed)
 
 
 def _load_key(store_dir: str, name: str) -> KeyPair:
     path = Path(store_dir) / "keys" / f"{name}.seed"
     if not path.exists():
         raise click.ClickException(f"no key named {name!r} (try: key new {name})")
-    return keypair_from_seed(bytes.fromhex(path.read_text().strip()))
+    return _seed_key(path)
 
 
 def _labels(store_dir: str) -> dict:
@@ -63,51 +91,52 @@ def _labels(store_dir: str) -> dict:
     return json.loads(path.read_text()) if path.exists() else {}
 
 
-def _save_labels(store_dir: str, labels: dict) -> None:
-    (Path(store_dir) / "labels.json").write_text(
-        json.dumps(labels, sort_keys=True, indent=2) + "\n")
+def _info_txid(store_dir: str, label: str) -> bytes:
+    labels = _labels(store_dir)
+    if label not in labels:
+        raise click.ClickException(f"unknown info label {label!r}")
+    return bytes.fromhex(labels[label])
 
 
-def _pending_dir(store_dir: str) -> Path:
-    d = Path(store_dir) / "pending"
-    d.mkdir(exist_ok=True)
-    return d
-
-
-def _pending_files(store_dir: str) -> list[Path]:
-    return sorted(_pending_dir(store_dir).glob("*.tx"))
-
-
-def _load_pending(store_dir: str) -> list[tuple[Path, Transaction]]:
-    out = []
-    for path in _pending_files(store_dir):
-        out.append((path, Transaction.decode(path.read_bytes())))
-    return out
-
-
-def _queue_tx(store_dir: str, chain: Chain, tx: Transaction) -> None:
-    pool = Mempool()
-    for _, queued in _load_pending(store_dir):
+def _pending(store_dir: str, chain: Chain) -> tuple[Mempool, list[tuple[Path, Transaction]]]:
+    """The queue files in order, and a pool holding those of them that
+    ``chain`` still admits."""
+    queue = Path(store_dir) / "pending"
+    queue.mkdir(exist_ok=True)
+    pool, queued = Mempool(), []
+    for path in sorted(queue.glob("*.tx")):
+        tx = Transaction.decode(path.read_bytes())
+        queued.append((path, tx))
         try:
-            pool.submit(queued, chain)
+            pool.submit(tx, chain)
         except MempoolRejection:
             pass
-    try:
+    return pool, queued
+
+
+def _submit(store_dir: str, name: str, kind: TxKind, build, **where) -> Transaction:
+    """Queue ``build(key, input)`` signed by NAME, admitted after the queue."""
+    kp = _load_key(store_dir, name)
+    with _session(store_dir) as (_, chain):
+        try:
+            ref = chain.input_for(kind, kp.pubkey, **where)
+        except UnknownRegisterRef:
+            raise click.ClickException(f"{name} is not registered on the chain yet")
+        tx = build(kp, ref)
+        pool, queued = _pending(store_dir, chain)
         pool.submit(tx, chain)
-    except MempoolRejection as exc:
-        raise click.ClickException(f"rejected: {type(exc).__name__}: {exc}")
-    n = len(_pending_files(store_dir)) + 1
-    path = _pending_dir(store_dir) / f"{n:06d}_{tx.txid.hex()[:12]}.tx"
-    path.write_bytes(tx.encoded)
+        n = int(queued[-1][0].name.split("_")[0]) + 1 if queued else 1
+        path = Path(store_dir) / "pending" / f"{n:06d}_{tx.txid.hex()[:12]}.tx"
+        path.write_bytes(tx.encoded)
     click.echo(f"queued {tx.kind.name.lower()} {tx.txid.hex()[:12]}")
+    return tx
 
 
-def _input_for(chain: Chain, kind: TxKind, kp: KeyPair, name: str,
-               **where) -> OutPoint | None:
-    try:
-        return chain.input_for(kind, kp.pubkey, **where)
-    except UnknownRegisterRef:
-        raise click.ClickException(f"{name} is not registered on the chain yet")
+def _prune(store: BlockStore, chain: Chain) -> list[int]:
+    dropped = chain.prune()
+    for x in dropped:
+        store.prune(x)
+    return dropped
 
 
 @click.group()
@@ -123,14 +152,11 @@ def main() -> None:
               help="Minimum height gap between interval and delete.")
 def init(store_dir: str, confirm_depth: int, delete_lock: int) -> None:
     """Create a store with an empty genesis."""
-    params = ChainParams(confirm_depth=confirm_depth, delete_lock=delete_lock)
-    try:
+    with _named_errors():
+        chain = Chain.bootstrap((), ChainParams(confirm_depth=confirm_depth,
+                                                delete_lock=delete_lock))
         with BlockStore(store_dir, create=True) as store:
-            chain = Chain.bootstrap((), params)
-            store.set_params(params)
-            store.append_segment((), chain.block_at(0))
-    except MutachainError as exc:
-        raise click.ClickException(str(exc))
+            store.rebuild(chain)
     click.echo(f"initialized {store_dir} (genesis {chain.tip_hash.hex()[:12]})")
 
 
@@ -151,11 +177,9 @@ def key_new(store_dir: str, name: str, seed_hex: str | None) -> None:
     path = d / f"{name}.seed"
     if path.exists():
         raise click.ClickException(f"key {name!r} already exists")
-    seed = bytes.fromhex(seed_hex) if seed_hex else os.urandom(32)
-    try:
+    seed = _unhex(seed_hex, "--seed") if seed_hex else os.urandom(32)
+    with _named_errors():
         kp = keypair_from_seed(seed)
-    except MutachainError as exc:
-        raise click.ClickException(str(exc))
     path.write_text(seed.hex() + "\n")
     click.echo(f"{name}: {kp.pubkey.hex()}")
 
@@ -166,8 +190,7 @@ def key_list(store_dir: str) -> None:
     """List stored keys."""
     d = Path(store_dir) / "keys"
     for path in sorted(d.glob("*.seed")) if d.exists() else []:
-        kp = keypair_from_seed(bytes.fromhex(path.read_text().strip()))
-        click.echo(f"{path.stem}: {kp.pubkey.hex()}")
+        click.echo(f"{path.stem}: {_seed_key(path).pubkey.hex()}")
 
 
 @main.command()
@@ -175,10 +198,7 @@ def key_list(store_dir: str) -> None:
 @click.argument("name")
 def register(store_dir: str, name: str) -> None:
     """Queue a register transaction for a stored key."""
-    kp = _load_key(store_dir, name)
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        _queue_tx(store_dir, chain, build_register(kp))
+    _submit(store_dir, name, TxKind.REGISTER, lambda kp, _: build_register(kp))
 
 
 @main.command()
@@ -188,12 +208,9 @@ def register(store_dir: str, name: str) -> None:
 @click.option("--hex", "is_hex", is_flag=True, help="DATA is hex, not text.")
 def removable(store_dir: str, name: str, data: str, is_hex: bool) -> None:
     """Queue erasable data signed by NAME."""
-    kp = _load_key(store_dir, name)
-    payload = bytes.fromhex(data) if is_hex else data.encode("utf-8")
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        ref = _input_for(chain, TxKind.REMOVABLE, kp, name)
-        _queue_tx(store_dir, chain, build_removable(kp, ref, payload))
+    payload = _unhex(data, "DATA") if is_hex else data.encode("utf-8")
+    _submit(store_dir, name, TxKind.REMOVABLE,
+            lambda kp, ref: build_removable(kp, ref, payload))
 
 
 @main.command()
@@ -202,11 +219,8 @@ def removable(store_dir: str, name: str, data: str, is_hex: bool) -> None:
 @click.argument("interval", type=int)
 def prepare(store_dir: str, name: str, interval: int) -> None:
     """Queue a deletion announcement for INTERVAL."""
-    kp = _load_key(store_dir, name)
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        ref = _input_for(chain, TxKind.PREPARE, kp, name)
-        _queue_tx(store_dir, chain, build_prepare(kp, ref, interval))
+    _submit(store_dir, name, TxKind.PREPARE,
+            lambda kp, ref: build_prepare(kp, ref, interval))
 
 
 @main.command()
@@ -215,11 +229,9 @@ def prepare(store_dir: str, name: str, interval: int) -> None:
 @click.argument("interval", type=int)
 def delete(store_dir: str, name: str, interval: int) -> None:
     """Queue a deletion of INTERVAL (uses a confirmed prepare if present)."""
-    kp = _load_key(store_dir, name)
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        ref = _input_for(chain, TxKind.DELETE, kp, name, interval=interval)
-        _queue_tx(store_dir, chain, build_delete(kp, interval, prepare_ref=ref))
+    _submit(store_dir, name, TxKind.DELETE,
+            lambda kp, ref: build_delete(kp, interval, prepare_ref=ref),
+            interval=interval)
 
 
 @main.command()
@@ -232,16 +244,12 @@ def delete(store_dir: str, name: str, interval: int) -> None:
 def info(store_dir: str, name: str, label: str, purposes: str,
          controller: str | None) -> None:
     """Queue a consent schema and remember it as LABEL."""
-    kp = _load_key(store_dir, name)
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        ref = _input_for(chain, TxKind.INFO, kp, name)
-        tx = build_info(kp, ref, (controller or name).encode("utf-8"),
-                        tuple(purposes.split(",")))
-        _queue_tx(store_dir, chain, tx)
+    tx = _submit(store_dir, name, TxKind.INFO, lambda kp, ref: build_info(
+        kp, ref, (controller or name).encode("utf-8"), tuple(purposes.split(","))))
     labels = _labels(store_dir)
     labels[label] = tx.txid.hex()
-    _save_labels(store_dir, labels)
+    (Path(store_dir) / "labels.json").write_text(
+        json.dumps(labels, sort_keys=True, indent=2) + "\n")
 
 
 @main.command()
@@ -251,16 +259,10 @@ def info(store_dir: str, name: str, label: str, purposes: str,
 @click.argument("value", type=int)
 def consent(store_dir: str, name: str, info_label: str, value: int) -> None:
     """Queue a consent for INFO_LABEL; VALUE is the purpose bitmask."""
-    kp = _load_key(store_dir, name)
-    labels = _labels(store_dir)
-    if info_label not in labels:
-        raise click.ClickException(f"unknown info label {info_label!r}")
-    info_txid = bytes.fromhex(labels[info_label])
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        spend = _input_for(chain, TxKind.CONSENT, kp, name, info=info_txid)
-        tx = build_consent(kp, spend, OutPoint(info_txid, 0), value)
-        _queue_tx(store_dir, chain, tx)
+    info_txid = _info_txid(store_dir, info_label)
+    _submit(store_dir, name, TxKind.CONSENT,
+            lambda kp, ref: build_consent(kp, ref, OutPoint(info_txid, 0), value),
+            info=info_txid)
 
 
 @main.command()
@@ -269,32 +271,15 @@ def consent(store_dir: str, name: str, info_label: str, value: int) -> None:
               help="Removable block budget for this segment.")
 def mine(store_dir: str, max_interval_blocks: int) -> None:
     """Assemble queued transactions into the next segment."""
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        pool = Mempool()
-        files = {}
-        for path, tx in _load_pending(store_dir):
-            files[tx.txid] = path
-            try:
-                pool.submit(tx, chain)
-            except MempoolRejection:
-                pass
+    with _session(store_dir) as (store, chain):
+        pool, queued = _pending(store_dir, chain)
         interval, block = pool.build_candidate(chain, max_interval_blocks)
-        try:
-            chain.append_segment(interval, block)
-        except MutachainError as exc:
-            raise click.ClickException(f"candidate failed: {exc}")
+        chain.append_segment(interval, block)
         store.append_segment(interval, block)
-        confirmed = {tx.txid for tx in block.txs}
-        for rb in interval:
-            confirmed.update(tx.txid for tx in rb.txs)
-        for txid in confirmed:
-            path = files.get(txid)
-            if path is not None:
+        for path, tx in queued:
+            if chain.tx_confirmed(tx.txid):
                 path.unlink()
-        dropped = chain.prune()
-        for x in dropped:
-            store.prune(x)
+        dropped = _prune(store, chain)
     click.echo(f"mined height {block.height}: {len(interval)} interval "
                f"block(s), {len(block.txs)} body tx(s)"
                + (f", pruned {dropped}" if dropped else ""))
@@ -304,11 +289,8 @@ def mine(store_dir: str, max_interval_blocks: int) -> None:
 @_store_opt
 def prune(store_dir: str) -> None:
     """Erase every interval whose deletion has matured."""
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
-        dropped = chain.prune()
-        for x in dropped:
-            store.prune(x)
+    with _session(store_dir) as (store, chain):
+        dropped = _prune(store, chain)
     click.echo(f"pruned {dropped}" if dropped else "nothing to prune")
 
 
@@ -316,20 +298,17 @@ def prune(store_dir: str) -> None:
 @_store_opt
 def status(store_dir: str) -> None:
     """Tip, parameters, and per-interval status."""
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
+    with _session(store_dir) as (_, chain):
         p = chain.params
         click.echo(f"height {chain.height}, tip {chain.tip_hash.hex()[:16]}")
         click.echo(f"confirm_depth {p.confirm_depth}, delete_lock {p.delete_lock}")
-        click.echo(f"pending {len(_pending_files(store_dir))}")
+        click.echo(f"pending {len(_pending(store_dir, chain)[1])}")
         for x in range(1, chain.height + 1):
             rec = chain.interval_record(x)
             if rec.length == 0:
                 continue
-            extra = ""
             d = chain.delete_record(x)
-            if d is not None:
-                extra = f" (delete confirmed at {d.height})"
+            extra = f" (delete confirmed at {d.height})" if d is not None else ""
             click.echo(f"interval {x}: {rec.status.value}, "
                        f"{rec.length} block(s){extra}")
 
@@ -339,18 +318,16 @@ def status(store_dir: str) -> None:
 @click.argument("interval", type=int)
 def show(store_dir: str, interval: int) -> None:
     """Dump one interval's contents."""
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
+    with _session(store_dir) as (_, chain):
         rec = chain.interval_record(interval)
-        click.echo(f"interval {interval}: {rec.status.value}, "
-                   f"{rec.length} block(s)")
-        click.echo("p_list: " + (", ".join(k.hex()[:16] for k in rec.p_list)
-                                 or "(empty)"))
-        for rb in rec.blocks or ():
-            click.echo(f"  block {interval}.{rb.seq} {rb.block_hash.hex()[:16]}")
-            for tx in rb.txs:
-                click.echo(f"    {tx.txid.hex()[:12]} by {tx.signer.hex()[:12]}"
-                           f" data={tx.payload.data.hex()}")
+    click.echo(f"interval {interval}: {rec.status.value}, {rec.length} block(s)")
+    click.echo("p_list: " + (", ".join(k.hex()[:16] for k in rec.p_list)
+                             or "(empty)"))
+    for rb in rec.blocks or ():
+        click.echo(f"  block {interval}.{rb.seq} {rb.block_hash.hex()[:16]}")
+        for tx in rb.txs:
+            click.echo(f"    {tx.txid.hex()[:12]} by {tx.signer.hex()[:12]}"
+                       f" data={tx.payload.data.hex()}")
 
 
 @main.command("consent-status")
@@ -360,34 +337,25 @@ def show(store_dir: str, interval: int) -> None:
 def consent_status(store_dir: str, name: str, info_label: str) -> None:
     """Current grant for NAME under INFO_LABEL."""
     kp = _load_key(store_dir, name)
-    labels = _labels(store_dir)
-    if info_label not in labels:
-        raise click.ClickException(f"unknown info label {info_label!r}")
-    info_txid = bytes.fromhex(labels[info_label])
-    with _open_store(store_dir) as store:
-        chain = store.load_chain()
+    info_txid = _info_txid(store_dir, info_label)
+    with _session(store_dir) as (_, chain):
         rec = chain.info_record(info_txid)
         if rec is None:
             raise click.ClickException("info is not confirmed yet")
         state = chain.consent_chain(kp.pubkey, info_txid)
         value = chain.consent_grant(kp.pubkey, info_txid)
-        granted = [label for k, label in enumerate(rec.purposes)
-                   if value >> k & 1]
-        click.echo(f"value {value}: " + (", ".join(granted) or "(nothing)"))
-        for ev in (state.history if state else ()):
-            click.echo(f"  height {ev.height}: value {ev.value}"
-                       f" ({ev.txid.hex()[:12]})")
+        granted = labels_for_mask(rec, value)
+    click.echo(f"value {value}: " + (", ".join(granted) or "(nothing)"))
+    for ev in (state.history if state else ()):
+        click.echo(f"  height {ev.height}: value {ev.value} ({ev.txid.hex()[:12]})")
 
 
 @main.command()
 @_store_opt
 def verify(store_dir: str) -> None:
     """Re-verify the whole stored history."""
-    with _open_store(store_dir) as store:
-        report = verify_chain(store.segments(), store.params)
-    click.echo(str(report))
-    if not report.ok:
-        raise SystemExit(1)
+    with _session(store_dir) as (_, chain):
+        click.echo(str(chain_report(chain)))
 
 
 @main.command()
@@ -398,10 +366,8 @@ def verify(store_dir: str) -> None:
               help="Write node 0's final chain into a fresh store.")
 def scenario(file: str, report_path: str | None, store_into: str | None) -> None:
     """Execute a scenario file on a simulated network."""
-    try:
+    with _named_errors():
         scn = run_scenario(Path(file).read_text())
-    except MutachainError as exc:
-        raise click.ClickException(str(exc))
     text = scn.net.report_json()
     if report_path:
         Path(report_path).write_text(text)
@@ -409,12 +375,9 @@ def scenario(file: str, report_path: str | None, store_into: str | None) -> None
     else:
         click.echo(text, nl=False)
     if store_into:
-        try:
-            with BlockStore(store_into, create=True) as store:
-                store.rebuild(scn.net.nodes[0].chain)
-                click.echo(f"store digest {store.digest()}")
-        except MutachainError as exc:
-            raise click.ClickException(str(exc))
+        with _named_errors(), BlockStore(store_into, create=True) as store:
+            store.rebuild(scn.net.nodes[0].chain)
+            click.echo(f"store digest {store.digest()}")
 
 
 @main.command()
@@ -422,6 +385,8 @@ def scenario(file: str, report_path: str | None, store_into: str | None) -> None
               help="Interval signer count to price in.")
 def overhead(p_list_size: int) -> None:
     """Per-block byte cost of removability."""
+    if not 0 <= p_list_size <= MAX_P_LIST:
+        raise click.ClickException(f"--p-list {p_list_size} is outside 0..{MAX_P_LIST}")
     parts = header_overhead(p_list_size)
     for field in ("second_link", "interval_len", "p_list"):
         click.echo(f"{field:13} {parts[field]:4d} B")

@@ -90,9 +90,13 @@ class UnknownRegisterRef(LedgerError):
     pass
 
 
+class InvalidParams(LedgerError, ValueError):
+    """A chain parameter is not an int >= 0."""
+
+
 class RemovableTxDependsOnDeletedState(LedgerError):
-    """Input references a removable transaction (live or erased) instead
-    of a register output."""
+    """Input references an erased removable transaction instead of a
+    register output."""
 
 
 class ConsentInputSpent(LedgerError):

@@ -56,6 +56,7 @@ from .errors import (
     IntervalAlreadyDeleted,
     IntervalLenMismatch,
     InvalidDelete,
+    InvalidParams,
     LedgerError,
     MissingDuplicates,
     NotEligible,
@@ -75,6 +76,11 @@ class ChainParams:
     confirm_depth: int = 2   # blocks a delete must age before pruning
     delete_lock: int = 1     # minimum height gap delete - interval
 
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if type(value) is not int or value < 0:
+                raise InvalidParams(f"{key} {value!r} is not an int >= 0")
+
 
 class IntervalStatus(Enum):
     PRESENT = "present"
@@ -87,7 +93,7 @@ class IntervalRecord:
     length: int                    # removable block count, from the header
     p_list: tuple[bytes, ...]
     blocks: tuple[RemovableBlock, ...] | None   # None once pruned or absent
-    txids: frozenset               # removable txids; empty when absent
+    txids: frozenset               # removable txids; kept once pruned, empty for a gap
 
 
 @dataclass(frozen=True)
@@ -470,10 +476,12 @@ class Chain:
 
     def input_for(self, kind: TxKind, pubkey: bytes, *, interval: int | None = None,
                   info: bytes | None = None) -> OutPoint | None:
-        """The outpoint a new ``kind`` transaction by ``pubkey`` spends: a
-        delete its unspent prepare for ``interval`` (None: fast path), a
-        consent its live chain's output under ``info``, else the register
-        output (``UnknownRegisterRef`` if there is none)."""
+        """The outpoint a new ``kind`` transaction by ``pubkey`` spends: none
+        for a register, a delete its unspent prepare for ``interval`` (None:
+        fast path), a consent its live chain's output under ``info``, else
+        the register output (``UnknownRegisterRef`` if there is none)."""
+        if kind is TxKind.REGISTER:
+            return None
         if kind is TxKind.DELETE:
             preps = self.prepares_for(pubkey, interval)
             return OutPoint(preps[0].txid, 0) if preps else None

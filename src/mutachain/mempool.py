@@ -17,7 +17,7 @@ chain rule, so blocks mined by less picky peers still validate.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Callable
 
 from .blocks import (
@@ -58,17 +58,16 @@ class Mempool:
     def __init__(self, judgment: JudgmentHook | None = None):
         self.judgment = judgment or accept_all
         self._pending: OrderedDict[bytes, Transaction] = OrderedDict()
-        self._reinclude: deque[Transaction] = deque()
-        self._reinclude_ids: set[bytes] = set()
+        self._reinclude: OrderedDict[bytes, Transaction] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._pending) + len(self._reinclude)
 
     def __contains__(self, txid: bytes) -> bool:
-        return txid in self._pending or txid in self._reinclude_ids
+        return txid in self._pending or txid in self._reinclude
 
     def pending(self) -> list[Transaction]:
-        return list(self._reinclude) + list(self._pending.values())
+        return list(self._reinclude.values()) + list(self._pending.values())
 
     # ------------------------------------------------------------------
     # admission
@@ -132,16 +131,12 @@ class Mempool:
             confirmed.update(tx.txid for tx in rb.txs)
         for txid in confirmed:
             self._pending.pop(txid, None)
-        if confirmed & self._reinclude_ids:
-            self._reinclude = deque(
-                tx for tx in self._reinclude if tx.txid not in confirmed)
-            self._reinclude_ids -= confirmed
+            self._reinclude.pop(txid, None)
         for tx in block.txs:
             if tx.kind is TxKind.PREPARE:
                 for dup in chain.reinclusion_candidates(tx):
                     if dup.txid not in self:
-                        self._reinclude.append(dup)
-                        self._reinclude_ids.add(dup.txid)
+                        self._reinclude[dup.txid] = dup
 
     # ------------------------------------------------------------------
     # candidate assembly

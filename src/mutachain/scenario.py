@@ -75,7 +75,7 @@ class _Parser:
     def __init__(self, text: str):
         self.entities: dict[str, KeyPair] = {}
         self.genesis_names: list[str] = []
-        self.num_nodes = 3
+        self.nodes = 3
         self.schedule = 1
         self.period = 1
         self.params = ChainParams()
@@ -135,12 +135,12 @@ class _Parser:
                     self.fail(no, f"unknown parameter {key!r}")
                 fields[key] = int(value)
             self.params = ChainParams(**fields)
-        elif word == "nodes":
-            self.num_nodes = int(plain[0])
+        elif word in ("nodes", "period"):
+            if int(plain[0]) < 1:   # SimNet.step divides by both
+                self.fail(no, f"{word} must be at least 1")
+            setattr(self, word, int(plain[0]))
         elif word == "schedule":
             self.schedule = int(plain[0])
-        elif word == "period":
-            self.period = int(plain[0])
         elif word == "entity":
             for name in plain:
                 self.entities.setdefault(name, entity_keypair(name))
@@ -153,7 +153,7 @@ class _Parser:
     def start(self) -> Scenario:
         genesis_txs = tuple(build_register(self.entities[name])
                             for name in self.genesis_names)
-        net = SimNet(self.num_nodes, genesis_txs, self.params,
+        net = SimNet(self.nodes, genesis_txs, self.params,
                      max_interval_blocks=self.schedule,
                      propose_period=self.period)
         return Scenario(net=net, entities=self.entities)

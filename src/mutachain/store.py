@@ -33,6 +33,7 @@ import fcntl
 import json
 import os
 import re
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -74,11 +75,12 @@ def _checked_manifest(manifest) -> dict:
     params = manifest.get("params")
     if not isinstance(params, dict):
         raise ValueError(f"params {params!r} is not an object")
-    for fields, key, low in ((manifest, "height", -1), (manifest, "log_bytes", 0),
-                             *((params, key, 0) for key in PARAM_FIELDS)):
-        value = fields.get(key)
+    for key, low in (("height", -1), ("log_bytes", 0)):
+        value = manifest.get(key)
         if type(value) is not int or value < low:
             raise ValueError(f"{key} {value!r} is not an int >= {low}")
+    # the one rule for parameters; InvalidParams is a ValueError
+    ChainParams(**{key: params.get(key) for key in PARAM_FIELDS})
     return manifest
 
 
@@ -97,8 +99,7 @@ class BlockStore:
         if create:
             self._manifest = {
                 "version": VERSION,
-                "params": {"confirm_depth": ChainParams().confirm_depth,
-                           "delete_lock": ChainParams().delete_lock},
+                "params": asdict(ChainParams()),
                 "height": -1,
                 "log_bytes": 0,
             }
@@ -166,16 +167,14 @@ class BlockStore:
     @property
     def params(self) -> ChainParams:
         p = self._manifest["params"]
-        return ChainParams(confirm_depth=p["confirm_depth"],
-                           delete_lock=p["delete_lock"])
+        return ChainParams(**{key: p[key] for key in PARAM_FIELDS})
 
     @property
     def height(self) -> int:
         return self._manifest["height"]
 
     def set_params(self, params: ChainParams) -> None:
-        self._manifest["params"] = {"confirm_depth": params.confirm_depth,
-                                    "delete_lock": params.delete_lock}
+        self._manifest["params"] = asdict(params)
         self._write_manifest()
 
     # ------------------------------------------------------------------

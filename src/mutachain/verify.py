@@ -74,12 +74,13 @@ def gaps_without_evidence(chain: Chain) -> list[int]:
 def verify_chain(segments, params: ChainParams | None = None) -> VerifyReport:
     """Full verification of a stored or received history."""
     try:
-        return _report(replay_segments(segments, params))
+        return chain_report(replay_segments(segments, params))
     except HistoryRejected as exc:
-        return _report(exc.chain, problem=str(exc))
+        return chain_report(exc.chain, problem=str(exc))
 
 
-def _report(chain: Chain, problem: str | None = None) -> VerifyReport:
+def chain_report(chain: Chain, problem: str | None = None) -> VerifyReport:
+    """Report on a replayed chain; ``problem`` names the rule that stopped it."""
     absent = [chain.interval_record(x).blocks is None for x in range(chain.height + 1)
               if chain.interval_record(x).length > 0]
     return VerifyReport(ok=problem is None, height=chain.height,

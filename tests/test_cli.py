@@ -156,3 +156,89 @@ def test_unregistered_key_is_refused_by_name(runner, tmp_path):
     run(runner, "key", "new", "carol", "--store", store)
     out = run(runner, "removable", "carol", "hello", "--store", store, expect=1)
     assert "carol is not registered on the chain yet" in out
+
+
+def test_queue_keeps_submission_order_across_mines(runner, tmp_path):
+    store = tmp_path / "chain"
+    run(runner, "init", "--store", store)
+    names = [f"k{i}" for i in range(10)]
+    for name in names:
+        run(runner, "key", "new", name, "--store", store)
+        run(runner, "register", name, "--store", store)
+    run(runner, "mine", "--store", store)
+    for name in names[:9]:
+        run(runner, "removable", name, f"from {name}", "--store", store)
+    run(runner, "mine", "--store", store)        # four signers fit: k0..k3
+    late = run(runner, "removable", "k9", "from k9", "--store", store).split()[-1]
+    queue = sorted(p.name for p in (store / "pending").glob("*.tx"))
+    assert len(queue) == 6
+    assert len({name.split("_")[0] for name in queue}) == 6
+    assert queue[-1].split("_")[1].startswith(late)
+    run(runner, "mine", "--store", store)        # the next four are older
+    shown = run(runner, "show", 3, "--store", store)
+    for name in names[4:8]:
+        assert f"from {name}".encode().hex() in shown
+    assert b"from k9".hex() not in shown
+
+
+def _lose_interval_file(store):
+    run(CliRunner(), "removable", "alice", "lost", "--store", store)
+    run(CliRunner(), "mine", "--store", store)
+    next(store.glob("interval_*.blk")).unlink()
+
+
+def _write_seed(text):
+    def corrupt(store):
+        (store / "keys" / "alice.seed").write_text(text)
+    return corrupt
+
+
+STORE = object()   # stands for the booted store's path
+
+
+@pytest.mark.parametrize("setup, args, named", [
+    pytest.param(None, ("removable", "alice", "zz", "--hex", STORE),
+                 "DATA 'zz' is not hex", id="hex-data"),
+    pytest.param(None, ("key", "new", "carol", "--seed", "zz", STORE),
+                 "--seed 'zz' is not hex", id="hex-seed"),
+    pytest.param(None, ("key", "new", "carol", "--seed", "11", STORE),
+                 "EncodingError", id="short-seed"),
+    pytest.param(_write_seed("zz\n"), ("register", "alice", STORE),
+                 "alice.seed 'zz' is not hex", id="seed-file-not-hex"),
+    pytest.param(_write_seed("zz\n"), ("key", "list", STORE),
+                 "alice.seed 'zz' is not hex", id="seed-file-listed"),
+    pytest.param(_write_seed("1111\n"), ("register", "alice", STORE),
+                 "EncodingError", id="seed-file-short"),
+    pytest.param(None, ("overhead", "--p-list", 5),
+                 "--p-list 5 is outside 0..4", id="p-list-above"),
+    pytest.param(None, ("overhead", "--p-list", -1),
+                 "--p-list -1 is outside 0..4", id="p-list-below"),
+    pytest.param(None, ("show", 99, STORE),
+                 "UnknownInterval: interval 99", id="show-unknown-interval"),
+    pytest.param(_lose_interval_file, ("status", STORE),
+                 "MissingDeleteEvidence", id="status-lost-interval"),
+])
+def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
+    store = tmp_path / "chain"
+    boot(runner, store)
+    if setup is not None:
+        setup(store)
+    argv = []
+    for a in args:
+        argv += ["--store", str(store)] if a is STORE else [str(a)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert named in result.output
+
+
+def test_bad_chain_params_write_no_store(runner, tmp_path):
+    store = tmp_path / "chain"
+    out = run(runner, "init", "--store", store, "--delete-lock", -1, expect=1)
+    assert "InvalidParams: delete_lock -1 is not an int >= 0" in out
+    assert not store.exists()
+    scn = tmp_path / "bad.scn"
+    scn.write_text("entity A\nparams confirm_depth=-3\ngenesis A\n")
+    out = run(runner, "scenario", scn, "--store-into", store, expect=1)
+    assert "ScenarioError: line 2" in out
+    assert not store.exists()

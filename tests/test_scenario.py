@@ -36,8 +36,10 @@ def test_minimal_scenario():
 
 
 def test_unknown_directive_reports_its_line():
-    # an unknown word, a missing argument, a number that is not one
-    for bad in ("frobnicate A", "nodes", "step x"):
+    # an unknown word, a missing argument, a number that is not one, a
+    # size the network divides by, a chain parameter out of range
+    for bad in ("frobnicate A", "nodes", "step x", "nodes 0", "period 0",
+                "params confirm_depth=-3"):
         with pytest.raises(ScenarioError) as err:
             run_scenario(f"entity A\ngenesis A\n{bad}\n")
         assert err.value.line_no == 3
