@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -79,8 +80,14 @@ def _seed_key(path: Path) -> KeyPair:
         return keypair_from_seed(seed)
 
 
+def _key_path(store_dir: str, name: str) -> Path:
+    if not re.fullmatch(r"\w[\w.-]*", name, re.ASCII):
+        raise click.ClickException(f"key name {name!r} is not a plain file stem")
+    return Path(store_dir) / "keys" / f"{name}.seed"
+
+
 def _load_key(store_dir: str, name: str) -> KeyPair:
-    path = Path(store_dir) / "keys" / f"{name}.seed"
+    path = _key_path(store_dir, name)
     if not path.exists():
         raise click.ClickException(f"no key named {name!r} (try: key new {name})")
     return _seed_key(path)
@@ -88,14 +95,20 @@ def _load_key(store_dir: str, name: str) -> KeyPair:
 
 def _labels(store_dir: str) -> dict:
     path = Path(store_dir) / "labels.json"
-    return json.loads(path.read_text()) if path.exists() else {}
+    try:
+        labels = json.loads(path.read_text()) if path.exists() else {}
+    except ValueError as exc:
+        raise click.ClickException(f"{path.name} is not valid JSON: {exc}") from None
+    if not isinstance(labels, dict) or not all(isinstance(v, str) for v in labels.values()):
+        raise click.ClickException(f"{path.name} does not map labels to txid strings")
+    return labels
 
 
 def _info_txid(store_dir: str, label: str) -> bytes:
     labels = _labels(store_dir)
     if label not in labels:
         raise click.ClickException(f"unknown info label {label!r}")
-    return bytes.fromhex(labels[label])
+    return _unhex(labels[label], f"labels.json entry {label!r}")
 
 
 def _pending(store_dir: str, chain: Chain) -> tuple[Mempool, list[tuple[Path, Transaction]]]:
@@ -172,9 +185,8 @@ def key() -> None:
               help="32-byte hex seed (random when omitted).")
 def key_new(store_dir: str, name: str, seed_hex: str | None) -> None:
     """Create a keypair and store its seed."""
-    d = Path(store_dir) / "keys"
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"{name}.seed"
+    path = _key_path(store_dir, name)
+    path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
         raise click.ClickException(f"key {name!r} already exists")
     seed = _unhex(seed_hex, "--seed") if seed_hex else os.urandom(32)
@@ -244,9 +256,9 @@ def delete(store_dir: str, name: str, interval: int) -> None:
 def info(store_dir: str, name: str, label: str, purposes: str,
          controller: str | None) -> None:
     """Queue a consent schema and remember it as LABEL."""
+    labels = _labels(store_dir)
     tx = _submit(store_dir, name, TxKind.INFO, lambda kp, ref: build_info(
         kp, ref, (controller or name).encode("utf-8"), tuple(purposes.split(","))))
-    labels = _labels(store_dir)
     labels[label] = tx.txid.hex()
     (Path(store_dir) / "labels.json").write_text(
         json.dumps(labels, sort_keys=True, indent=2) + "\n")

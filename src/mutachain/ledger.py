@@ -6,6 +6,8 @@ interval.  Blocks arrive as segments: the removable blocks of interval
 A segment is applied inside ``stage()``, which journals every write
 and undoes them unless the whole segment passed, so a rejected block
 leaves no partial state behind; mempool trials stage and never commit.
+Stages nest, so a sync can extend the chain by a whole run of segments
+all or nothing.
 
 Within a segment the interval's transactions are indexed before the
 permanent body is applied.  A prepare in ``B_k`` may therefore name
@@ -128,7 +130,8 @@ class Chain:
         self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> live intervals
         self._permanent_txids: dict[bytes, int] = {}     # txid -> height confirmed
         self._gone_txids: dict[bytes, int] = {}          # txid -> interval of its last copy
-        self._journal: list | None = None                # undo entries while staging
+        self._journal: list | None = None                # undo entries of the innermost stage
+        self._enclosing: list = []                       # journals of the stages around it
 
     # ------------------------------------------------------------------
     # construction
@@ -155,18 +158,29 @@ class Chain:
     @contextmanager
     def stage(self):
         """Apply changes to the live state; on exit undo them all unless
-        ``commit()`` was called inside."""
-        self._journal = []
+        ``commit()`` was called inside.  Stages nest: an inner commit
+        hands its writes to the enclosing stage, which may still undo
+        them, and an inner stage left uncommitted undoes only its own."""
+        mine = []
+        self._enclosing.append(self._journal)
+        self._journal = mine
         try:
             yield
         finally:
-            journal, self._journal = self._journal or [], None
-            for entry in reversed(journal):
-                self._write(*entry)
+            outer = self._enclosing.pop()
+            if self._journal is mine:
+                self._journal = None
+                for entry in reversed(mine):
+                    self._write(*entry)
+            self._journal = outer
 
     def commit(self) -> None:
-        """Keep everything written in the open stage."""
-        self._journal = None
+        """Keep everything written in the innermost open stage, for as
+        long as the stages around it keep it.  Call it once per stage."""
+        outer = self._enclosing[-1]
+        if outer is not None:
+            outer.extend(self._journal)
+        self._journal = outer
 
     def _write(self, table: dict, key, value=None) -> None:
         """Set ``table[key]``, or delete it when ``value`` is None.  All

@@ -7,10 +7,13 @@ segment.  Nothing is random and nothing reads the clock, so a scenario
 replays to byte-identical reports.
 
 Offline nodes receive nothing; messages addressed to them while down
-are lost, which is what forces the two-phase catch-up on rejoin: fetch
-the permanent spine first, then request bodies only for intervals the
-peer still holds.  Deleted intervals are never sent, a rejoining node
-just sees the delete evidence in the spine.
+are lost, which is what forces the two-phase catch-up on rejoin: a
+block locator (the node's blocks at tip, tip-1, tip-2, tip-4, ... and
+genesis) fetches the peer's spine above the last block both hold, then
+bodies only for intervals the peer still holds.  Deleted intervals are
+never sent, a rejoining node just sees the delete evidence in the
+spine.  A suffix on the node's tip extends its chain in place, all or
+nothing; only a fork below the tip rebuilds from genesis.
 
 Byzantine behaviour is modelled at proposal time: a faulty proposer
 announces a corrupted segment (a wrong p_list, or a delete nobody
@@ -52,7 +55,7 @@ class BlockAnnounce:
 
 @dataclass(frozen=True)
 class SyncRequest:
-    height: int
+    locator: tuple[tuple[int, bytes], ...]   # (height, block hash), tip first
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,8 @@ class SimNode:
     # ------------------------------------------------------------------
 
     def history_segments(self):
-        segs = []
-        for x in range(self.chain.height + 1):
-            rec = self.chain.interval_record(x)
-            segs.append((rec.blocks, self.chain.block_at(x)))
-        return segs
+        return [(self.chain.interval_blocks(x), self.chain.block_at(x))
+                for x in range(self.chain.height + 1)]
 
     def _append(self, removable_blocks, block, net: "SimNet") -> bool:
         try:
@@ -139,58 +139,69 @@ class SimNode:
                     and msg.block.header.prev_permanent == self.chain.tip_hash:
                 self._append(msg.removable_blocks, msg.block, net)
             else:
-                # behind, or forked while isolated: fetch the whole
-                # spine and rebuild, the longer history wins
+                # behind, or forked while isolated: fetch the spine
+                # above the last shared block, the longer history wins
                 self._syncing = True
                 self._backlog.append(msg)
-                net.send(self.id, sender, SyncRequest(0))
+                tip = self.chain.height     # locator: tip, tip-1, tip-2, tip-4, ..., 0
+                heights = dict.fromkeys(max(tip - (1 << k >> 1), 0)
+                                        for k in range(tip.bit_length() + 2))
+                net.send(self.id, sender, SyncRequest(tuple(
+                    (h, self.chain.block_at(h).block_hash) for h in heights)))
         elif isinstance(msg, SyncRequest):
-            if msg.height < self.chain.height:
-                blocks = tuple(self.chain.block_at(h)
-                               for h in range(msg.height + 1, self.chain.height + 1))
-                net.send(self.id, sender, SyncSpine(blocks))
+            # the spine above the highest locator block on this chain;
+            # with none (another genesis) nothing is sent
+            tip = self.chain.height
+            fork = next((h for h, hash_ in msg.locator
+                         if 0 <= h <= tip and self.chain.block_at(h).block_hash == hash_), tip)
+            if fork < tip:
+                net.send(self.id, sender, SyncSpine(tuple(
+                    self.chain.block_at(h) for h in range(fork + 1, tip + 1))))
         elif isinstance(msg, SyncSpine):
-            if not self._syncing:
+            if not self._syncing or not msg.blocks:
                 return
-            self._spine = msg.blocks
-            needed = tuple(b.height for b in msg.blocks
-                           if b.header.interval_len > 0)
+            # a fork below the tip replays the node's own shared prefix too
+            fork = msg.blocks[0].height - 1
+            own = range(1, fork + 1) if fork < self.chain.height else ()
+            self._spine = tuple(map(self.chain.block_at, own)) + msg.blocks
+            needed = tuple(b.height for b in self._spine if b.header.interval_len)
             if needed:
                 net.send(self.id, sender, FillRequest(needed))
             else:
                 self._finish_sync({}, sender, net)
         elif isinstance(msg, FillRequest):
-            fills = {}
-            for h in msg.heights:
-                if 0 <= h <= self.chain.height:
-                    blocks = self.chain.interval_blocks(h)
-                    if blocks is not None:
-                        fills[h] = blocks
-            net.send(self.id, sender, FillResponse(fills))
+            fills = {h: self.chain.interval_blocks(h) for h in msg.heights
+                     if 0 <= h <= self.chain.height}
+            net.send(self.id, sender, FillResponse(
+                {h: blocks for h, blocks in fills.items() if blocks is not None}))
         elif isinstance(msg, FillResponse):
             if self._syncing and self._spine is not None:
                 self._finish_sync(msg.fills, sender, net)
 
     def _finish_sync(self, fills: dict, peer: int, net: "SimNet") -> None:
         spine, self._spine, self._syncing = self._spine, None, False
-        segments = [((), self.chain.block_at(0))]
-        for block in spine:
-            if block.header.interval_len == 0:
-                segments.append(((), block))
-            else:
-                segments.append((fills.get(block.height), block))
+        tip = self.chain.height
+        onto = self.chain if spine[0].height == tip + 1 else None
+        segments = [((), self.chain.block_at(0))] if onto is None else []
+        segments += [(fills.get(b.height) if b.header.interval_len else (), b)
+                     for b in spine]
         try:
-            rebuilt = verify.replay_segments(segments, self.chain.params)
+            rebuilt = verify.replay_segments(segments, self.chain.params, onto=onto)
         except HistoryRejected as exc:
             net.log(self.id, ev="sync-abort", peer=peer,
                     err=type(exc.cause).__name__)
             self._backlog.clear()
             return
-        if rebuilt.height > self.chain.height:
+        if rebuilt.height > tip:
             self.chain = rebuilt
-            self.chain.prune()
-            if self.store is not None:
-                self.store.rebuild(self.chain)
+            dropped = rebuilt.prune()
+            if self.store is not None and onto is None:
+                self.store.rebuild(rebuilt)
+            elif self.store is not None:
+                for b in spine:
+                    self.store.append_segment(rebuilt.interval_blocks(b.height), b)
+                for x in dropped:
+                    self.store.prune(x)
             net.log(self.id, ev="sync", peer=peer, height=self.chain.height)
         backlog, self._backlog = self._backlog, []
         for msg in backlog:

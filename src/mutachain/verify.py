@@ -36,7 +36,8 @@ class VerifyReport:
         return f"invalid at height {self.height + 1}: {self.problem}"
 
 
-def replay_segments(segments, params: ChainParams | None = None) -> Chain:
+def replay_segments(segments, params: ChainParams | None = None, *,
+                    onto: Chain | None = None) -> Chain:
     """The one replay path for stored, synced and audited histories:
     rebuild a chain from (interval_blocks, permanent_block) pairs, then
     require a confirmed delete for every absent interval.
@@ -46,8 +47,22 @@ def replay_segments(segments, params: ChainParams | None = None) -> Chain:
     delete backs, is raised as ``HistoryRejected``.  In the chain
     returned every gap has its delete, so no gap can stand in for a
     duplicate any more.
+
+    With ``onto`` the segments extend that live chain in place instead
+    of a fresh one, all or nothing: on ``HistoryRejected`` it is left
+    exactly as it was.  Its own gaps already carry their deletes, so
+    only the new heights are checked for evidence.
     """
-    chain = Chain(params)
+    if onto is None:
+        return _replay(Chain(params), segments)
+    with onto.stage():
+        _replay(onto, segments)
+        onto.commit()
+    return onto
+
+
+def _replay(chain: Chain, segments) -> Chain:
+    start = chain.height + 1
     for removable_blocks, block in segments:
         try:
             if removable_blocks is None and block.header.interval_len > 0:
@@ -56,15 +71,15 @@ def replay_segments(segments, params: ChainParams | None = None) -> Chain:
                 chain.append_segment(removable_blocks or (), block)
         except MutachainError as exc:
             raise HistoryRejected(exc, chain) from exc
-    unbacked = gaps_without_evidence(chain)
+    unbacked = gaps_without_evidence(chain, start)
     if unbacked:
         raise HistoryRejected(MissingDeleteEvidence(unbacked), chain)
     return chain
 
 
-def gaps_without_evidence(chain: Chain) -> list[int]:
+def gaps_without_evidence(chain: Chain, start: int) -> list[int]:
     heights = []
-    for x in range(chain.height + 1):
+    for x in range(start, chain.height + 1):
         rec = chain.interval_record(x)
         if rec.blocks is None and rec.length > 0 and chain.delete_record(x) is None:
             heights.append(x)

@@ -242,3 +242,37 @@ def test_bad_chain_params_write_no_store(runner, tmp_path):
     out = run(runner, "scenario", scn, "--store-into", store, expect=1)
     assert "ScenarioError: line 2" in out
     assert not store.exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("key", "new", "../outside"), id="new-parent-dir"),
+    pytest.param(("key", "new", "sub/inner"), id="new-subdir"),
+    pytest.param(("key", "new", ".hidden"), id="new-dotfile"),
+    pytest.param(("key", "new", ""), id="new-empty"),
+    pytest.param(("register", "../outside"), id="load-parent-dir"),
+])
+def test_key_names_must_be_plain_file_stems(runner, tmp_path, args):
+    store = tmp_path / "chain"
+    run(runner, "init", "--store", store)
+    (store / "outside.seed").write_text("11" * 32 + "\n")   # bait for a load
+    out = run(runner, *args, "--store", store, expect=1)
+    assert "Error: key name" in out and "is not a plain file stem" in out
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.seed")) \
+        == ["chain/outside.seed"]
+
+
+@pytest.mark.parametrize("text", ["{bad", '{"terms": 5}', "[]"])
+@pytest.mark.parametrize("args", [
+    pytest.param(("consent", "alice", "terms", 1), id="consent"),
+    pytest.param(("consent-status", "alice", "terms"), id="consent-status"),
+    pytest.param(("info", "bob", "terms", "--purposes", "ads"), id="info"),
+])
+def test_corrupt_labels_file_fails_by_name(runner, tmp_path, args, text):
+    store = tmp_path / "chain"
+    boot(runner, store)
+    (store / "labels.json").write_text(text)
+    result = runner.invoke(main, [str(a) for a in args] + ["--store", str(store)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output.startswith("Error: labels.json ")
+    assert not list((store / "pending").glob("*.tx"))   # nothing was queued

@@ -1,6 +1,8 @@
 """Simulated network: gossip, convergence, catch-up sync, faults."""
 
 from mutachain import (
+    BlockStore,
+    Chain,
     ChainParams,
     IntervalStatus,
     SimNet,
@@ -10,7 +12,8 @@ from mutachain import (
     build_removable,
     verify_chain,
 )
-from mutachain.simnet import FillResponse, SyncSpine
+from mutachain import verify
+from mutachain.simnet import FillResponse, SyncRequest, SyncSpine
 from support import ALICE, BOB, CAROL
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -194,3 +197,167 @@ def test_report_is_deterministic():
         net.step(5)
         return net.report_json()
     assert run() == run()
+
+
+# ----------------------------------------------------------------------
+# rejoin by locator: only the missed suffix travels and is replayed
+
+
+def spy_replays(monkeypatch):
+    """(heights replayed, chain extended or None) for each sync replay."""
+    calls = []
+    real = verify.replay_segments
+
+    def spy(segments, params=None, *, onto=None):
+        segments = list(segments)
+        calls.append(([block.height for _, block in segments], onto))
+        return real(segments, params, onto=onto)
+    monkeypatch.setattr(verify, "replay_segments", spy)
+    return calls
+
+
+def spy_sends(net):
+    sent = []
+    real = net.send
+
+    def spy(sender, receiver, msg):
+        sent.append((sender, receiver, msg))
+        real(sender, receiver, msg)
+    net.send = spy
+    return sent
+
+
+def away_and_back(stores=None, fork=False):
+    """Node 2 holds Alice's interval 1, then misses its delete, an
+    interval born and pruned while it is away, and Bob's live data.
+    With ``fork`` it comes back in its own slot and mines on its old tip."""
+    net = SimNet(3, genesis(), FAST, propose_period=2, stores=stores)
+    net.submit(rem(net, ALICE, b"held by two"))
+    net.step(12)
+    late = net.nodes[2]
+    assert late.chain.interval_blocks(1) is not None
+    old_tip = late.chain.height
+    assert 5 <= old_tip <= 8
+    net.set_online(2, False)
+    net.body_deliveries[2].clear()
+    erased = rem(net, ALICE, b"born and erased while two is away")
+    net.submit(erased)
+    net.step(4)
+    peer = net.nodes[0].chain
+    x = next(h for h in range(1, peer.height + 1)
+             if erased.txid in peer.interval_record(h).txids)
+    net.submit(build_delete(ALICE, 1))
+    net.submit(build_delete(ALICE, x))
+    net.submit(rem(net, BOB, b"live in the suffix"))
+    net.step(6)
+    assert peer.interval_blocks(1) is None and peer.interval_blocks(x) is None
+    # without ``fork``, come back just before a peer's slot, so the first
+    # news is an announcement and node 2 mines nothing on its old tip
+    while net.step_no % 6 != (4 if fork else 1):
+        net.step()
+    net.set_online(2, True)
+    return net, old_tip, x
+
+
+def test_rejoin_sends_and_replays_only_the_missed_suffix(monkeypatch):
+    replays = spy_replays(monkeypatch)
+    net, old_tip, _ = away_and_back()
+    sent = spy_sends(net)
+    net.step(9)
+    assert converged(net)
+    late = net.nodes[2]
+    assert late.chain.height > old_tip + 2
+    assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
+    assert replays and all(min(heights) > old_tip for heights, _ in replays)
+    assert all(onto is late.chain for _, onto in replays)
+    delivered = {h for h, _ in net.body_deliveries[2]}
+    assert delivered and min(delivered) > old_tip
+    locator = [m.locator for s, _, m in sent if s == 2 and isinstance(m, SyncRequest)][0]
+    assert [h for h, _ in locator] == [old_tip, old_tip - 1, old_tip - 2, old_tip - 4, 0]
+    assert all(late.chain.block_at(h).block_hash == bh for h, bh in locator)
+
+
+def test_suffix_gap_pruned_while_away_is_accepted_through_its_delete(monkeypatch):
+    replays = spy_replays(monkeypatch)
+    net, old_tip, x = away_and_back()
+    net.step(9)
+    assert converged(net)
+    late = net.nodes[2].chain
+    assert not any(e["ev"] == "sync-abort" for e in net.events)
+    assert late.interval_status(x) is IntervalStatus.DELETED
+    assert late.interval_blocks(x) is None and late.delete_record(x) is not None
+    assert all(h != x for h, _ in net.body_deliveries[2])
+    assert any(x in heights and onto is late for heights, onto in replays)
+    # the delete of interval 1, which node 2 held, matured while it was
+    # away: the rejoin prunes it
+    assert late.interval_blocks(1) is None
+
+
+def test_suffix_sync_with_a_withheld_live_interval_changes_nothing():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    net.submit(rem(net, ALICE, b"held"))
+    net.step(4)
+    late = net.nodes[2]
+    net.set_online(2, False)
+    net.submit(build_delete(ALICE, 1))
+    net.submit(rem(net, BOB, b"withheld"))
+    net.step(6)
+    peer, tip = net.nodes[0].chain, late.chain.height
+    assert peer.height > tip + 1
+    before = late.chain.copy()
+    late._syncing = True
+    late.handle(0, SyncSpine(tuple(peer.block_at(h)
+                                   for h in range(tip + 1, peer.height + 1))), net)
+    late.handle(0, FillResponse({}), net)      # every body withheld
+    assert net.events[-1]["ev"] == "sync-abort"
+    assert net.events[-1]["err"] == "MissingDeleteEvidence"
+    assert vars(late.chain) == vars(before)
+
+
+def test_rejoined_store_matches_a_store_rebuilt_from_the_peer(tmp_path):
+    stores = {i: BlockStore(tmp_path / f"node{i}", create=True) for i in range(3)}
+    try:
+        net, _, x = away_and_back(stores)
+        net.step(9)
+        assert converged(net)
+        late = net.nodes[2]
+        assert not (late.store.root / "interval_1.blk").exists()
+        with BlockStore(tmp_path / "rebuilt", create=True) as fresh:
+            fresh.rebuild(net.nodes[0].chain)
+            assert late.store.digest() == fresh.digest()
+        assert verify_chain(late.store.segments(), FAST).ok
+    finally:
+        for st in stores.values():
+            st.close()
+
+
+def test_fork_below_the_tip_rebuilds_from_genesis(tmp_path, monkeypatch):
+    replays = spy_replays(monkeypatch)
+    stores = {i: BlockStore(tmp_path / f"node{i}", create=True) for i in range(3)}
+    try:
+        net, old_tip, x = away_and_back(stores, fork=True)
+        net.step(10)
+        assert converged(net)
+        late = net.nodes[2]
+        assert any(e["ev"] == "propose" and e["node"] == 2
+                   and e["height"] == old_tip + 1 for e in net.events)
+        assert [(heights[0], onto) for heights, onto in replays] == [(0, None)]
+        assert late.chain.interval_blocks(x) is None
+        assert all(h != x for h, _ in net.body_deliveries[2])
+        with BlockStore(tmp_path / "rebuilt", create=True) as fresh:
+            fresh.rebuild(net.nodes[0].chain)
+            assert late.store.digest() == fresh.digest()
+    finally:
+        for st in stores.values():
+            st.close()
+
+
+def test_locator_with_no_common_block_syncs_nothing():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    # node 1 runs a chain from another genesis
+    net.nodes[1].chain = Chain.bootstrap((build_register(CAROL),), FAST)
+    sent = spy_sends(net)
+    net.step(8)
+    assert any(isinstance(m, SyncRequest) for _, _, m in sent)
+    assert not any(isinstance(m, SyncSpine) for _, _, m in sent)
+    assert not any(e["ev"] in ("sync", "sync-abort") for e in net.events)

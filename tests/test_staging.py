@@ -85,3 +85,33 @@ def test_trials_and_rejected_segments_leave_the_chain_untouched(case):
     with pytest.raises(LedgerError):
         ch.append_segment(*make_segment(ch, removable, body))
     assert vars(ch) == vars(before)
+
+
+def test_inner_commit_is_undone_when_the_outer_stage_is_left():
+    ch, _ = world()
+    before = ch.copy()
+    with ch.stage():
+        with ch.stage():
+            ch.apply_body_tx(build_register(DAN), ch.height + 1)
+            ch.commit()
+        extend(ch, [rem(ch, BOB, b"kept?")])    # append_segment nests a stage too
+        assert ch.registered(DAN.pubkey) and ch.height == before.height + 1
+    assert vars(ch) == vars(before)
+
+
+def test_uncommitted_inner_stage_undoes_only_its_own_writes():
+    ch, _ = world()
+    before = ch.copy()
+    with ch.stage():                # never committed: the final check
+        with ch.stage():
+            ch.apply_body_tx(build_register(DAN), ch.height + 1)
+            with ch.stage():
+                ch.apply_removable(rem(ch, BOB, b"trial"), ch.height + 1)
+                ch.apply_body_tx(build_delete(ALICE, 2), ch.height + 1)
+            kept = ch.copy()
+            ch.commit()
+        # the chain's tables; the journals of the open stages differ
+        assert vars(ch.copy()) == vars(kept)
+        assert ch.registered(DAN.pubkey) and ch.delete_record(2) is None
+        assert not ch.tx_confirmed(rem(ch, BOB, b"trial").txid)
+    assert vars(ch) == vars(before)
