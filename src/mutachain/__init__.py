@@ -54,7 +54,6 @@ from .tx import (
     build_prepare,
     build_register,
     build_removable,
-    build_transaction,
     validate_stateless,
 )
 from .verify import VerifyReport, replay_segments, verify_chain
@@ -78,7 +77,7 @@ __all__ = [
     "BlockStore",
     "OutPoint", "Transaction", "TxKind",
     "build_consent", "build_delete", "build_info", "build_prepare",
-    "build_register", "build_removable", "build_transaction",
+    "build_register", "build_removable",
     "validate_stateless",
     "VerifyReport", "replay_segments", "verify_chain",
     "__version__",

@@ -92,9 +92,3 @@ def verify_signature(pk: bytes, payload: bytes, sig: bytes) -> bool:
         _VERIFY_CACHE.popitem(last=False)
     _VERIFY_CACHE[key] = ok
     return ok
-
-
-def require_hash32(value: bytes, what: str = "hash") -> bytes:
-    if len(value) != HASH_SIZE:
-        raise EncodingError(f"{what} must be {HASH_SIZE} bytes, got {len(value)}")
-    return bytes(value)

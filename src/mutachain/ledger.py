@@ -91,11 +91,14 @@ class IntervalStatus(Enum):
 
 @dataclass(frozen=True)
 class IntervalRecord:
-    status: IntervalStatus
     length: int                    # removable block count, from the header
     p_list: tuple[bytes, ...]
     blocks: tuple[RemovableBlock, ...] | None   # None once pruned or absent
     txids: frozenset               # removable txids; kept once pruned, empty for a gap
+
+    @property
+    def status(self) -> IntervalStatus:
+        return IntervalStatus.DELETED if self.blocks is None else IntervalStatus.PRESENT
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,6 @@ class Chain:
         """Record interval ``height`` as closed, so body rules can name
         it; ``blocks`` None records an absent interval."""
         self._write(self._intervals, height, IntervalRecord(
-            status=IntervalStatus.DELETED if blocks is None else IntervalStatus.PRESENT,
             length=length, p_list=p_list, blocks=blocks,
             txids=frozenset(tx.txid for rb in blocks or () for tx in rb.txs)))
 
@@ -430,16 +432,10 @@ class Chain:
 
     def prune_eligible(self) -> list[int]:
         """Intervals whose confirmed delete has aged past both bounds."""
-        tip = self.height
-        out = []
-        for x, rec in self._deletes.items():
-            interval = self._intervals[x]
-            if interval.status is not IntervalStatus.PRESENT:
-                continue
-            if tip - rec.height >= self.params.confirm_depth \
-                    and rec.height - x >= self.params.delete_lock:
-                out.append(x)
-        return sorted(out)
+        return sorted(x for x, rec in self._deletes.items()
+                      if self._intervals[x].blocks is not None
+                      and self.height - rec.height >= self.params.confirm_depth
+                      and rec.height - x >= self.params.delete_lock)
 
     def prune(self) -> list[int]:
         """Drop every eligible interval body; return the heights dropped."""
@@ -451,8 +447,7 @@ class Chain:
                 self._write(self._dup_index, txid, sites or None)
                 if not sites:
                     self._write(self._gone_txids, txid, x)
-            self._write(self._intervals, x, replace(
-                rec, status=IntervalStatus.DELETED, blocks=None))
+            self._write(self._intervals, x, replace(rec, blocks=None))
         return dropped
 
     # ------------------------------------------------------------------

@@ -126,17 +126,19 @@ class Mempool:
         prepare feeds the re-inclusion queue with the other signers'
         transactions from the interval it targets.
         """
-        confirmed = {tx.txid for tx in block.txs}
-        for rb in removable_blocks or ():
-            confirmed.update(tx.txid for tx in rb.txs)
-        for txid in confirmed:
-            self._pending.pop(txid, None)
-            self._reinclude.pop(txid, None)
+        self.drop_confirmed(removable_blocks, block)
         for tx in block.txs:
             if tx.kind is TxKind.PREPARE:
                 for dup in chain.reinclusion_candidates(tx):
                     if dup.txid not in self:
                         self._reinclude[dup.txid] = dup
+
+    def drop_confirmed(self, removable_blocks, block: PermanentBlock) -> None:
+        """Drop the segment's transactions from both queues."""
+        for rb in (*(removable_blocks or ()), block):
+            for tx in rb.txs:
+                self._pending.pop(tx.txid, None)
+                self._reinclude.pop(tx.txid, None)
 
     # ------------------------------------------------------------------
     # candidate assembly

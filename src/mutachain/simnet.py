@@ -7,13 +7,16 @@ segment.  Nothing is random and nothing reads the clock, so a scenario
 replays to byte-identical reports.
 
 Offline nodes receive nothing; messages addressed to them while down
-are lost, which is what forces the two-phase catch-up on rejoin: a
-block locator (the node's blocks at tip, tip-1, tip-2, tip-4, ... and
-genesis) fetches the peer's spine above the last block both hold, then
-bodies only for intervals the peer still holds.  Deleted intervals are
+are lost, which is what forces the catch-up on rejoin.  It takes one
+round trip: a block locator (the node's blocks at tip, tip-1, tip-2,
+tip-4, ... and genesis) is answered with the peer's spine above the
+last block both hold and the bodies of the intervals the peer still
+holds, read from one snapshot of the peer.  Deleted intervals are
 never sent, a rejoining node just sees the delete evidence in the
 spine.  A suffix on the node's tip extends its chain in place, all or
-nothing; only a fork below the tip rebuilds from genesis.
+nothing; only a fork below the tip rebuilds from genesis.  A reply
+takes two steps, one per hop; a node still waiting after that asks
+again at the next announcement.
 
 Byzantine behaviour is modelled at proposal time: a faulty proposer
 announces a corrupted segment (a wrong p_list, or a delete nobody
@@ -59,17 +62,8 @@ class SyncRequest:
 
 
 @dataclass(frozen=True)
-class SyncSpine:
-    blocks: tuple[PermanentBlock, ...]
-
-
-@dataclass(frozen=True)
-class FillRequest:
-    heights: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FillResponse:
+    blocks: tuple[PermanentBlock, ...]   # the spine, empty if nothing to send
     fills: dict  # height -> tuple[RemovableBlock, ...]
 
 
@@ -82,8 +76,7 @@ class SimNode:
         self.online = True
         self.byzantine: str | None = None
         self.byzantine_key: KeyPair | None = None
-        self._spine: tuple[PermanentBlock, ...] | None = None
-        self._syncing = False
+        self._asked: int | None = None   # step of the unanswered SyncRequest
         self._backlog: list[BlockAnnounce] = []
 
     # ------------------------------------------------------------------
@@ -100,21 +93,27 @@ class SimNode:
                     err=type(exc).__name__)
             return False
         self.mempool.observe_segment(removable_blocks, block, self.chain)
-        if self.store is not None:
-            self.store.append_segment(removable_blocks, block)
         net.log(self.id, ev="append", height=block.height)
         kept = net.archive.get(block.block_hash)
         # a late joiner appends deleted intervals without bodies; keep
         # the fullest copy ever seen
         if kept is None or len(removable_blocks) > len(kept[0]):
             net.archive[block.block_hash] = (tuple(removable_blocks), block)
+        self._store_and_prune([(removable_blocks, block)], net)
+        return True
+
+    def _store_and_prune(self, segments, net: "SimNet") -> None:
+        """Persist segments just appended to the chain, then drop every
+        interval whose delete has matured, in memory and on disk."""
+        if self.store is not None:
+            for removable_blocks, block in segments:
+                self.store.append_segment(removable_blocks, block)
         dropped = self.chain.prune()
         if dropped:
             if self.store is not None:
                 for x in dropped:
                     self.store.prune(x)
             net.log(self.id, ev="prune", intervals=dropped)
-        return True
 
     # ------------------------------------------------------------------
     # message handling
@@ -131,79 +130,67 @@ class SimNode:
             h = msg.block.height
             if h <= self.chain.height:
                 return
-            if self._syncing:
-                # applied after the rebuild lands, so blocks mined
-                # during the handshake are not lost
-                self._backlog.append(msg)
-            elif h == self.chain.height + 1 \
+            if self._asked is None and h == self.chain.height + 1 \
                     and msg.block.header.prev_permanent == self.chain.tip_hash:
                 self._append(msg.removable_blocks, msg.block, net)
-            else:
-                # behind, or forked while isolated: fetch the spine
-                # above the last shared block, the longer history wins
-                self._syncing = True
-                self._backlog.append(msg)
+                return
+            # behind, forked while isolated, or mid-handshake: applied
+            # after the reply lands, so no announced block is lost
+            self._backlog.append(msg)
+            # a reply comes two steps after its request; later it is lost
+            if self._asked is None or net.step_no > self._asked + 2:
+                self._asked = net.step_no
                 tip = self.chain.height     # locator: tip, tip-1, tip-2, tip-4, ..., 0
                 heights = dict.fromkeys(max(tip - (1 << k >> 1), 0)
                                         for k in range(tip.bit_length() + 2))
                 net.send(self.id, sender, SyncRequest(tuple(
                     (h, self.chain.block_at(h).block_hash) for h in heights)))
         elif isinstance(msg, SyncRequest):
-            # the spine above the highest locator block on this chain;
-            # with none (another genesis) nothing is sent
-            tip = self.chain.height
-            fork = next((h for h, hash_ in msg.locator
-                         if 0 <= h <= tip and self.chain.block_at(h).block_hash == hash_), tip)
-            if fork < tip:
-                net.send(self.id, sender, SyncSpine(tuple(
-                    self.chain.block_at(h) for h in range(fork + 1, tip + 1))))
-        elif isinstance(msg, SyncSpine):
-            if not self._syncing or not msg.blocks:
-                return
-            # a fork below the tip replays the node's own shared prefix too
-            fork = msg.blocks[0].height - 1
-            own = range(1, fork + 1) if fork < self.chain.height else ()
-            self._spine = tuple(map(self.chain.block_at, own)) + msg.blocks
-            needed = tuple(b.height for b in self._spine if b.header.interval_len)
-            if needed:
-                net.send(self.id, sender, FillRequest(needed))
-            else:
-                self._finish_sync({}, sender, net)
-        elif isinstance(msg, FillRequest):
-            fills = {h: self.chain.interval_blocks(h) for h in msg.heights
-                     if 0 <= h <= self.chain.height}
+            # the spine above the highest locator block on this chain, from
+            # height 1 if that block is below the asker's tip (a fork), with
+            # every body still held; empty if nothing here is newer or shared
+            tip, asker = self.chain.height, msg.locator[0][0]
+            shared = next((h for h, hash_ in msg.locator
+                           if 0 <= h <= tip and self.chain.block_at(h).block_hash == hash_), None)
+            blocks = ()
+            if shared is not None and tip > asker:
+                start = shared + 1 if shared == asker else 1
+                blocks = tuple(map(self.chain.block_at, range(start, tip + 1)))
+            fills = {b.height: self.chain.interval_blocks(b.height) for b in blocks}
             net.send(self.id, sender, FillResponse(
-                {h: blocks for h, blocks in fills.items() if blocks is not None}))
+                blocks, {h: rbs for h, rbs in fills.items() if rbs}))
         elif isinstance(msg, FillResponse):
-            if self._syncing and self._spine is not None:
-                self._finish_sync(msg.fills, sender, net)
+            self._finish_sync(msg, sender, net)
 
-    def _finish_sync(self, fills: dict, peer: int, net: "SimNet") -> None:
-        spine, self._spine, self._syncing = self._spine, None, False
-        tip = self.chain.height
-        onto = self.chain if spine[0].height == tip + 1 else None
-        segments = [((), self.chain.block_at(0))] if onto is None else []
-        segments += [(fills.get(b.height) if b.header.interval_len else (), b)
-                     for b in spine]
-        try:
-            rebuilt = verify.replay_segments(segments, self.chain.params, onto=onto)
-        except HistoryRejected as exc:
-            net.log(self.id, ev="sync-abort", peer=peer,
-                    err=type(exc.cause).__name__)
-            self._backlog.clear()
-            return
-        if rebuilt.height > tip:
-            self.chain = rebuilt
-            dropped = rebuilt.prune()
-            if self.store is not None and onto is None:
-                self.store.rebuild(rebuilt)
-            elif self.store is not None:
-                for b in spine:
-                    self.store.append_segment(rebuilt.interval_blocks(b.height), b)
-                for x in dropped:
-                    self.store.prune(x)
-            net.log(self.id, ev="sync", peer=peer, height=self.chain.height)
+    def _finish_sync(self, reply: FillResponse, peer: int, net: "SimNet") -> None:
+        self._asked = None
         backlog, self._backlog = self._backlog, []
+        tip = self.chain.height
+        if reply.blocks:
+            onto = self.chain if reply.blocks[0].height == tip + 1 else None
+            segments = [((), self.chain.block_at(0))] if onto is None else []
+            segments += [(reply.fills.get(b.height) if b.header.interval_len else (), b)
+                         for b in reply.blocks]
+            try:
+                rebuilt = verify.replay_segments(segments, self.chain.params, onto=onto)
+            except HistoryRejected as exc:
+                net.log(self.id, ev="sync-abort", peer=peer,
+                        err=type(exc.cause).__name__)
+                return
+            if rebuilt.height > tip:
+                # only what this node did not hold leaves the mempool: a
+                # fork's shared prefix is already observed
+                for removable_blocks, block in segments:
+                    if block.height > tip or block.block_hash \
+                            != self.chain.block_at(block.height).block_hash:
+                        self.mempool.drop_confirmed(removable_blocks, block)
+                if onto is None:
+                    self.chain = rebuilt
+                    if self.store is not None:
+                        self.store.rebuild(rebuilt)
+                    segments = []
+                net.log(self.id, ev="sync", peer=peer, height=self.chain.height)
+                self._store_and_prune(segments, net)
         for msg in backlog:
             if msg.block.height == self.chain.height + 1 \
                     and msg.block.header.prev_permanent == self.chain.tip_hash:
@@ -321,8 +308,11 @@ class SimNet:
         self.broadcast(via, TxGossip(tx))
 
     def set_online(self, node_id: int, online: bool) -> None:
-        self.nodes[node_id].online = online
+        node = self.nodes[node_id]
+        node.online = online
         if not online:
+            # the reply to a pending SyncRequest is lost with the queue
+            node._asked, node._backlog = None, []
             for key in list(self._queues):
                 if key[1] == node_id:
                     del self._queues[key]
@@ -333,7 +323,7 @@ class SimNet:
             if self.step_no % self.propose_period == 0:
                 slot = self.step_no // self.propose_period
                 proposer = self.nodes[slot % len(self.nodes)]
-                if proposer.online and not proposer._syncing:
+                if proposer.online and proposer._asked is None:
                     proposer.propose(self)
             self.step_no += 1
 

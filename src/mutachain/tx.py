@@ -278,28 +278,6 @@ def build_consent(signer: KeyPair, input_ref: OutPoint, info_ref: OutPoint,
                    ConsentPayload(info_ref), value=value)
 
 
-_BUILDERS = {
-    TxKind.REGISTER: build_register,
-    TxKind.REMOVABLE: build_removable,
-    TxKind.PREPARE: build_prepare,
-    TxKind.DELETE: build_delete,
-    TxKind.INFO: build_info,
-    TxKind.CONSENT: build_consent,
-}
-
-
-def build_transaction(kind: TxKind, signer: KeyPair, **params) -> Transaction:
-    """Kind-dispatching constructor; params must match the kind's builder."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise EncodingError(f"unknown kind {kind!r}")
-    try:
-        return builder(signer, **params)
-    except TypeError as exc:
-        raise EncodingError(f"bad params for {kind.name}: {exc}") from None
-
-
 def validate_stateless(tx: Transaction) -> None:
     """Shape rules plus signature check; no ledger lookups.
 

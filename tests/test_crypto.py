@@ -96,9 +96,3 @@ def test_verify_cache_memoizes_and_stays_bounded():
     finally:
         crypto._VERIFY_CACHE_MAX = keep
         crypto._VERIFY_CACHE.clear()
-
-
-def test_require_hash32():
-    assert crypto.require_hash32(b"\x01" * 32) == b"\x01" * 32
-    with pytest.raises(EncodingError):
-        crypto.require_hash32(b"\x01" * 33)

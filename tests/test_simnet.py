@@ -13,7 +13,7 @@ from mutachain import (
     verify_chain,
 )
 from mutachain import verify
-from mutachain.simnet import FillResponse, SyncRequest, SyncSpine
+from mutachain.simnet import FillResponse, SyncRequest
 from support import ALICE, BOB, CAROL
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -114,10 +114,8 @@ def test_sync_aborts_when_a_live_interval_is_withheld():
     peer = net.nodes[0].chain
     assert peer.interval_record(1).length == 1 and peer.delete_record(1) is None
     late = net.nodes[2]
-    late._syncing = True
-    late.handle(0, SyncSpine(tuple(peer.block_at(h)
-                                   for h in range(1, peer.height + 1))), net)
-    late.handle(0, FillResponse({}), net)      # every body withheld
+    late.handle(0, FillResponse(tuple(peer.block_at(h)      # every body withheld
+                                      for h in range(1, peer.height + 1)), {}), net)
     assert late.chain.height == 0
     assert net.events[-1]["ev"] == "sync-abort"
     assert net.events[-1]["err"] == "MissingDeleteEvidence"
@@ -305,10 +303,8 @@ def test_suffix_sync_with_a_withheld_live_interval_changes_nothing():
     peer, tip = net.nodes[0].chain, late.chain.height
     assert peer.height > tip + 1
     before = late.chain.copy()
-    late._syncing = True
-    late.handle(0, SyncSpine(tuple(peer.block_at(h)
-                                   for h in range(tip + 1, peer.height + 1))), net)
-    late.handle(0, FillResponse({}), net)      # every body withheld
+    late.handle(0, FillResponse(tuple(peer.block_at(h)      # every body withheld
+                                      for h in range(tip + 1, peer.height + 1)), {}), net)
     assert net.events[-1]["ev"] == "sync-abort"
     assert net.events[-1]["err"] == "MissingDeleteEvidence"
     assert vars(late.chain) == vars(before)
@@ -359,5 +355,75 @@ def test_locator_with_no_common_block_syncs_nothing():
     sent = spy_sends(net)
     net.step(8)
     assert any(isinstance(m, SyncRequest) for _, _, m in sent)
-    assert not any(isinstance(m, SyncSpine) for _, _, m in sent)
+    assert all(not m.blocks and not m.fills for _, _, m in sent if isinstance(m, FillResponse))
     assert not any(e["ev"] in ("sync", "sync-abort") for e in net.events)
+
+
+# ----------------------------------------------------------------------
+# one round trip: spine and bodies come from one snapshot of the peer
+
+
+def test_delete_landing_mid_handshake_does_not_abort_the_sync():
+    net = SimNet(3, genesis(), FAST, propose_period=1)
+    net.set_online(2, False)
+    net.submit(rem(net, ALICE, b"sole owner"))
+    net.step(4)
+    net.set_online(2, True)
+    net.step(1)
+    # the peer confirms this delete and prunes interval 1 while node 2
+    # is still catching up
+    net.submit(build_delete(ALICE, 1))
+    net.step(6)
+    assert not any(e["ev"] == "sync-abort" for e in net.events)
+    assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
+    # every node agrees up to the block the last proposer still has in flight
+    low = min(n.chain.height for n in net.nodes)
+    assert low >= 5 and len({n.chain.block_at(low).block_hash for n in net.nodes}) == 1
+    assert net.nodes[2].chain.interval_blocks(1) is None
+
+
+def test_node_with_no_common_block_keeps_proposing():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    net.nodes[1].chain = Chain.bootstrap((build_register(CAROL),), FAST)
+    backlog = []
+    for _ in range(60):
+        net.step()
+        backlog.append(len(net.nodes[1]._backlog))
+    assert any(e["ev"] == "propose" and e["node"] == 1 for e in net.events)
+    assert max(backlog) <= 1
+
+
+def test_node_that_drops_mid_handshake_asks_again():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    net.set_online(2, False)
+    net.submit(rem(net, ALICE, b"missed"))
+    net.step(6)
+    net.set_online(2, True)
+    sent = spy_sends(net)
+    while not any(s == 2 and isinstance(m, SyncRequest) for s, _, m in sent):
+        net.step()
+    net.set_online(2, False)     # the peer's reply is lost
+    net.step(3)
+    net.set_online(2, True)
+    for _ in range(30):
+        net.step()
+        if net.nodes[2].chain.height == net.nodes[0].chain.height:
+            break
+    assert net.nodes[2].chain.height == net.nodes[0].chain.height
+    assert net.nodes[2].chain.tip_hash == net.nodes[0].chain.tip_hash
+
+
+def test_sync_drops_what_the_synced_segments_confirm():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    carol = build_register(CAROL)
+    for i in (1, 2):
+        net.nodes[i].mempool.submit(carol, net.nodes[i].chain)
+    net.set_online(2, False)
+    net.step(8)
+    assert net.nodes[1].chain.registered(CAROL.pubkey)
+    net.set_online(2, True)
+    net.step(40)
+    late = net.nodes[2]
+    assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
+    assert late.chain.registered(CAROL.pubkey)
+    assert len(late.mempool) == 0

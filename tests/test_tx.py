@@ -16,11 +16,10 @@ from mutachain import (
     build_prepare,
     build_register,
     build_removable,
-    build_transaction,
     digest,
     validate_stateless,
 )
-from mutachain.errors import BadSignature, DecodingError, EncodingError, ShapeViolation
+from mutachain.errors import BadSignature, DecodingError, ShapeViolation
 from support import ALICE, BOB, kp
 
 REF = OutPoint(digest(b"some-register"), 0)
@@ -164,13 +163,6 @@ def test_signature_must_match_payload():
     stolen = dataclasses.replace(honest, signer=BOB.pubkey)
     with pytest.raises(BadSignature):
         validate_stateless(stolen)
-
-
-def test_build_transaction_dispatches_by_kind():
-    tx = build_transaction(TxKind.REMOVABLE, ALICE, register_ref=REF, data=b"x")
-    assert tx == build_removable(ALICE, REF, b"x")
-    with pytest.raises(EncodingError):
-        build_transaction(TxKind.REMOVABLE, ALICE, wrong_param=1)
 
 
 def test_distinct_signers_distinct_txids():
