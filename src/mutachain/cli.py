@@ -4,8 +4,9 @@ State lives in a store directory (``--store``, default ``./chainstore``):
 block data managed by ``BlockStore``, key seeds under ``keys/``, queued
 transactions under ``pending/``, and the info-label registry in
 ``labels.json``.  A command that reads the chain runs in one session:
-the store opened and its chain loaded and verified once.  Bad input
-ends a command with exit 1 and an error that names it, a
+the store opened and its chain loaded and verified once, trusting the
+signatures the store marks as checked; ``verify`` checks them all.
+Bad input ends a command with exit 1 and an error that names it, a
 ``MutachainError`` as ``Error: <Class>: message``, never a traceback.
 Submission commands number each queue file one above the highest
 queued, so ``mine`` takes the queue in submission order; it drops the
@@ -41,7 +42,7 @@ from .tx import (
     build_register,
     build_removable,
 )
-from .verify import chain_report
+from .verify import verify_chain
 
 
 def _store_opt(fn):
@@ -365,9 +366,13 @@ def consent_status(store_dir: str, name: str, info_label: str) -> None:
 @main.command()
 @_store_opt
 def verify(store_dir: str) -> None:
-    """Re-verify the whole stored history."""
-    with _session(store_dir) as (_, chain):
-        click.echo(str(chain_report(chain)))
+    """Re-verify the whole stored history, every signature included."""
+    # an audit: the store's own tip mark is not trusted here
+    with _named_errors(), BlockStore(store_dir) as store:
+        report = verify_chain(store.segments(), store.params)
+    if not report.ok:
+        raise click.ClickException(str(report))
+    click.echo(str(report))
 
 
 @main.command()

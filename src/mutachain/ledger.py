@@ -215,20 +215,24 @@ class Chain:
     # ------------------------------------------------------------------
     # segment admission
 
-    def append_segment(self, removable_blocks, block: PermanentBlock) -> None:
-        """Validate and commit interval blocks plus their closing block."""
+    def append_segment(self, removable_blocks, block: PermanentBlock, *,
+                       check_signatures: bool = True) -> None:
+        """Validate and commit interval blocks plus their closing block.
+        ``check_signatures=False`` keeps every rule but the Ed25519 check."""
         with self.stage():
-            self._apply_segment(tuple(removable_blocks), block)
+            self._apply_segment(tuple(removable_blocks), block, check_signatures)
             self.commit()
 
-    def append_gap_segment(self, block: PermanentBlock) -> None:
+    def append_gap_segment(self, block: PermanentBlock, *,
+                           check_signatures: bool = True) -> None:
         """Commit a permanent block whose interval body is unavailable;
         ``verify.replay_segments`` settles whether a delete excuses it."""
         with self.stage():
-            self._apply_segment(None, block)
+            self._apply_segment(None, block, check_signatures)
             self.commit()
 
-    def _apply_segment(self, removable_blocks, block: PermanentBlock) -> None:
+    def _apply_segment(self, removable_blocks, block: PermanentBlock,
+                       check_signatures: bool) -> None:
         height = len(self._blocks)
         h = block.header
         if h.height != height:
@@ -265,13 +269,13 @@ class Chain:
                 raise PListMismatch(
                     "header p_list does not match the interval's signers")
             for tx in interval_txs:
-                validate_stateless(tx)
+                validate_stateless(tx, check_signatures=check_signatures)
             for tx in interval_txs:
                 self.apply_removable(tx, height)
         self.close_interval(height, h.interval_len, h.p_list, removable_blocks)
 
         for tx in block.txs:
-            validate_stateless(tx)
+            validate_stateless(tx, check_signatures=check_signatures)
         for tx in block.txs:
             self.apply_body_tx(tx, height)
         self._write(self._blocks, height, block)

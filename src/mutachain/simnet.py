@@ -16,7 +16,10 @@ never sent, a rejoining node just sees the delete evidence in the
 spine.  A suffix on the node's tip extends its chain in place, all or
 nothing; only a fork below the tip rebuilds from genesis.  A reply
 takes two steps, one per hop; a node still waiting after that asks
-again at the next announcement.
+again at the next announcement.  Gossip that reaches a node back
+online before it has heard a block, or mid-handshake, is held with the
+announcements and judged once the node has caught up, not against its
+stale tip.
 
 Byzantine behaviour is modelled at proposal time: a faulty proposer
 announces a corrupted segment (a wrong p_list, or a delete nobody
@@ -77,7 +80,8 @@ class SimNode:
         self.byzantine: str | None = None
         self.byzantine_key: KeyPair | None = None
         self._asked: int | None = None   # step of the unanswered SyncRequest
-        self._backlog: list[BlockAnnounce] = []
+        self._rejoined = False           # back online, no block heard since
+        self._backlog: list[BlockAnnounce | TxGossip] = []   # held meanwhile
 
     # ------------------------------------------------------------------
 
@@ -118,14 +122,21 @@ class SimNode:
     # ------------------------------------------------------------------
     # message handling
 
+    def _admit(self, tx: Transaction, net: "SimNet") -> None:
+        try:
+            self.mempool.submit(tx, self.chain)
+        except AlreadyKnown:
+            pass
+        except MempoolRejection as exc:
+            net.log(self.id, ev="tx-reject", err=type(exc).__name__)
+
     def handle(self, sender: int, msg, net: "SimNet") -> None:
         if isinstance(msg, TxGossip):
-            try:
-                self.mempool.submit(msg.tx, self.chain)
-            except AlreadyKnown:
-                pass
-            except MempoolRejection as exc:
-                net.log(self.id, ev="tx-reject", err=type(exc).__name__)
+            if self._asked is None and not self._rejoined:
+                self._admit(msg.tx, net)
+            else:
+                # judged against a stale tip it could be lost for good
+                self._backlog.append(msg)
         elif isinstance(msg, BlockAnnounce):
             h = msg.block.height
             if h <= self.chain.height:
@@ -133,6 +144,7 @@ class SimNode:
             if self._asked is None and h == self.chain.height + 1 \
                     and msg.block.header.prev_permanent == self.chain.tip_hash:
                 self._append(msg.removable_blocks, msg.block, net)
+                self._release_backlog(net)
                 return
             # behind, forked while isolated, or mid-handshake: applied
             # after the reply lands, so no announced block is lost
@@ -164,7 +176,6 @@ class SimNode:
 
     def _finish_sync(self, reply: FillResponse, peer: int, net: "SimNet") -> None:
         self._asked = None
-        backlog, self._backlog = self._backlog, []
         tip = self.chain.height
         if reply.blocks:
             onto = self.chain if reply.blocks[0].height == tip + 1 else None
@@ -176,6 +187,9 @@ class SimNode:
             except HistoryRejected as exc:
                 net.log(self.id, ev="sync-abort", peer=peer,
                         err=type(exc.cause).__name__)
+                # the blocks held for this sync go with it; gossip stays
+                self._backlog = [m for m in self._backlog if isinstance(m, TxGossip)]
+                self._release_backlog(net)
                 return
             if rebuilt.height > tip:
                 # only what this node did not hold leaves the mempool: a
@@ -191,8 +205,17 @@ class SimNode:
                     segments = []
                 net.log(self.id, ev="sync", peer=peer, height=self.chain.height)
                 self._store_and_prune(segments, net)
+        self._release_backlog(net)
+
+    def _release_backlog(self, net: "SimNet") -> None:
+        """Apply what was held while catching up, in arrival order: each
+        announced block that extends the tip, and each gossiped tx."""
+        self._rejoined = False
+        backlog, self._backlog = self._backlog, []
         for msg in backlog:
-            if msg.block.height == self.chain.height + 1 \
+            if isinstance(msg, TxGossip):
+                self._admit(msg.tx, net)
+            elif msg.block.height == self.chain.height + 1 \
                     and msg.block.header.prev_permanent == self.chain.tip_hash:
                 self._append(msg.removable_blocks, msg.block, net)
 
@@ -309,6 +332,8 @@ class SimNet:
 
     def set_online(self, node_id: int, online: bool) -> None:
         node = self.nodes[node_id]
+        if online and not node.online:
+            node._rejoined = True
         node.online = online
         if not online:
             # the reply to a pending SyncRequest is lost with the queue

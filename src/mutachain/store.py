@@ -8,12 +8,13 @@ Layout under the store root:
   as a codec byte string.  Erasing the interval is unlinking this one
   file; nothing else on disk holds those bytes.  The spine header says
   how many blocks it holds; whether it exists says present or pruned.
-* ``manifest.json``: format version, parameters, committed height and
-  committed log length, a size that does not grow with the chain.  Its
-  rename is the commit point: an append fsyncs the interval file and
-  the log first and the manifest last, through a temp file and an
-  atomic rename.  The root directory is fsynced after that rename and
-  after a prune's unlink, so commits and erasures survive power loss.
+* ``manifest.json``: format version, parameters, committed height,
+  committed log length and ``tip``, the hex hash of the block at that
+  height: a size that does not grow with the chain.  Its rename is the
+  commit point: an append fsyncs the interval file and the log first
+  and the manifest last, through a temp file and an atomic rename.  The
+  root directory is fsynced after that rename and after a prune's
+  unlink, so commits and erasures survive power loss.
 * ``.lock``: ``flock``-ed against concurrent writers; the lock dies
   with the process that holds it.
 
@@ -22,6 +23,19 @@ interrupted append (log tail, interval files above the committed
 height), erasing nothing at or below it.  A missing interval file is
 served as a gap; the rebuilt chain is re-verified, including delete
 evidence for every gap.
+
+The store appends only segments a ``Chain`` has accepted, so every
+signature it holds was checked before it was written.  ``tip`` marks
+that: when it names the last block of the committed log, ``load_chain``
+skips the Ed25519 checks and runs every other rule (decode, shape,
+``tx_root``, interval and prev links, p_lists, stateful rules, delete
+evidence for every gap).  A txid covers its signature, so ``tx_root``
+and the hash links bind every signature byte to the marked tip; a
+changed byte fails the replay as before.  Without the field, or when
+it names another block, the load checks every signature.  Someone who
+can rewrite the log can rewrite the mark too, so it costs no trust a
+node does not already place in its own disk.  Audits never trust it:
+``mutachain verify`` and ``verify.verify_chain`` check every signature.
 
 ``crash_hook`` is a test seam: when set, it is called with a named
 point before each mutation step and may raise to simulate a crash.
@@ -56,6 +70,7 @@ LOCK = ".lock"
 VERSION = 2
 PARAM_FIELDS = ("confirm_depth", "delete_lock")
 INTERVAL_FILE = re.compile(r"interval_(0|[1-9][0-9]*)\.blk")
+TIP = re.compile(r"[0-9a-f]{64}")
 
 
 def _write_synced(path: Path, data: bytes, mode: str) -> None:
@@ -79,6 +94,9 @@ def _checked_manifest(manifest) -> dict:
         value = manifest.get(key)
         if type(value) is not int or value < low:
             raise ValueError(f"{key} {value!r} is not an int >= {low}")
+    tip = manifest.get("tip")
+    if "tip" in manifest and not (isinstance(tip, str) and TIP.fullmatch(tip)):
+        raise ValueError(f"tip {tip!r} is not a 64-digit lowercase hex hash")
     # the one rule for parameters; InvalidParams is a ValueError
     ChainParams(**{key: params.get(key) for key in PARAM_FIELDS})
     return manifest
@@ -181,7 +199,12 @@ class BlockStore:
     # mutation
 
     def append_segment(self, removable_blocks, block: PermanentBlock) -> None:
-        """Persist one segment; the manifest flips last."""
+        """Persist one segment; the manifest flips last and marks
+        ``block`` as the tip.
+
+        Contract: append only segments a ``Chain`` accepted, signatures
+        checked.  ``load_chain`` skips the Ed25519 checks up to the
+        marked tip; ``verify_chain`` over ``segments()`` does not."""
         removable_blocks = tuple(removable_blocks or ())
         x = block.height
         if x != self.height + 1:
@@ -197,6 +220,7 @@ class BlockStore:
         _write_synced(self.root / LOG, block.encoded, "ab")
         self._manifest["height"] = x
         self._manifest["log_bytes"] += len(block.encoded)
+        self._manifest["tip"] = block.block_hash.hex()
         self._write_manifest()
 
     def prune(self, x: int) -> None:
@@ -213,6 +237,7 @@ class BlockStore:
         # tail and orphan interval files, both swept on load
         self._manifest["height"] = -1
         self._manifest["log_bytes"] = 0
+        self._manifest.pop("tip", None)
         self.set_params(chain.params)
         for child in self.root.glob("interval_*"):
             child.unlink()
@@ -277,9 +302,14 @@ class BlockStore:
         return segments
 
     def load_chain(self) -> Chain:
-        """Replay and fully re-verify the store's contents."""
+        """Replay and re-verify the store's contents: every rule, and
+        every signature unless the manifest's tip marks this log."""
+        segments = self.segments()
+        marked = bool(segments) and \
+            self._manifest.get("tip") == segments[-1][1].block_hash.hex()
         try:
-            return verify.replay_segments(self.segments(), self.params)
+            return verify.replay_segments(segments, self.params,
+                                          check_signatures=not marked)
         except HistoryRejected as exc:
             if isinstance(exc.cause, MissingDeleteEvidence):
                 raise exc.cause

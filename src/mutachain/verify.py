@@ -37,7 +37,8 @@ class VerifyReport:
 
 
 def replay_segments(segments, params: ChainParams | None = None, *,
-                    onto: Chain | None = None) -> Chain:
+                    onto: Chain | None = None,
+                    check_signatures: bool = True) -> Chain:
     """The one replay path for stored, synced and audited histories:
     rebuild a chain from (interval_blocks, permanent_block) pairs, then
     require a confirmed delete for every absent interval.
@@ -52,23 +53,28 @@ def replay_segments(segments, params: ChainParams | None = None, *,
     of a fresh one, all or nothing: on ``HistoryRejected`` it is left
     exactly as it was.  Its own gaps already carry their deletes, so
     only the new heights are checked for evidence.
+
+    ``check_signatures=False`` skips the Ed25519 checks and nothing else;
+    only ``BlockStore.load_chain`` passes it, for a history its own node
+    accepted (see ``store``).
     """
     if onto is None:
-        return _replay(Chain(params), segments)
+        return _replay(Chain(params), segments, check_signatures)
     with onto.stage():
-        _replay(onto, segments)
+        _replay(onto, segments, check_signatures)
         onto.commit()
     return onto
 
 
-def _replay(chain: Chain, segments) -> Chain:
+def _replay(chain: Chain, segments, check_signatures: bool) -> Chain:
     start = chain.height + 1
     for removable_blocks, block in segments:
         try:
             if removable_blocks is None and block.header.interval_len > 0:
-                chain.append_gap_segment(block)
+                chain.append_gap_segment(block, check_signatures=check_signatures)
             else:
-                chain.append_segment(removable_blocks or (), block)
+                chain.append_segment(removable_blocks or (), block,
+                                     check_signatures=check_signatures)
         except MutachainError as exc:
             raise HistoryRejected(exc, chain) from exc
     unbacked = gaps_without_evidence(chain, start)

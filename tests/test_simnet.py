@@ -382,6 +382,23 @@ def test_delete_landing_mid_handshake_does_not_abort_the_sync():
     assert net.nodes[2].chain.interval_blocks(1) is None
 
 
+def test_gossip_reaching_a_rejoining_node_is_not_lost():
+    # the setup of the test above: Alice's delete is gossiped to node 2
+    # after it comes back and before it has caught up
+    net = SimNet(3, genesis(), FAST, propose_period=1)
+    net.set_online(2, False)
+    net.submit(rem(net, ALICE, b"sole owner"))
+    net.step(4)
+    net.set_online(2, True)
+    net.step(1)
+    delete = build_delete(ALICE, 1)
+    net.submit(delete)
+    net.step(6)
+    late = net.nodes[2]
+    assert not any(e["ev"] == "tx-reject" and e["node"] == 2 for e in net.events)
+    assert delete.txid in late.mempool or late.chain.tx_confirmed(delete.txid)
+
+
 def test_node_with_no_common_block_keeps_proposing():
     net = SimNet(3, genesis(), FAST, propose_period=2)
     net.nodes[1].chain = Chain.bootstrap((build_register(CAROL),), FAST)

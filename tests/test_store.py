@@ -3,9 +3,11 @@
 import json
 import os
 import stat
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from mutachain import (
     BlockStore,
@@ -16,13 +18,16 @@ from mutachain import (
     build_prepare,
     verify_chain,
 )
+from mutachain import tx as txmod
+from mutachain.cli import main
 from mutachain.errors import (
     CorruptStore,
     MissingDeleteEvidence,
     MissingDuplicates,
     StoreLocked,
 )
-from support import ALICE, BOB, extend, fresh_chain, reg, rem
+from support import ALICE, BOB, extend, fresh_chain, make_segment, reg, rem
+from test_simnet import away_and_back
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
@@ -413,3 +418,125 @@ def test_verify_chain_accepts_loaded_segments(tmp_path):
     with BlockStore(tmp_path / "s") as store:
         report = verify_chain(store.segments(), store.params)
     assert report.ok and report.deleted == 1
+
+
+# ----------------------------------------------------------------------
+# the tip mark: signatures this store's chain accepted are not re-checked
+
+
+def erased_chain():
+    """Interval 1 erased after its delete, interval 3 live."""
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"gone")])
+    extend(ch, body_txs=[build_delete(ALICE, 1)])
+    extend(ch, [rem(ch, ALICE, b"kept"), rem(ch, BOB, b"kept too")])
+    extend(ch)
+    assert ch.prune() == [1]
+    return ch
+
+
+def count_signature_checks(monkeypatch):
+    calls = []
+    real = txmod.verify_signature
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(txmod, "verify_signature", counted)
+    return calls
+
+
+def tip_mark(root):
+    return json.loads((root / "manifest.json").read_text()).get("tip")
+
+
+def set_tip(root, tip):
+    manifest = json.loads((root / "manifest.json").read_text())
+    if tip is None:
+        del manifest["tip"]
+    else:
+        manifest["tip"] = tip
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_load_of_a_marked_store_checks_no_signature(tmp_path, monkeypatch):
+    ch = erased_chain()
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, ch)
+    assert tip_mark(tmp_path / "s") == ch.tip_hash.hex()
+    calls = count_signature_checks(monkeypatch)
+    with BlockStore(tmp_path / "s") as store:
+        loaded = store.load_chain()
+    assert calls == []
+    assert loaded.tip_hash == ch.tip_hash and loaded.interval_blocks(1) is None
+
+
+@pytest.mark.parametrize("tip", ["other block", None])
+def test_load_without_a_matching_mark_checks_every_signature(tmp_path, monkeypatch, tip):
+    ch = erased_chain()
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, ch)
+        segments = store.segments()
+    set_tip(tmp_path / "s", ch.block_at(1).block_hash.hex() if tip else None)
+    calls = count_signature_checks(monkeypatch)
+    with BlockStore(tmp_path / "s") as store:
+        assert store.load_chain().tip_hash == ch.tip_hash
+    txs = sum(len(block.txs) + sum(len(rb.txs) for rb in blocks or ())
+              for blocks, block in segments)
+    assert len(calls) == txs > 0
+
+
+def test_forged_signature_appended_past_a_chain(tmp_path):
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    forged = replace(rem(ch, ALICE, b"never signed"), signature=bytes(64))
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+        # a breach of the append contract: no Chain saw this segment
+        store.append_segment(*make_segment(ch, [forged]))
+        report = verify_chain(store.segments(), store.params)
+        assert not report.ok and "BadSignature" in report.problem
+        # the node's own load trusts its mark: that is the boundary
+        assert store.load_chain().height == 1
+    out = CliRunner().invoke(main, ["verify", "--store", str(root)])
+    assert out.exit_code == 1 and "BadSignature" in out.output
+    set_tip(root, None)
+    with BlockStore(root) as store:
+        with pytest.raises(CorruptStore, match="BadSignature"):
+            store.load_chain()
+
+
+def test_rebuilt_store_carries_a_matching_mark(tmp_path, monkeypatch):
+    ch = erased_chain()
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, simple_chain())
+
+        def crash(point):
+            if point == "log-append":
+                raise Crash(point)
+        store.crash_hook = crash
+        with pytest.raises(Crash):
+            store.rebuild(ch)
+        # the empty store committed first carries no mark
+        assert tip_mark(store.root) is None
+        store.crash_hook = None
+        store.rebuild(ch)
+    assert tip_mark(tmp_path / "s") == ch.tip_hash.hex()
+    calls = count_signature_checks(monkeypatch)
+    with BlockStore(tmp_path / "s") as store:
+        assert store.load_chain().tip_hash == ch.tip_hash
+    assert calls == []
+
+
+def test_fork_rebuild_leaves_a_matching_mark(tmp_path):
+    stores = {i: BlockStore(tmp_path / f"node{i}", create=True) for i in range(3)}
+    try:
+        net, _, _ = away_and_back(stores, fork=True)
+        net.step(10)
+        assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
+        late = net.nodes[2]
+        assert tip_mark(late.store.root) == late.chain.tip_hash.hex()
+        assert late.store.load_chain().tip_hash == late.chain.tip_hash
+    finally:
+        for st in stores.values():
+            st.close()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mutachain import BlockStore, ChainParams, build_delete
-from mutachain.errors import MutachainError
+from mutachain.errors import CorruptStore, MutachainError
 from mutachain.store import INTERVAL_FILE
 from support import ALICE, BOB, extend, fresh_chain, rem
 
@@ -22,6 +22,7 @@ DATA_FILES = ["permanent.log", "interval_2.blk", "interval_3.blk"]
 STRAYS = ["interval_0.blk", "interval_1.blk", "interval_4.blk", "interval_01.blk",
           "interval_2.bak", "interval_2", "interval_x.blk"]
 ABSENT = object()
+OTHER_TIP = object()    # the hash of another committed block
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 1 << 12),
                  st.floats(allow_nan=False), st.text(max_size=3),
                  st.lists(st.integers(0, 3), max_size=2),
@@ -60,9 +61,9 @@ def mutations(draw):
     if kind == "stray":
         return (kind, draw(st.sampled_from(STRAYS)), draw(st.booleans()),
                 draw(st.binary(max_size=16)))
-    key = draw(st.sampled_from(["version", "params", "height", "log_bytes",
+    key = draw(st.sampled_from(["version", "params", "height", "log_bytes", "tip",
                                 "params.confirm_depth", "params.delete_lock"]))
-    return kind, key, draw(st.one_of(st.just(ABSENT), JUNK))
+    return kind, key, draw(st.one_of(st.just(ABSENT), st.just(OTHER_TIP), JUNK))
 
 
 def mutate(root: Path, mutation) -> None:
@@ -93,6 +94,9 @@ def mutate(root: Path, mutation) -> None:
         fields = manifest[owner[0]] if owner else manifest
         if args[0] is ABSENT:
             del fields[key]
+        elif args[0] is OTHER_TIP:
+            with BlockStore(root) as store:
+                fields[key] = store.segments()[1][1].block_hash.hex()
         else:
             fields[key] = args[0]
         (root / "manifest.json").write_text(json.dumps(manifest))
@@ -102,6 +106,16 @@ def committed_data(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file() and (
         p.name == "permanent.log"
         or (m := INTERVAL_FILE.fullmatch(p.name)) and int(m[1]) <= HEIGHT)}
+
+
+@pytest.mark.parametrize("tip", [None, 7, "", "ab", "A" * 64, "0" * 63, "0" * 65,
+                                 "g" * 64, "0" * 64 + "\n"])
+def test_tip_that_is_not_a_hex_hash_is_corruption(template, tip, tmp_path):
+    root = tmp_path / "s"
+    shutil.copytree(template, root)
+    mutate(root, ("field", "tip", tip))
+    with pytest.raises(CorruptStore, match="tip"):
+        BlockStore(root)
 
 
 @settings(max_examples=200, deadline=None)
