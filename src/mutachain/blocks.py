@@ -83,14 +83,16 @@ class PermanentHeader:
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "PermanentHeader":
+        start = r.pos
         height = r.u32()
         prev_permanent = r.fixed(HASH_SIZE)
         prev_removable = r.fixed(HASH_SIZE)
         interval_len = r.u8()
         p_list = tuple(r.fixed(PUBKEY_SIZE) for _ in range(r.short_count()))
         tx_root = r.fixed(HASH_SIZE)
-        return cls(height, prev_permanent, prev_removable,
-                   interval_len, p_list, tx_root)
+        return codec.keep_encoded(
+            cls(height, prev_permanent, prev_removable, interval_len, p_list, tx_root),
+            r.since(start))
 
     @cached_property
     def encoded(self) -> bytes:
@@ -118,8 +120,10 @@ class RemovableHeader:
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "RemovableHeader":
-        return cls(interval=r.u32(), seq=r.u8(),
-                   prev=r.fixed(HASH_SIZE), tx_root=r.fixed(HASH_SIZE))
+        start = r.pos
+        header = cls(interval=r.u32(), seq=r.u8(),
+                     prev=r.fixed(HASH_SIZE), tx_root=r.fixed(HASH_SIZE))
+        return codec.keep_encoded(header, r.since(start))
 
     @cached_property
     def encoded(self) -> bytes:

@@ -5,6 +5,15 @@ through the helpers below.  The encoding is positional: fields are
 written in their declared order with no tags or padding, so a value
 encodes to the same bytes in every process and run.
 
+The encoding is also canonical: integers are fixed-width, lengths are
+prefixed, labels are strict UTF-8 and no type has an optional field, so
+for every byte string ``b`` that decodes, ``encode(decode(b)) == b``.
+Decoders rely on this and keep the bytes they read as the value's
+``encoded`` (see ``Reader.since`` and ``keep_encoded``): a decoded
+value is never encoded again, and its hash is taken over the bytes on
+the wire.  A value rebuilt with ``dataclasses.replace`` drops that
+cache and encodes afresh.
+
 Layout rules (normative)
 ------------------------
 
@@ -16,7 +25,7 @@ byte-string                           u32 length prefix + raw bytes
 collection                            u16 count prefix + elements
 short collection (block key list)     u8 count prefix + elements
 hash / public key / signature         raw bytes, fixed 32 / 32 / 64 wide
-optional field                        u8 presence flag (0/1) + value
+text label                            byte-string of strict UTF-8
 ====================================  =====================================
 
 Per-type field orders and widths live in the docstrings of the types
@@ -93,13 +102,14 @@ class Reader:
         self._pos = 0
 
     def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        start = self._pos
+        end = start + n
+        if end > len(self._data):
             raise DecodingError(
-                f"truncated input: need {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}")
-        chunk = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
+                f"truncated input: need {n} bytes at offset {start}, "
+                f"have {len(self._data) - start}")
+        self._pos = end
+        return self._data[start:end]
 
     def u8(self) -> int:
         return self._take(1)[0]
@@ -126,6 +136,15 @@ class Reader:
         return self.u8()
 
     @property
+    def pos(self) -> int:
+        """Offset of the next byte to read."""
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        """The bytes consumed from offset ``start`` up to ``pos``."""
+        return self._data[start:self._pos]
+
+    @property
     def exhausted(self) -> bool:
         return self._pos == len(self._data)
 
@@ -133,6 +152,14 @@ class Reader:
         if not self.exhausted:
             raise DecodingError(
                 f"{len(self._data) - self._pos} trailing byte(s) after value")
+
+
+def keep_encoded(value, data: bytes):
+    """Return ``value`` with ``data``, the bytes it was decoded from, as
+    its cached ``encoded`` property.  Canonical encoding makes them the
+    bytes a fresh encode would write."""
+    value.__dict__["encoded"] = data
+    return value
 
 
 def encode_byte_string(data: bytes) -> bytes:

@@ -37,14 +37,15 @@ value           u64 (consent bitmask; 0 for every other kind)
 signature       64
 ==============  =====================================================
 
-The signing payload is the same encoding with the signature omitted;
+The signing payload is the same encoding with the signature omitted,
+a prefix of the full encoding as the signature is its last field;
 the transaction id is the SHA-256 digest of the full encoding with the
 signature included, so byte-identical re-broadcasts share one id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
 
@@ -71,6 +72,8 @@ class TxKind(IntEnum):
     INFO = 5
     CONSENT = 6
 
+
+_KIND_OF_TAG = {int(kind): kind for kind in TxKind}
 
 # Outputs are implicit per kind; the count is still a declared field so
 # a malformed transaction is representable and rejected, not unbuildable.
@@ -147,6 +150,9 @@ class Transaction:
 
     @cached_property
     def encoded(self) -> bytes:
+        """The canonical encoding, signature last.  Computed at most once:
+        a decoded transaction holds the bytes it was read from, and a
+        built one the bytes it was signed over plus its signature."""
         w = codec.Writer()
         self._encode_unsigned(w)
         w.fixed(self.signature, SIGNATURE_SIZE)
@@ -158,9 +164,9 @@ class Transaction:
 
     @property
     def signing_payload(self) -> bytes:
-        w = codec.Writer()
-        self._encode_unsigned(w)
-        return w.getvalue()
+        """The bytes the signature covers: the encoding without its last
+        field, the signature, so a slice of ``encoded``."""
+        return self.encoded[:-SIGNATURE_SIZE]
 
     def _encode_unsigned(self, w: codec.Writer) -> None:
         w.u8(int(self.kind))
@@ -174,10 +180,10 @@ class Transaction:
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "Transaction":
+        start = r.pos
         tag = r.u8()
-        try:
-            kind = TxKind(tag)
-        except ValueError:
+        kind = _KIND_OF_TAG.get(tag)
+        if kind is None:
             raise DecodingError(f"unknown transaction kind tag {tag}")
         signer = r.fixed(PUBKEY_SIZE)
         inputs = tuple(OutPoint.decode_from(r) for _ in range(r.count()))
@@ -185,9 +191,10 @@ class Transaction:
         payload = _decode_payload(kind, r)
         value = r.u64()
         signature = r.fixed(SIGNATURE_SIZE)
-        return cls(kind=kind, signer=signer, inputs=inputs,
-                   output_count=output_count, payload=payload,
-                   value=value, signature=signature)
+        return codec.keep_encoded(
+            cls(kind=kind, signer=signer, inputs=inputs,
+                output_count=output_count, payload=payload,
+                value=value, signature=signature), r.since(start))
 
     @classmethod
     def decode(cls, data: bytes) -> "Transaction":
@@ -241,11 +248,12 @@ def _signed(kind: TxKind, signer: KeyPair, inputs: tuple[OutPoint, ...],
             payload: Payload, value: int = 0) -> Transaction:
     unsigned = Transaction(kind=kind, signer=signer.pubkey, inputs=inputs,
                            output_count=EXPECTED_OUTPUTS[kind], payload=payload,
-                           value=value, signature=b"\x00" * SIGNATURE_SIZE)
-    sig = sign_payload(signer, unsigned.signing_payload)
-    return Transaction(kind=kind, signer=signer.pubkey, inputs=inputs,
-                       output_count=EXPECTED_OUTPUTS[kind], payload=payload,
-                       value=value, signature=sig)
+                           value=value, signature=b"")
+    w = codec.Writer()
+    unsigned._encode_unsigned(w)
+    body = w.getvalue()
+    sig = sign_payload(signer, body)
+    return codec.keep_encoded(replace(unsigned, signature=sig), body + sig)
 
 
 def build_register(signer: KeyPair) -> Transaction:

@@ -97,13 +97,20 @@ def verify_chain(segments, params: ChainParams | None = None) -> VerifyReport:
     try:
         return chain_report(replay_segments(segments, params))
     except HistoryRejected as exc:
-        return chain_report(exc.chain, problem=str(exc))
+        accepted = exc.chain.height
+        if isinstance(exc.cause, MissingDeleteEvidence):
+            # judged after the whole replay: the first unbacked gap fails
+            accepted = exc.cause.intervals[0] - 1
+        return chain_report(exc.chain, problem=str(exc), height=accepted)
 
 
-def chain_report(chain: Chain, problem: str | None = None) -> VerifyReport:
-    """Report on a replayed chain; ``problem`` names the rule that stopped it."""
-    absent = [chain.interval_record(x).blocks is None for x in range(chain.height + 1)
+def chain_report(chain: Chain, problem: str | None = None,
+                 height: int | None = None) -> VerifyReport:
+    """Report on a replayed chain up to ``height``, its tip by default;
+    ``problem`` names the rule that stopped it."""
+    height = chain.height if height is None else height
+    absent = [chain.interval_record(x).blocks is None for x in range(height + 1)
               if chain.interval_record(x).length > 0]
-    return VerifyReport(ok=problem is None, height=chain.height,
+    return VerifyReport(ok=problem is None, height=height,
                         present=absent.count(False), deleted=absent.count(True),
                         problem=problem)

@@ -1,12 +1,19 @@
 """Decoders are total: every mutation of a valid encoding either decodes
-or raises a ``MutachainError``, never a bare Python exception."""
+or raises a ``MutachainError``, never a bare Python exception.  What
+decodes is canonical: it keeps the bytes it was read from, and a fresh
+encoding writes exactly those bytes."""
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
 from mutachain import (
     OutPoint,
     PermanentBlock,
+    PermanentHeader,
     RemovableBlock,
+    RemovableHeader,
+    SIGNATURE_SIZE,
     Transaction,
     build_consent,
     build_delete,
@@ -18,11 +25,13 @@ from mutachain import (
     compute_p_list,
     digest,
 )
+from mutachain import codec
 from mutachain.errors import MutachainError
 from support import ALICE, BOB, REF_DUMMY, rem_raw
 
 
-def valid_encodings() -> list[tuple[type, bytes]]:
+def built_values() -> list:
+    """One built value of every transaction kind, header and block type."""
     info = build_info(ALICE, REF_DUMMY, b"controller", ("ads", "mail"))
     txs = [
         build_register(ALICE),
@@ -38,20 +47,22 @@ def valid_encodings() -> list[tuple[type, bytes]]:
         height=1, prev_permanent=digest(b"tip"),
         prev_removable=removable.block_hash, interval_len=1,
         p_list=compute_p_list(removable.txs), txs=[txs[0]] + txs[2:])
-    return [(Transaction, tx.encoded) for tx in txs] + [
-        (RemovableBlock, removable.encoded), (PermanentBlock, permanent.encoded)]
+    return txs + [removable, permanent, removable.header, permanent.header]
 
 
-SAMPLES = valid_encodings()
+BUILT = built_values()
+HEADER_TYPES = (RemovableHeader, PermanentHeader)
+SAMPLES = [(type(v), v.encoded) for v in BUILT if not isinstance(v, HEADER_TYPES)]
+EVERY_TYPE = [(type(v), v.encoded) for v in BUILT]
 
 
 @st.composite
-def mutated(draw):
-    cls, raw = draw(st.sampled_from(SAMPLES))
+def mutated(draw, samples=SAMPLES, ops=("set", "delete", "insert", "truncate")):
+    cls, raw = draw(st.sampled_from(samples))
     buf = bytearray(raw)
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(buf)))
-        op = draw(st.sampled_from(["set", "delete", "insert", "truncate"]))
+        op = draw(st.sampled_from(ops))
         if op == "set" and at < len(buf):
             buf[at] = draw(st.integers(0, 255))
         elif op == "delete":
@@ -71,3 +82,46 @@ def test_mutated_encodings_decode_or_raise_a_package_error(case):
         cls.decode(data)
     except MutachainError:
         pass
+
+
+def fresh(value):
+    """An equal value that holds no cached encoding."""
+    if isinstance(value, (PermanentBlock, RemovableBlock)):
+        return dataclasses.replace(value, header=fresh(value.header),
+                                   txs=tuple(fresh(tx) for tx in value.txs))
+    return dataclasses.replace(value)
+
+
+def unsigned_encoding(tx: Transaction) -> bytes:
+    w = codec.Writer()
+    tx._encode_unsigned(w)
+    return w.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+# byte overwrites keep the length, so most of them still decode
+@given(st.one_of(mutated(EVERY_TYPE), mutated(EVERY_TYPE, ops=("set",))))
+def test_what_decodes_keeps_its_bytes_and_they_are_canonical(case):
+    cls, data = case
+    r = codec.Reader(data)
+    try:
+        value = cls.decode_from(r)
+        r.expect_end()
+    except MutachainError:
+        return
+    parts = [value.header, *value.txs] if hasattr(value, "txs") else [value]
+    assert all("encoded" in vars(part) for part in parts)   # kept, not encoded
+    assert value.encoded == data
+    assert fresh(value).encoded == data
+    for tx in (part for part in parts if isinstance(part, Transaction)):
+        assert tx.signing_payload == unsigned_encoding(fresh(tx))
+        assert tx.encoded == tx.signing_payload + tx.signature
+
+
+def test_signing_payload_is_the_unsigned_encoding():
+    for built in BUILT:
+        if isinstance(built, Transaction):
+            decoded = Transaction.decode(built.encoded)
+            for tx in (built, decoded):
+                assert tx.signing_payload == unsigned_encoding(tx)
+                assert tx.signing_payload == built.encoded[:-SIGNATURE_SIZE]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from mutachain import (
     HASH_SIZE,
+    SIGNATURE_SIZE,
     OutPoint,
     Transaction,
     TxKind,
@@ -19,6 +20,7 @@ from mutachain import (
     digest,
     validate_stateless,
 )
+from mutachain import crypto
 from mutachain.errors import BadSignature, DecodingError, ShapeViolation
 from support import ALICE, BOB, kp
 
@@ -168,3 +170,37 @@ def test_signature_must_match_payload():
 def test_distinct_signers_distinct_txids():
     seen = {build_removable(kp(f"s{i}"), REF, b"same").txid for i in range(8)}
     assert len(seen) == 8
+
+
+@pytest.fixture()
+def cold_cache():
+    crypto._VERIFY_CACHE.clear()
+    yield
+    crypto._VERIFY_CACHE.clear()
+
+
+def flipped(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("kind", [TxKind.REMOVABLE, TxKind.CONSENT], ids=lambda k: k.name)
+def test_one_flipped_byte_of_a_decoded_transaction_is_a_bad_signature(kind, cold_cache):
+    # the signing payload is a slice of the bytes read: every byte but the
+    # signature is under it, and a flip anywhere reaches Ed25519 afresh
+    raw = sample(kind).encoded
+    validate_stateless(Transaction.decode(raw))
+    crypto._VERIFY_CACHE.clear()
+    checked = []
+    for at in range(len(raw)):
+        try:
+            tx = Transaction.decode(flipped(raw, at))
+            validate_stateless(tx, check_signatures=False)
+        except (DecodingError, ShapeViolation):
+            continue        # the flip broke the shape before the signature
+        with pytest.raises(BadSignature):
+            validate_stateless(tx)
+        checked.append(at)
+    sig_at = len(raw) - SIGNATURE_SIZE
+    assert set(range(sig_at, len(raw))) <= set(checked)
+    # the signer, the input and the payload bytes are signed
+    assert len([at for at in checked if at < sig_at]) >= 32 + 34 + 4

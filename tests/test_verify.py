@@ -77,6 +77,26 @@ def test_gap_without_evidence_fails():
     assert "1" in report.problem
 
 
+def test_an_unbacked_gap_is_reported_at_its_own_height():
+    # the gap rule runs after the whole replay, yet the report names the
+    # first unbacked interval, not a height past the tip
+    ch = fresh_chain(ALICE, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"one")])                        # 1
+    extend(ch, [rem(ch, ALICE, b"two")])                        # 2
+    extend(ch, [rem(ch, ALICE, b"three")])                      # 3
+    extend(ch)                                                  # 4
+    segments = [(ch.interval_record(x).blocks, ch.block_at(x))
+                for x in range(ch.height + 1)]
+    for x in (2, 3):
+        segments[x] = (None, segments[x][1])
+    report = verify_chain(segments, ch.params)
+    assert not report.ok
+    assert report.height == 1 and report.present == 1 and report.deleted == 0
+    assert str(report).startswith(
+        "invalid at height 2: MissingDeleteEvidence: no delete evidence for "
+        "interval(s) [2, 3]")
+
+
 def test_replay_refuses_an_unbacked_gap_before_it_can_excuse_a_duplicate():
     # interval 2 names bob but is served as a gap with no delete
     # anywhere; a chain replayed from it would let that gap stand in for
