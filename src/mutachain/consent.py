@@ -47,7 +47,7 @@ class ConsentChain:
     """State of one (subject, info) chain.
 
     ``outpoint`` is the currently spendable consent output, or None
-    once the chain was closed by a revocation.
+    once a revocation (``value`` 0) closed the chain.
     """
 
     subject: bytes
@@ -125,12 +125,3 @@ def apply_consent(tx: Transaction, height: int, *,
         ConsentEvent(tx.txid, tx.value, height),)
     return ConsentChain(subject=tx.signer, info=info.txid,
                         outpoint=out, value=tx.value, history=history)
-
-
-def current_grant(chains: dict[tuple[bytes, bytes], ConsentChain],
-                  subject: bytes, info: bytes) -> int:
-    """Effective granted bitmask; 0 when no live chain exists."""
-    chain = chains.get((subject, info))
-    if chain is None or not chain.live:
-        return 0
-    return chain.value

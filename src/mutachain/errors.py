@@ -223,12 +223,3 @@ class ScenarioError(MutachainError):
         self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(prefix + message)
-
-
-class HistoryRejected(MutachainError):
-    """A replayed history broke ``cause``'s rule; ``chain`` is its verified prefix."""
-
-    def __init__(self, cause: MutachainError, chain):
-        self.cause = cause
-        self.chain = chain
-        super().__init__(f"{type(cause).__name__}: {cause}")

@@ -21,7 +21,8 @@ Deletion of interval ``I_x`` is authorized two ways:
 * restricted path: the delete spends the output of a confirmed prepare
   for ``x`` by the same signer, and every removable transaction in
   ``I_x`` signed by someone else already has a byte-identical duplicate
-  confirmed in another live interval.
+  confirmed in another live interval.  ``DeleteRecord.prepare`` names
+  that prepare; the delete itself keeps any prepare for ``x`` unspendable.
 
 A replayed history may lack interval bodies (gaps).  Only headers
 survive pruning, so a gap ``j != x`` whose delete has not confirmed
@@ -32,7 +33,9 @@ A live chain's gaps all carry their deletes, so it excuses nothing.
 A confirmed delete does not remove anything by itself.  ``prune`` drops
 interval bodies once the delete is ``confirm_depth`` blocks deep and at
 least ``delete_lock`` blocks younger than the interval it targets;
-the interval's status flips to Deleted at that moment.
+the interval's status flips to Deleted at that moment.  A transaction
+that a pruned interval held and no unpruned one still holds is erased;
+an input naming it fails as ``RemovableTxDependsOnDeletedState``.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ class DeleteRecord:
     signer: bytes
     interval: int
     height: int
+    prepare: bytes | None          # txid of the prepare it spent; None on the fast path
 
 
 class Chain:
@@ -128,11 +132,9 @@ class Chain:
         self._infos: dict[bytes, consent.InfoRecord] = {}
         self._consents: dict[tuple[bytes, bytes], consent.ConsentChain] = {}
         self._prepares: dict[bytes, PrepareRecord] = {}  # prepare txid -> record
-        self._spent_prepares: dict[bytes, bytes] = {}    # prepare txid -> delete txid
-        self._deletes: dict[int, DeleteRecord] = {}      # interval -> record
-        self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> live intervals
+        self._deletes: dict[int, DeleteRecord] = {}      # interval -> record, with its prepare
+        self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> unpruned intervals
         self._permanent_txids: dict[bytes, int] = {}     # txid -> height confirmed
-        self._gone_txids: dict[bytes, int] = {}          # txid -> interval of its last copy
         self._journal: list | None = None                # undo entries of the innermost stage
         self._enclosing: list = []                       # journals of the stages around it
 
@@ -301,7 +303,10 @@ class Chain:
         expected = self._register_outpoint(tx.signer)
         got = tx.inputs[0]
         if got != expected:
-            if got.txid in self._gone_txids:
+            # erased: a pruned interval held it and no unpruned copy is left
+            if got.txid not in self._dup_index and any(
+                    got.txid in rec.txids for rec in self._intervals.values()
+                    if rec.blocks is None):
                 raise RemovableTxDependsOnDeletedState(
                     f"input {got.txid.hex()[:12]} was erased with its interval")
             raise UnknownRegisterRef(
@@ -312,7 +317,6 @@ class Chain:
         self._check_register_input(tx)
         self._write(self._dup_index, tx.txid,
                     self._dup_index.get(tx.txid, frozenset()) | {height})
-        self._write(self._gone_txids, tx.txid)
 
     def apply_body_tx(self, tx: Transaction, height: int) -> None:
         """Admit a permanent-body transaction confirmed at ``height``."""
@@ -329,12 +333,9 @@ class Chain:
                 txid=tx.txid, signer=tx.signer,
                 interval=tx.payload.interval, height=height))
         elif tx.kind is TxKind.DELETE:
-            used = self._validate_delete(tx)
             self._write(self._deletes, tx.payload.interval, DeleteRecord(
-                txid=tx.txid, signer=tx.signer,
-                interval=tx.payload.interval, height=height))
-            if used is not None:
-                self._write(self._spent_prepares, used, tx.txid)
+                txid=tx.txid, signer=tx.signer, interval=tx.payload.interval,
+                height=height, prepare=self._validate_delete(tx)))
         elif tx.kind is TxKind.INFO:
             self._check_register_input(tx)
             self._write(self._infos, tx.txid, consent.make_info_record(tx))
@@ -386,8 +387,6 @@ class Chain:
         if prep is None or op.index != 0:
             raise NotSoleOwnerAndNoPrepare(
                 "input does not reference a confirmed prepare output")
-        if op.txid in self._spent_prepares:
-            raise InvalidDelete("the referenced prepare output is already spent")
         if prep.interval != x:
             raise InvalidDelete(
                 f"prepare names interval {prep.interval}, delete names {x}")
@@ -447,10 +446,7 @@ class Chain:
         for x in dropped:
             rec = self._intervals[x]
             for txid in rec.txids:
-                sites = self._dup_index[txid] - {x}
-                self._write(self._dup_index, txid, sites or None)
-                if not sites:
-                    self._write(self._gone_txids, txid, x)
+                self._write(self._dup_index, txid, self._dup_index[txid] - {x} or None)
             self._write(self._intervals, x, replace(rec, blocks=None))
         return dropped
 
@@ -507,22 +503,22 @@ class Chain:
     def info_record(self, txid: bytes) -> consent.InfoRecord | None:
         return self._infos.get(txid)
 
-    def info_records(self) -> tuple[consent.InfoRecord, ...]:
-        return tuple(self._infos.values())
-
     def consent_chain(self, subject: bytes, info: bytes) -> consent.ConsentChain | None:
         return self._consents.get((subject, info))
 
     def consent_grant(self, subject: bytes, info: bytes) -> int:
-        return consent.current_grant(self._consents, subject, info)
+        chain = self._consents.get((subject, info))
+        return chain.value if chain is not None else 0   # 0 once closed, too
 
     def prepare_record(self, txid: bytes) -> PrepareRecord | None:
         return self._prepares.get(txid)
 
     def prepares_for(self, signer: bytes, interval: int) -> list[PrepareRecord]:
+        """The signer's prepares for ``interval``; none once it has a delete."""
+        if interval in self._deletes:
+            return []
         return [p for p in self._prepares.values()
-                if p.signer == signer and p.interval == interval
-                and p.txid not in self._spent_prepares]
+                if p.signer == signer and p.interval == interval]
 
     def delete_record(self, x: int) -> DeleteRecord | None:
         return self._deletes.get(x)

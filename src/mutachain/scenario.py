@@ -36,7 +36,7 @@ failing the scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .crypto import KeyPair, digest, keypair_from_seed
 from .errors import MempoolRejection, ScenarioError, UnknownRegisterRef
@@ -129,12 +129,12 @@ class _Parser:
         if word == "params":
             if plain:
                 self.fail(no, "params takes key=value pairs only")
-            fields = {}
+            values = {}
             for key, value in opts.items():
-                if key not in ("confirm_depth", "delete_lock"):
+                if key not in {f.name for f in fields(ChainParams)}:
                     self.fail(no, f"unknown parameter {key!r}")
-                fields[key] = int(value)
-            self.params = ChainParams(**fields)
+                values[key] = int(value)
+            self.params = ChainParams(**values)
         elif word in ("nodes", "period"):
             if int(plain[0]) < 1:   # SimNet.step divides by both
                 self.fail(no, f"{word} must be at least 1")

@@ -16,10 +16,10 @@ never sent, a rejoining node just sees the delete evidence in the
 spine.  A suffix on the node's tip extends its chain in place, all or
 nothing; only a fork below the tip rebuilds from genesis.  A reply
 takes two steps, one per hop; a node still waiting after that asks
-again at the next announcement.  Gossip that reaches a node back
-online before it has heard a block, or mid-handshake, is held with the
-announcements and judged once the node has caught up, not against its
-stale tip.
+again at the next announcement.  A node back online is such a node:
+until a reply has landed it holds gossip and announcements, to judge
+them once it has caught up and not against its stale tip, and it
+proposes nothing unless no other online node has caught up.
 
 Byzantine behaviour is modelled at proposal time: a faulty proposer
 announces a corrupted segment (a wrong p_list, or a delete nobody
@@ -37,15 +37,12 @@ from dataclasses import dataclass
 from . import verify
 from .blocks import PermanentBlock, RemovableBlock, build_permanent_block
 from .crypto import KeyPair
-from .errors import (
-    AlreadyKnown,
-    HistoryRejected,
-    MempoolRejection,
-    MutachainError,
-)
+from .errors import AlreadyKnown, MempoolRejection, MutachainError
 from .ledger import Chain, ChainParams, IntervalStatus
 from .mempool import Mempool
 from .tx import Transaction, build_delete
+
+REPLY_STEPS = 2   # a reply lands this many steps after its request, one per hop
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,6 @@ class SimNode:
         self.byzantine: str | None = None
         self.byzantine_key: KeyPair | None = None
         self._asked: int | None = None   # step of the unanswered SyncRequest
-        self._rejoined = False           # back online, no block heard since
         self._backlog: list[BlockAnnounce | TxGossip] = []   # held meanwhile
 
     # ------------------------------------------------------------------
@@ -132,7 +128,7 @@ class SimNode:
 
     def handle(self, sender: int, msg, net: "SimNet") -> None:
         if isinstance(msg, TxGossip):
-            if self._asked is None and not self._rejoined:
+            if self._asked is None:
                 self._admit(msg.tx, net)
             else:
                 # judged against a stale tip it could be lost for good
@@ -149,8 +145,7 @@ class SimNode:
             # behind, forked while isolated, or mid-handshake: applied
             # after the reply lands, so no announced block is lost
             self._backlog.append(msg)
-            # a reply comes two steps after its request; later it is lost
-            if self._asked is None or net.step_no > self._asked + 2:
+            if self._asked is None or net.step_no > self._asked + REPLY_STEPS:
                 self._asked = net.step_no
                 tip = self.chain.height     # locator: tip, tip-1, tip-2, tip-4, ..., 0
                 heights = dict.fromkeys(max(tip - (1 << k >> 1), 0)
@@ -184,9 +179,8 @@ class SimNode:
                          for b in reply.blocks]
             try:
                 rebuilt = verify.replay_segments(segments, self.chain.params, onto=onto)
-            except HistoryRejected as exc:
-                net.log(self.id, ev="sync-abort", peer=peer,
-                        err=type(exc.cause).__name__)
+            except MutachainError as exc:
+                net.log(self.id, ev="sync-abort", peer=peer, err=type(exc).__name__)
                 # the blocks held for this sync go with it; gossip stays
                 self._backlog = [m for m in self._backlog if isinstance(m, TxGossip)]
                 self._release_backlog(net)
@@ -210,7 +204,6 @@ class SimNode:
     def _release_backlog(self, net: "SimNet") -> None:
         """Apply what was held while catching up, in arrival order: each
         announced block that extends the tip, and each gossiped tx."""
-        self._rejoined = False
         backlog, self._backlog = self._backlog, []
         for msg in backlog:
             if isinstance(msg, TxGossip):
@@ -333,7 +326,8 @@ class SimNet:
     def set_online(self, node_id: int, online: bool) -> None:
         node = self.nodes[node_id]
         if online and not node.online:
-            node._rejoined = True
+            # like a request gone unanswered: it asks at the next announcement
+            node._asked = self.step_no - REPLY_STEPS - 1
         node.online = online
         if not online:
             # the reply to a pending SyncRequest is lost with the queue
@@ -348,6 +342,12 @@ class SimNet:
             if self.step_no % self.propose_period == 0:
                 slot = self.step_no // self.propose_period
                 proposer = self.nodes[slot % len(self.nodes)]
+                # alone: no other online node is caught up to answer it
+                if proposer.online and proposer._asked is not None and not any(
+                        n.online and n._asked is None
+                        for n in self.nodes if n is not proposer):
+                    proposer._asked = None
+                    proposer._release_backlog(self)
                 if proposer.online and proposer._asked is None:
                     proposer.propose(self)
             self.step_no += 1

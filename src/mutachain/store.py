@@ -47,7 +47,7 @@ import fcntl
 import json
 import os
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable
 
@@ -57,7 +57,6 @@ from .blocks import PermanentBlock, RemovableBlock
 from .crypto import digest
 from .errors import (
     CorruptStore,
-    HistoryRejected,
     MissingDeleteEvidence,
     MutachainError,
     StoreLocked,
@@ -68,7 +67,7 @@ MANIFEST = "manifest.json"
 LOG = "permanent.log"
 LOCK = ".lock"
 VERSION = 2
-PARAM_FIELDS = ("confirm_depth", "delete_lock")
+PARAM_FIELDS = tuple(f.name for f in fields(ChainParams))
 INTERVAL_FILE = re.compile(r"interval_(0|[1-9][0-9]*)\.blk")
 TIP = re.compile(r"[0-9a-f]{64}")
 
@@ -310,10 +309,11 @@ class BlockStore:
         try:
             return verify.replay_segments(segments, self.params,
                                           check_signatures=not marked)
-        except HistoryRejected as exc:
-            if isinstance(exc.cause, MissingDeleteEvidence):
-                raise exc.cause
-            raise CorruptStore(f"stored chain does not verify: {exc}")
+        except MissingDeleteEvidence:
+            raise
+        except MutachainError as exc:
+            raise CorruptStore(
+                f"stored chain does not verify: {type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
 

@@ -5,8 +5,9 @@ A verifier replays segments in order: first every structural rule
 transaction rules, stopping at the first violation.  Interval bodies
 may legitimately be missing, because deletion is the point: a gap is
 accepted only when the permanent spine contains a confirmed delete for
-that exact interval.  A gap without such evidence fails verification
-with the offending heights listed.
+that exact interval.  A replay raises the broken rule's own error, or
+``MissingDeleteEvidence`` listing the heights of the unbacked gaps;
+``verify_chain`` turns either into a report on the prefix that verified.
 
 The replay runs on an ordinary ``Chain`` with no rule relaxed: a
 restricted delete may count a gap as holding duplicates only as far as
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HistoryRejected, MissingDeleteEvidence, MutachainError
+from .errors import MissingDeleteEvidence, MutachainError
 from .ledger import Chain, ChainParams
 
 
@@ -44,14 +45,14 @@ def replay_segments(segments, params: ChainParams | None = None, *,
     require a confirmed delete for every absent interval.
 
     ``segments`` may be any iterable; it is read once.  ``None``
-    interval blocks mark a gap.  The first rule violation, or a gap no
-    delete backs, is raised as ``HistoryRejected``.  In the chain
-    returned every gap has its delete, so no gap can stand in for a
-    duplicate any more.
+    interval blocks mark a gap.  The first rule violation raises that
+    rule's error, and gaps no delete backs raise
+    ``MissingDeleteEvidence``.  In the chain returned every gap has its
+    delete, so no gap can stand in for a duplicate any more.
 
     With ``onto`` the segments extend that live chain in place instead
-    of a fresh one, all or nothing: on ``HistoryRejected`` it is left
-    exactly as it was.  Its own gaps already carry their deletes, so
+    of a fresh one, all or nothing: on an error it is left exactly as
+    it was.  Its own gaps already carry their deletes, so
     only the new heights are checked for evidence.
 
     ``check_signatures=False`` skips the Ed25519 checks and nothing else;
@@ -69,17 +70,14 @@ def replay_segments(segments, params: ChainParams | None = None, *,
 def _replay(chain: Chain, segments, check_signatures: bool) -> Chain:
     start = chain.height + 1
     for removable_blocks, block in segments:
-        try:
-            if removable_blocks is None and block.header.interval_len > 0:
-                chain.append_gap_segment(block, check_signatures=check_signatures)
-            else:
-                chain.append_segment(removable_blocks or (), block,
-                                     check_signatures=check_signatures)
-        except MutachainError as exc:
-            raise HistoryRejected(exc, chain) from exc
+        if removable_blocks is None and block.header.interval_len > 0:
+            chain.append_gap_segment(block, check_signatures=check_signatures)
+        else:
+            chain.append_segment(removable_blocks or (), block,
+                                 check_signatures=check_signatures)
     unbacked = gaps_without_evidence(chain, start)
     if unbacked:
-        raise HistoryRejected(MissingDeleteEvidence(unbacked), chain)
+        raise MissingDeleteEvidence(unbacked)
     return chain
 
 
@@ -94,14 +92,17 @@ def gaps_without_evidence(chain: Chain, start: int) -> list[int]:
 
 def verify_chain(segments, params: ChainParams | None = None) -> VerifyReport:
     """Full verification of a stored or received history."""
+    chain = Chain(params)   # held here: on an error it is the prefix that verified
     try:
-        return chain_report(replay_segments(segments, params))
-    except HistoryRejected as exc:
-        accepted = exc.chain.height
-        if isinstance(exc.cause, MissingDeleteEvidence):
+        _replay(chain, segments, check_signatures=True)
+    except MutachainError as exc:
+        accepted = chain.height
+        if isinstance(exc, MissingDeleteEvidence):
             # judged after the whole replay: the first unbacked gap fails
-            accepted = exc.cause.intervals[0] - 1
-        return chain_report(exc.chain, problem=str(exc), height=accepted)
+            accepted = exc.intervals[0] - 1
+        return chain_report(chain, problem=f"{type(exc).__name__}: {exc}",
+                            height=accepted)
+    return chain_report(chain)
 
 
 def chain_report(chain: Chain, problem: str | None = None,

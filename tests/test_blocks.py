@@ -117,6 +117,13 @@ def test_shape_rejects_unsorted_or_duplicate_p_list():
         check_permanent_shape(dup)
 
 
+def test_shape_rejects_a_p_list_past_its_limit():
+    keys = tuple(sorted(kp(f"signer {i}").pubkey for i in range(MAX_P_LIST + 1)))
+    check_permanent_shape(perm(interval_len=1, p_list=keys[:MAX_P_LIST]))
+    with pytest.raises(PListOverflow):
+        check_permanent_shape(perm(interval_len=1, p_list=keys))
+
+
 def test_shape_rejects_wrong_tx_root():
     good = perm(txs=(build_register(ALICE),))
     bad = dataclasses.replace(

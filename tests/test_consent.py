@@ -141,5 +141,4 @@ def test_info_records_are_queryable():
     rec = ch.info_record(info.txid)
     assert rec.controller == BOB.pubkey
     assert rec.purposes == ("analytics", "ads")
-    assert rec in ch.info_records()
     assert ch.info_record(digest(b"nope")) is None

@@ -16,6 +16,7 @@ from mutachain import (
     build_register,
     build_removable,
     digest,
+    replay_segments,
 )
 from mutachain.errors import (
     BlockShapeError,
@@ -327,6 +328,57 @@ def test_erased_reference_is_named_for_what_it_was():
     leaning = build_removable(ALICE, OutPoint(only_copy.txid, 0), b"on gone state")
     with pytest.raises(RemovableTxDependsOnDeletedState):
         extend(ch, [leaning])
+    # named so only while no unpruned interval holds a copy of it
+    extend(ch, [only_copy])                             # 4: the same bytes again
+    with pytest.raises(UnknownRegisterRef):
+        extend(ch, [leaning])
+    extend(ch, body_txs=[build_delete(ALICE, 4)])       # 5: deleted, not yet pruned
+    with pytest.raises(UnknownRegisterRef):
+        extend(ch, [leaning])
+    extend(ch)
+    assert ch.prune() == [4]
+    with pytest.raises(RemovableTxDependsOnDeletedState):
+        extend(ch, [leaning])
+
+
+def test_delete_record_names_the_prepare_it_spent():
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    b_tx = rem(ch, BOB, b"bobs")
+    extend(ch, [rem(ch, ALICE, b"shared"), b_tx])       # 1: restricted path
+    extend(ch, [rem(ch, ALICE, b"alone")])              # 2: fast path
+    prep1 = build_prepare(ALICE, reg(ch, ALICE), 1)
+    prep2 = build_prepare(ALICE, reg(ch, ALICE), 2)
+    extend(ch, [b_tx], [prep1, prep2])                  # 3
+    extend(ch, body_txs=[build_delete(ALICE, 1, OutPoint(prep1.txid, 0)),
+                         build_delete(ALICE, 2)])       # 4
+    extend(ch)
+    assert ch.prune() == [1, 2]
+    segments = [(ch.interval_record(x).blocks, ch.block_at(x))
+                for x in range(ch.height + 1)]
+    assert segments[1][0] is None and segments[2][0] is None
+    for chain in (ch, replay_segments(segments, FAST)):
+        assert chain.delete_record(1).prepare == prep1.txid
+        assert chain.delete_record(2).prepare is None
+        # a deleted interval offers no prepare, spent or not
+        assert chain.prepares_for(ALICE.pubkey, 1) == []
+        assert chain.prepares_for(ALICE.pubkey, 2) == []
+        assert chain.input_for(TxKind.DELETE, ALICE.pubkey, interval=2) is None
+
+
+def test_spent_prepare_cannot_be_spent_again():
+    ch = fresh_chain(ALICE, BOB)
+    b_tx = rem(ch, BOB, b"bobs")
+    extend(ch, [rem(ch, ALICE, b"a"), b_tx])            # 1
+    extend(ch, [rem(ch, ALICE, b"b")])                  # 2
+    prep = build_prepare(ALICE, reg(ch, ALICE), 1)
+    extend(ch, [b_tx], [prep])
+    spend = OutPoint(prep.txid, 0)
+    extend(ch, body_txs=[build_delete(ALICE, 1, spend)])
+    with pytest.raises(InvalidDelete) as err:
+        extend(ch, body_txs=[build_delete(ALICE, 2, spend)])
+    assert type(err.value) is InvalidDelete
+    with pytest.raises(IntervalAlreadyDeleted):
+        extend(ch, body_txs=[build_delete(ALICE, 1, spend)])
 
 
 def test_reinclusion_candidates_lists_only_unduplicated_foreign_txs():

@@ -37,12 +37,44 @@ def test_minimal_scenario():
 
 def test_unknown_directive_reports_its_line():
     # an unknown word, a missing argument, a number that is not one, a
-    # size the network divides by, a chain parameter out of range
+    # size the network divides by, a chain parameter out of range or
+    # unknown, a fault no node can have
     for bad in ("frobnicate A", "nodes", "step x", "nodes 0", "period 0",
-                "params confirm_depth=-3"):
+                "params confirm_depth=-3", "params foo=1", "byzantine 0 melt"):
         with pytest.raises(ScenarioError) as err:
             run_scenario(f"entity A\ngenesis A\n{bad}\n")
         assert err.value.line_no == 3
+
+
+def test_byzantine_directive_sets_and_clears_each_fault():
+    sc = run_scenario("""
+        entity A B C
+        genesis A B C
+        period 2
+        removable A a
+        removable B b
+        step 2
+        # node 1 deletes interval 1 with C's key, which owns none of it
+        byzantine 1 unauthorized_delete key=C
+        step 2
+        byzantine 1
+        # node 2 names a signer the interval does not hold
+        byzantine 2 wrong_p_list
+        removable A c
+        step 2
+        byzantine 2
+        step 6
+    """)
+    net = sc.net
+    # each faulty block fails on its own node, then on both peers
+    rejects = [(e["step"], e["err"]) for e in net.events if e["ev"] == "reject"]
+    rogue, wrong = "NotSoleOwnerAndNoPrepare", "PListMismatch"
+    assert rejects == [(2, rogue), (3, rogue), (3, rogue), (4, wrong), (5, wrong), (5, wrong)]
+    assert net.nodes[1].byzantine is None and net.nodes[2].byzantine is None
+    assert net.nodes[1].byzantine_key.pubkey == sc.entities["C"].pubkey
+    assert len({n.chain.tip_hash for n in net.nodes}) == 1
+    chain = net.nodes[0].chain
+    assert chain.height >= 3 and chain.delete_record(1) is None
 
 
 def test_config_after_actions_rejected():

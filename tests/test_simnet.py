@@ -225,10 +225,12 @@ def spy_sends(net):
     return sent
 
 
-def away_and_back(stores=None, fork=False):
+def away_and_back(stores=None, fork=False, own_slot=False):
     """Node 2 holds Alice's interval 1, then misses its delete, an
     interval born and pruned while it is away, and Bob's live data.
-    With ``fork`` it comes back in its own slot and mines on its old tip."""
+    With ``fork`` it mines a block of its own on its old tip while away.
+    It comes back just before a peer's slot, so the first news is an
+    announcement, or with ``fork`` or ``own_slot`` in its own slot."""
     net = SimNet(3, genesis(), FAST, propose_period=2, stores=stores)
     net.submit(rem(net, ALICE, b"held by two"))
     net.step(12)
@@ -249,9 +251,13 @@ def away_and_back(stores=None, fork=False):
     net.submit(rem(net, BOB, b"live in the suffix"))
     net.step(6)
     assert peer.interval_blocks(1) is None and peer.interval_blocks(x) is None
-    # without ``fork``, come back just before a peer's slot, so the first
-    # news is an announcement and node 2 mines nothing on its old tip
-    while net.step_no % 6 != (4 if fork else 1):
+    if fork:
+        # data of its own, so its block differs from the peers' at that
+        # height; they are far past it and ignore the announcement
+        late.mempool.submit(rem(net, BOB, b"mined by two alone", via=2), late.chain)
+        late.propose(net)
+        assert late.chain.height == old_tip + 1
+    while net.step_no % 6 != (4 if fork or own_slot else 1):
         net.step()
     net.set_online(2, True)
     return net, old_tip, x
@@ -346,6 +352,63 @@ def test_fork_below_the_tip_rebuilds_from_genesis(tmp_path, monkeypatch):
     finally:
         for st in stores.values():
             st.close()
+
+
+def test_node_back_in_its_own_slot_mines_nothing_until_it_has_caught_up(monkeypatch):
+    replays = spy_replays(monkeypatch)
+    net, old_tip, _ = away_and_back(own_slot=True)
+    seen = len(net.events)
+    net.step(10)
+    assert converged(net)
+    late = net.nodes[2]
+    # no block on its stale tip, so no fork: one suffix replay onto its chain
+    mine = [e["ev"] for e in net.events[seen:]
+            if e["node"] == 2 and e["ev"] in ("propose", "sync")]
+    assert mine[0] == "sync" and "propose" in mine
+    assert len(replays) == 1
+    heights, onto = replays[0]
+    assert heights[0] == old_tip + 1 and onto is late.chain
+
+
+def test_node_back_with_no_peer_online_keeps_proposing():
+    net = SimNet(3, genesis(), FAST, propose_period=1)
+    net.step(3)
+    for i in range(3):
+        net.set_online(i, False)
+    net.set_online(2, True)
+    seen = len(net.events)
+    net.step(6)
+    assert [e["node"] for e in net.events[seen:] if e["ev"] == "propose"] == [2, 2]
+    # the next node back catches up from it before it proposes, and then
+    # both keep proposing
+    net.set_online(0, True)
+    seen = len(net.events)
+    net.step(9)
+    first = [e["ev"] for e in net.events[seen:]
+             if e["node"] == 0 and e["ev"] in ("propose", "sync")]
+    assert first[0] == "sync" and "propose" in first
+    assert any(e["ev"] == "propose" and e["node"] == 2 for e in net.events[seen:])
+    a, b = net.nodes[0].chain, net.nodes[2].chain
+    low = min(a.height, b.height)
+    assert low > 5 and a.block_at(low).block_hash == b.block_at(low).block_hash
+
+
+def test_nodes_back_together_to_an_empty_network_propose_and_converge():
+    # neither can catch up from the other, so neither may wait for it
+    for back in ((0, 2), (2, 0)):
+        net = SimNet(3, genesis(), FAST, propose_period=1)
+        net.step(3)
+        for i in range(3):
+            net.set_online(i, False)
+        for i in back:
+            net.set_online(i, True)
+        seen = len(net.events)
+        net.step(9)
+        proposers = {e["node"] for e in net.events[seen:] if e["ev"] == "propose"}
+        assert proposers == {0, 2}
+        a, b = net.nodes[0].chain, net.nodes[2].chain
+        low = min(a.height, b.height)
+        assert low > 4 and a.block_at(low).block_hash == b.block_at(low).block_hash
 
 
 def test_locator_with_no_common_block_syncs_nothing():

@@ -14,7 +14,7 @@ from mutachain import (
     replay_segments,
     verify_chain,
 )
-from mutachain.errors import HistoryRejected, MissingDeleteEvidence, MissingDuplicates
+from mutachain.errors import MissingDeleteEvidence, MissingDuplicates
 from oracles import forged_hidden_duplicate_history
 from support import ALICE, BOB, extend, fresh_chain, reg, rem
 
@@ -108,10 +108,9 @@ def test_replay_refuses_an_unbacked_gap_before_it_can_excuse_a_duplicate():
     segments = [(ch.interval_record(x).blocks, ch.block_at(x))
                 for x in range(ch.height + 1)]
     segments[2] = (None, segments[2][1])
-    with pytest.raises(HistoryRejected) as err:
+    with pytest.raises(MissingDeleteEvidence) as err:
         replay_segments(iter(segments), ch.params)
-    assert isinstance(err.value.cause, MissingDeleteEvidence)
-    assert err.value.cause.intervals == (2,)
+    assert err.value.intervals == (2,)
 
 
 def test_tampered_spine_fails_verification():
@@ -215,7 +214,6 @@ def test_forged_hidden_duplicate_is_rejected_under_every_gap_placement(gaps):
     assert not report.ok
     assert "MissingDuplicates" in report.problem
     assert report.height == 2        # the delete of interval 1 is refused
-    with pytest.raises(HistoryRejected) as err:
+    with pytest.raises(MissingDuplicates) as err:
         replay_segments(segments)
-    assert isinstance(err.value.cause, MissingDuplicates)
-    assert err.value.cause.signers == (segments[0][1].txs[1].signer,)
+    assert err.value.signers == (segments[0][1].txs[1].signer,)
