@@ -39,8 +39,8 @@ from functools import cached_property
 
 from . import codec
 from .crypto import HASH_SIZE, NULL_HASH, PUBKEY_SIZE, digest
-from .errors import BlockShapeError, DecodingError, PListOverflow
-from .tx import PERMANENT_KINDS, Transaction, TxKind
+from .errors import BlockShapeError, PListOverflow
+from .tx import SHAPES, Transaction
 
 MAX_P_LIST = 4
 
@@ -62,8 +62,14 @@ def compute_p_list(interval_txs) -> tuple[bytes, ...]:
     return tuple(keys)
 
 
+class _Header(codec.Encoded):
+    @cached_property
+    def block_hash(self) -> bytes:
+        return digest(self.encoded)
+
+
 @dataclass(frozen=True)
-class PermanentHeader:
+class PermanentHeader(_Header):
     height: int
     prev_permanent: bytes
     prev_removable: bytes
@@ -94,19 +100,9 @@ class PermanentHeader:
             cls(height, prev_permanent, prev_removable, interval_len, p_list, tx_root),
             r.since(start))
 
-    @cached_property
-    def encoded(self) -> bytes:
-        w = codec.Writer()
-        self.encode_into(w)
-        return w.getvalue()
-
-    @cached_property
-    def block_hash(self) -> bytes:
-        return digest(self.encoded)
-
 
 @dataclass(frozen=True)
-class RemovableHeader:
+class RemovableHeader(_Header):
     interval: int
     seq: int
     prev: bytes
@@ -125,28 +121,27 @@ class RemovableHeader:
                      prev=r.fixed(HASH_SIZE), tx_root=r.fixed(HASH_SIZE))
         return codec.keep_encoded(header, r.since(start))
 
-    @cached_property
-    def encoded(self) -> bytes:
-        w = codec.Writer()
-        self.encode_into(w)
-        return w.getvalue()
 
-    @cached_property
+class _Block(codec.Encoded):
+    """A header, then the body: a u16 count and each transaction."""
+
+    @property
     def block_hash(self) -> bytes:
-        return digest(self.encoded)
+        return self.header.block_hash
 
+    def encode_into(self, w: codec.Writer) -> None:
+        self.header.encode_into(w)
+        w.count(len(self.txs))
+        for tx in self.txs:
+            w.fixed(tx.encoded, len(tx.encoded))
 
-def _encode_block(header, txs: tuple[Transaction, ...]) -> bytes:
-    w = codec.Writer()
-    header.encode_into(w)
-    w.count(len(txs))
-    for tx in txs:
-        w.fixed(tx.encoded, len(tx.encoded))
-    return w.getvalue()
+    @staticmethod
+    def _body_from(r: codec.Reader) -> tuple[Transaction, ...]:
+        return tuple(Transaction.decode_from(r) for _ in range(r.count()))
 
 
 @dataclass(frozen=True)
-class PermanentBlock:
+class PermanentBlock(_Block):
     header: PermanentHeader
     txs: tuple[Transaction, ...]
 
@@ -154,30 +149,15 @@ class PermanentBlock:
     def height(self) -> int:
         return self.header.height
 
-    @property
-    def block_hash(self) -> bytes:
-        return self.header.block_hash
-
-    @cached_property
-    def encoded(self) -> bytes:
-        return _encode_block(self.header, self.txs)
-
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "PermanentBlock":
-        header = PermanentHeader.decode_from(r)
-        txs = tuple(Transaction.decode_from(r) for _ in range(r.count()))
-        return cls(header, txs)
+        return cls(PermanentHeader.decode_from(r), cls._body_from(r))
 
-    @classmethod
-    def decode(cls, data: bytes) -> "PermanentBlock":
-        r = codec.Reader(data)
-        block = cls.decode_from(r)
-        r.expect_end()
-        return block
+    decode = classmethod(codec.decode_whole)
 
 
 @dataclass(frozen=True)
-class RemovableBlock:
+class RemovableBlock(_Block):
     header: RemovableHeader
     txs: tuple[Transaction, ...]
 
@@ -189,26 +169,11 @@ class RemovableBlock:
     def seq(self) -> int:
         return self.header.seq
 
-    @property
-    def block_hash(self) -> bytes:
-        return self.header.block_hash
-
-    @cached_property
-    def encoded(self) -> bytes:
-        return _encode_block(self.header, self.txs)
-
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "RemovableBlock":
-        header = RemovableHeader.decode_from(r)
-        txs = tuple(Transaction.decode_from(r) for _ in range(r.count()))
-        return cls(header, txs)
+        return cls(RemovableHeader.decode_from(r), cls._body_from(r))
 
-    @classmethod
-    def decode(cls, data: bytes) -> "RemovableBlock":
-        r = codec.Reader(data)
-        block = cls.decode_from(r)
-        r.expect_end()
-        return block
+    decode = classmethod(codec.decode_whole)
 
 
 def build_removable_block(interval: int, seq: int, prev: bytes,
@@ -240,7 +205,7 @@ def check_permanent_shape(block: PermanentBlock) -> None:
     """
     h = block.header
     for tx in block.txs:
-        if tx.kind not in PERMANENT_KINDS:
+        if not SHAPES[tx.kind].permanent:
             raise BlockShapeError(
                 f"{tx.kind.name} transaction in a permanent block")
     if len(h.p_list) > MAX_P_LIST:
@@ -263,7 +228,7 @@ def check_removable_shape(block: RemovableBlock) -> None:
     if h.seq < 1:
         raise BlockShapeError("removable seq is 1-based")
     for tx in block.txs:
-        if tx.kind is not TxKind.REMOVABLE:
+        if SHAPES[tx.kind].permanent:
             raise BlockShapeError(
                 f"{tx.kind.name} transaction in a removable block")
     if h.tx_root != compute_tx_root(block.txs):

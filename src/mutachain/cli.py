@@ -139,7 +139,12 @@ def _submit(store_dir: str, name: str, kind: TxKind, build, **where) -> Transact
         tx = build(kp, ref)
         pool, queued = _pending(store_dir, chain)
         pool.submit(tx, chain)
-        n = int(queued[-1][0].name.split("_")[0]) + 1 if queued else 1
+        last = queued[-1][0].name if queued else "0_"
+        try:
+            n = int(last.split("_")[0]) + 1
+        except ValueError:
+            raise click.ClickException(
+                f"queue file pending/{last} is not named NNNNNN_<txid>.tx") from None
         path = Path(store_dir) / "pending" / f"{n:06d}_{tx.txid.hex()[:12]}.tx"
         path.write_bytes(tx.encoded)
     click.echo(f"queued {tx.kind.name.lower()} {tx.txid.hex()[:12]}")

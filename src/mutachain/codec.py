@@ -28,15 +28,16 @@ hash / public key / signature         raw bytes, fixed 32 / 32 / 64 wide
 text label                            byte-string of strict UTF-8
 ====================================  =====================================
 
-Per-type field orders and widths live in the docstrings of the types
-themselves (``tx.Transaction``, ``blocks.RemovableBlockHeader``,
-``blocks.PermanentBlockHeader``); together with this table they are the
-normative byte layout for everything written to disk or simulated wires.
+Per-type field orders and widths live in the module docstrings of
+``tx`` (the transaction and its payloads) and ``blocks`` (both headers);
+together with this table they are the normative byte layout for
+everything written to disk or simulated wires.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 
 from .errors import DecodingError, EncodingError
 
@@ -159,6 +160,25 @@ def keep_encoded(value, data: bytes):
     its cached ``encoded`` property.  Canonical encoding makes them the
     bytes a fresh encode would write."""
     value.__dict__["encoded"] = data
+    return value
+
+
+class Encoded:
+    """Base of a value that writes itself with ``encode_into``: its
+    ``encoded`` is written at most once, or kept by its decoder."""
+
+    @cached_property
+    def encoded(self) -> bytes:
+        w = Writer()
+        self.encode_into(w)
+        return w.getvalue()
+
+
+def decode_whole(cls, data: bytes):
+    """``cls.decode_from`` over all of ``data``: a type's ``decode``."""
+    r = Reader(data)
+    value = cls.decode_from(r)
+    r.expect_end()
     return value
 
 

@@ -25,23 +25,26 @@ delete_lock=N``                        chain parameters
 ``consent NAME INFOLABEL VALUE``       grant/update/revoke (0 revokes)
 ``step [N]``                           advance the network N steps
 ``offline N`` / ``online N``           drop / restore a node
-``byzantine N MODE [key=NAME]``        node fault: wrong_p_list or
-                                       unauthorized_delete
+``byzantine N wrong_p_list``,
+``byzantine N unauthorized_delete
+key=NAME``                             set node N's fault hook
+``byzantine N``                        clear it
 =====================================  ===================================
 
 Transaction directives take ``via=N`` to choose the submitting node and
 may be prefixed with ``try`` to tolerate a mempool rejection instead of
-failing the scenario.
+failing the scenario.  A node id outside ``0..N-1`` fails its line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .crypto import KeyPair, digest, keypair_from_seed
 from .errors import MempoolRejection, ScenarioError, UnknownRegisterRef
 from .ledger import ChainParams
-from .simnet import SimNet
+from .simnet import SimNet, fault_unauthorized_delete, fault_wrong_p_list
 from .tx import (
     OutPoint,
     TxKind,
@@ -166,6 +169,12 @@ class _Parser:
             self.fail(no, f"unknown entity {name!r}")
         return kp
 
+    def node_id(self, no: int, text: str) -> int:
+        n = int(text)
+        if not 0 <= n < self.nodes:
+            self.fail(no, f"node {n} is not one of 0..{self.nodes - 1}")
+        return n
+
     def act(self, scn: Scenario, no: int, word: str, args: list[str],
             tolerate: bool) -> None:
         net = scn.net
@@ -173,23 +182,26 @@ class _Parser:
         if word == "step":
             net.step(int(plain[0]) if plain else 1)
             return
-        if word == "offline":
-            net.set_online(int(plain[0]), False)
-            return
-        if word == "online":
-            net.set_online(int(plain[0]), True)
+        if word in ("offline", "online"):
+            net.set_online(self.node_id(no, plain[0]), word == "online")
             return
         if word == "byzantine":
-            node = net.nodes[int(plain[0])]
+            node = net.nodes[self.node_id(no, plain[0])]
             mode = plain[1] if len(plain) > 1 else None
-            if mode not in (None, "wrong_p_list", "unauthorized_delete"):
+            if mode is None:
+                node.fault = None
+            elif mode == "wrong_p_list":
+                node.fault = fault_wrong_p_list
+            elif mode == "unauthorized_delete":
+                if "key" not in opts:
+                    self.fail(no, "unauthorized_delete needs key=NAME")
+                node.fault = partial(fault_unauthorized_delete,
+                                     self.entity(no, opts["key"]))
+            else:
                 self.fail(no, f"unknown fault {mode!r}")
-            node.byzantine = mode
-            if "key" in opts:
-                node.byzantine_key = self.entity(no, opts["key"])
             return
 
-        via = int(opts.get("via", "0"))
+        via = self.node_id(no, opts.get("via", "0"))
         chain = net.nodes[via].chain
         kp = self.entity(no, plain[0])
         try:

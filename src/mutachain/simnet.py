@@ -21,21 +21,21 @@ until a reply has landed it holds gossip and announcements, to judge
 them once it has caught up and not against its stale tip, and it
 proposes nothing unless no other online node has caught up.
 
-Byzantine behaviour is modelled at proposal time: a faulty proposer
-announces a corrupted segment (a wrong p_list, or a delete nobody
-authorized) that honest nodes must reject.  Arbitrary corruption can be
-injected through ``SimNet.mutate_block``.
+Byzantine behaviour is modelled at proposal time: a node's ``fault``
+hook rewrites the segment it proposes, or withholds it, and honest
+nodes must reject what it announces.  ``fault_wrong_p_list`` and
+``fault_unauthorized_delete`` (bound to a key) are two such hooks.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # replay through the module: a wrapper set on verify.replay_segments sees it
 from . import verify
-from .blocks import PermanentBlock, RemovableBlock, build_permanent_block
+from .blocks import PermanentBlock, RemovableBlock, compute_tx_root
 from .crypto import KeyPair
 from .errors import AlreadyKnown, MempoolRejection, MutachainError
 from .ledger import Chain, ChainParams, IntervalStatus
@@ -74,8 +74,8 @@ class SimNode:
         self.mempool = Mempool()
         self.store = store
         self.online = True
-        self.byzantine: str | None = None
-        self.byzantine_key: KeyPair | None = None
+        # (chain, interval, block) -> (interval, block), or None to propose nothing
+        self.fault = None
         self._asked: int | None = None   # step of the unanswered SyncRequest
         self._backlog: list[BlockAnnounce | TxGossip] = []   # held meanwhile
 
@@ -218,16 +218,8 @@ class SimNode:
     def propose(self, net: "SimNet") -> None:
         interval, block = self.mempool.build_candidate(
             self.chain, net.max_interval_blocks)
-        if self.byzantine == "wrong_p_list":
-            interval, block = _fault_wrong_p_list(interval, block)
-        elif self.byzantine == "unauthorized_delete":
-            mutated = _fault_unauthorized_delete(
-                self.chain, interval, block, self.byzantine_key)
-            if mutated is None:
-                return
-            interval, block = mutated
-        elif net.mutate_block is not None:
-            mutated = net.mutate_block(self.id, interval, block)
+        if self.fault is not None:
+            mutated = self.fault(self.chain, interval, block)
             if mutated is None:
                 return
             interval, block = mutated
@@ -239,36 +231,24 @@ class SimNode:
         net.broadcast(self.id, BlockAnnounce(interval, block))
 
 
-def _fault_wrong_p_list(interval, block):
+def fault_wrong_p_list(chain, interval, block):
+    """Name a signer in the p_list that the interval does not hold."""
     fake = bytes(31) + b"\x7f"
     p_list = tuple(sorted(set(block.header.p_list) ^ {fake}))
-    bad = build_permanent_block(
-        height=block.height, prev_permanent=block.header.prev_permanent,
-        prev_removable=block.header.prev_removable,
-        interval_len=block.header.interval_len, p_list=p_list, txs=block.txs)
-    return interval, bad
+    return interval, replace(block, header=replace(block.header, p_list=p_list))
 
 
-def _fault_unauthorized_delete(chain, interval, block, key):
-    if key is None:
-        return None
-    target = None
+def fault_unauthorized_delete(key: KeyPair, chain, interval, block):
+    """Add a delete signed by ``key`` of the first interval it does not
+    own alone; propose nothing when there is none."""
     for x in range(1, chain.height + 1):
         rec = chain.interval_record(x)
         if rec.status is IntervalStatus.PRESENT and rec.length > 0 \
-                and chain.delete_record(x) is None \
-                and rec.p_list != (key.pubkey,):
-            target = x
-            break
-    if target is None:
-        return None
-    rogue = build_delete(key, target)
-    bad = build_permanent_block(
-        height=block.height, prev_permanent=block.header.prev_permanent,
-        prev_removable=block.header.prev_removable,
-        interval_len=block.header.interval_len,
-        p_list=block.header.p_list, txs=block.txs + (rogue,))
-    return interval, bad
+                and chain.delete_record(x) is None and rec.p_list != (key.pubkey,):
+            txs = block.txs + (build_delete(key, x),)
+            return interval, replace(block, txs=txs, header=replace(
+                block.header, tx_root=compute_tx_root(txs)))
+    return None
 
 
 class SimNet:
@@ -277,11 +257,10 @@ class SimNet:
     def __init__(self, num_nodes: int, genesis_txs=(),
                  params: ChainParams | None = None, *,
                  max_interval_blocks: int = 1, propose_period: int = 1,
-                 mutate_block=None, stores: dict | None = None):
+                 stores: dict | None = None):
         self.params = params or ChainParams()
         self.max_interval_blocks = max_interval_blocks
         self.propose_period = propose_period
-        self.mutate_block = mutate_block
         base = Chain.bootstrap(genesis_txs, self.params)
         self.nodes: list[SimNode] = []
         for i in range(num_nodes):

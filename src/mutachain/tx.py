@@ -23,6 +23,9 @@ Consent     6   permanent         grant/update/revoke a purpose bitmask;
                                   chain), one open output
 =========  ===  ================  ============================================
 
+``SHAPES`` holds one row per kind: the block type above, the input and
+output counts, the payload type and the rule each shape check reports.
+
 Transaction wire layout (canonical encoding, field order as listed):
 
 ==============  =====================================================
@@ -32,7 +35,7 @@ kind            u8 tag
 signer          32 (public key)
 inputs          u16 count + 34 per input (txid 32 + output index u16)
 output_count    u8
-payload         kind-specific, see ``_encode_payload``
+payload         the kind's payload type, see its ``encode_into``
 value           u64 (consent bitmask; 0 for every other kind)
 signature       64
 ==============  =====================================================
@@ -48,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
+from types import NoneType
 
 from . import codec
 from .crypto import (
@@ -75,20 +79,6 @@ class TxKind(IntEnum):
 
 _KIND_OF_TAG = {int(kind): kind for kind in TxKind}
 
-# Outputs are implicit per kind; the count is still a declared field so
-# a malformed transaction is representable and rejected, not unbuildable.
-EXPECTED_OUTPUTS = {
-    TxKind.REGISTER: 1,
-    TxKind.REMOVABLE: 0,
-    TxKind.PREPARE: 1,
-    TxKind.DELETE: 0,
-    TxKind.INFO: 1,
-    TxKind.CONSENT: 1,
-}
-
-PERMANENT_KINDS = frozenset(
-    (TxKind.REGISTER, TxKind.PREPARE, TxKind.DELETE, TxKind.INFO, TxKind.CONSENT))
-
 
 @dataclass(frozen=True)
 class OutPoint:
@@ -113,15 +103,26 @@ class OutPoint:
 class RemovablePayload:
     data: bytes
 
+    def encode_into(self, w: codec.Writer) -> None:
+        w.byte_string(self.data)
+
+    @classmethod
+    def decode_from(cls, r: codec.Reader) -> "RemovablePayload":
+        return cls(data=r.byte_string())
+
 
 @dataclass(frozen=True)
-class PreparePayload:
+class IntervalPayload:
+    """The interval a prepare announces or a delete removes."""
+
     interval: int
 
+    def encode_into(self, w: codec.Writer) -> None:
+        w.u32(self.interval)
 
-@dataclass(frozen=True)
-class DeletePayload:
-    interval: int
+    @classmethod
+    def decode_from(cls, r: codec.Reader) -> "IntervalPayload":
+        return cls(interval=r.u32())
 
 
 @dataclass(frozen=True)
@@ -129,17 +130,78 @@ class InfoPayload:
     controller: bytes
     purposes: tuple[str, ...]
 
+    def encode_into(self, w: codec.Writer) -> None:
+        w.byte_string(self.controller)
+        w.count(len(self.purposes))
+        for label in self.purposes:
+            w.byte_string(label.encode("utf-8"))
+
+    @classmethod
+    def decode_from(cls, r: codec.Reader) -> "InfoPayload":
+        controller = r.byte_string()
+        try:
+            purposes = tuple(r.byte_string().decode("utf-8") for _ in range(r.count()))
+        except UnicodeDecodeError as exc:
+            raise DecodingError(f"purpose label is not UTF-8: {exc}") from None
+        return cls(controller=controller, purposes=purposes)
+
 
 @dataclass(frozen=True)
 class ConsentPayload:
     info_ref: OutPoint
 
+    def encode_into(self, w: codec.Writer) -> None:
+        self.info_ref.encode_into(w)
 
-Payload = RemovablePayload | PreparePayload | DeletePayload | InfoPayload | ConsentPayload | None
+    @classmethod
+    def decode_from(cls, r: codec.Reader) -> "ConsentPayload":
+        return cls(info_ref=OutPoint.decode_from(r))
+
+
+Payload = RemovablePayload | IntervalPayload | InfoPayload | ConsentPayload | None
 
 
 @dataclass(frozen=True)
-class Transaction:
+class Shape:
+    """One kind's shape and the rule each mismatch reports.  Outputs are
+    implicit, but their count is a field, so a malformed transaction is
+    representable and rejected, not unbuildable."""
+
+    inputs: range
+    outputs: int
+    payload: type        # NoneType: the kind has none
+    permanent: bool      # the block type it may sit in
+    input_rule: str
+    output_rule: str
+    payload_rule: str
+
+
+SHAPES = {
+    TxKind.REGISTER: Shape(
+        range(0, 1), 1, NoneType, True, "register-has-no-input",
+        "register-has-one-reusable-output", "register-payload-empty"),
+    TxKind.REMOVABLE: Shape(
+        range(1, 2), 0, RemovablePayload, False,
+        "removable-references-one-register-output", "removable-has-no-output",
+        "removable-carries-data"),
+    TxKind.PREPARE: Shape(
+        range(1, 2), 1, IntervalPayload, True,
+        "prepare-references-one-register-output", "prepare-has-one-output",
+        "prepare-names-an-interval"),
+    TxKind.DELETE: Shape(
+        range(0, 2), 0, IntervalPayload, True, "delete-has-at-most-one-input",
+        "delete-has-no-output", "delete-names-an-interval"),
+    TxKind.INFO: Shape(
+        range(1, 2), 1, InfoPayload, True, "info-references-one-register-output",
+        "info-has-one-output", "info-carries-schema"),
+    TxKind.CONSENT: Shape(
+        range(1, 2), 1, ConsentPayload, True, "consent-has-one-consuming-input",
+        "consent-has-one-open-output", "consent-references-an-info-output"),
+}
+
+
+@dataclass(frozen=True)
+class Transaction(codec.Encoded):
     kind: TxKind
     signer: bytes
     inputs: tuple[OutPoint, ...]
@@ -147,16 +209,6 @@ class Transaction:
     payload: Payload
     value: int
     signature: bytes
-
-    @cached_property
-    def encoded(self) -> bytes:
-        """The canonical encoding, signature last.  Computed at most once:
-        a decoded transaction holds the bytes it was read from, and a
-        built one the bytes it was signed over plus its signature."""
-        w = codec.Writer()
-        self._encode_unsigned(w)
-        w.fixed(self.signature, SIGNATURE_SIZE)
-        return w.getvalue()
 
     @cached_property
     def txid(self) -> bytes:
@@ -168,6 +220,10 @@ class Transaction:
         field, the signature, so a slice of ``encoded``."""
         return self.encoded[:-SIGNATURE_SIZE]
 
+    def encode_into(self, w: codec.Writer) -> None:
+        self._encode_unsigned(w)
+        w.fixed(self.signature, SIGNATURE_SIZE)
+
     def _encode_unsigned(self, w: codec.Writer) -> None:
         w.u8(int(self.kind))
         w.fixed(self.signer, PUBKEY_SIZE)
@@ -175,7 +231,13 @@ class Transaction:
         for op in self.inputs:
             op.encode_into(w)
         w.u8(self.output_count)
-        _encode_payload(self.kind, self.payload, w)
+        expected = SHAPES[self.kind].payload
+        if not isinstance(self.payload, expected):
+            # another type's bytes would decode as something else
+            raise EncodingError(f"{self.kind.name} payload must be "
+                                f"{expected.__name__}, not {type(self.payload).__name__}")
+        if self.payload is not None:
+            self.payload.encode_into(w)
         w.u64(self.value)
 
     @classmethod
@@ -188,7 +250,8 @@ class Transaction:
         signer = r.fixed(PUBKEY_SIZE)
         inputs = tuple(OutPoint.decode_from(r) for _ in range(r.count()))
         output_count = r.u8()
-        payload = _decode_payload(kind, r)
+        payload_type = SHAPES[kind].payload
+        payload = None if payload_type is NoneType else payload_type.decode_from(r)
         value = r.u64()
         signature = r.fixed(SIGNATURE_SIZE)
         return codec.keep_encoded(
@@ -196,58 +259,13 @@ class Transaction:
                 output_count=output_count, payload=payload,
                 value=value, signature=signature), r.since(start))
 
-    @classmethod
-    def decode(cls, data: bytes) -> "Transaction":
-        r = codec.Reader(data)
-        tx = cls.decode_from(r)
-        r.expect_end()
-        return tx
-
-
-def _encode_payload(kind: TxKind, payload: Payload, w: codec.Writer) -> None:
-    if kind is TxKind.REGISTER:
-        if payload is not None:
-            raise EncodingError("register payload must be empty")
-    elif kind is TxKind.REMOVABLE:
-        w.byte_string(payload.data)
-    elif kind is TxKind.PREPARE or kind is TxKind.DELETE:
-        w.u32(payload.interval)
-    elif kind is TxKind.INFO:
-        w.byte_string(payload.controller)
-        w.count(len(payload.purposes))
-        for label in payload.purposes:
-            w.byte_string(label.encode("utf-8"))
-    elif kind is TxKind.CONSENT:
-        payload.info_ref.encode_into(w)
-    else:  # pragma: no cover - enum is exhaustive
-        raise EncodingError(f"unhandled kind {kind}")
-
-
-def _decode_payload(kind: TxKind, r: codec.Reader) -> Payload:
-    if kind is TxKind.REGISTER:
-        return None
-    if kind is TxKind.REMOVABLE:
-        return RemovablePayload(data=r.byte_string())
-    if kind is TxKind.PREPARE:
-        return PreparePayload(interval=r.u32())
-    if kind is TxKind.DELETE:
-        return DeletePayload(interval=r.u32())
-    if kind is TxKind.INFO:
-        controller = r.byte_string()
-        try:
-            purposes = tuple(r.byte_string().decode("utf-8") for _ in range(r.count()))
-        except UnicodeDecodeError as exc:
-            raise DecodingError(f"purpose label is not UTF-8: {exc}") from None
-        return InfoPayload(controller=controller, purposes=purposes)
-    if kind is TxKind.CONSENT:
-        return ConsentPayload(info_ref=OutPoint.decode_from(r))
-    raise DecodingError(f"unhandled kind {kind}")  # pragma: no cover
+    decode = classmethod(codec.decode_whole)
 
 
 def _signed(kind: TxKind, signer: KeyPair, inputs: tuple[OutPoint, ...],
             payload: Payload, value: int = 0) -> Transaction:
     unsigned = Transaction(kind=kind, signer=signer.pubkey, inputs=inputs,
-                           output_count=EXPECTED_OUTPUTS[kind], payload=payload,
+                           output_count=SHAPES[kind].outputs, payload=payload,
                            value=value, signature=b"")
     w = codec.Writer()
     unsigned._encode_unsigned(w)
@@ -265,13 +283,13 @@ def build_removable(signer: KeyPair, register_ref: OutPoint, data: bytes) -> Tra
 
 
 def build_prepare(signer: KeyPair, register_ref: OutPoint, interval: int) -> Transaction:
-    return _signed(TxKind.PREPARE, signer, (register_ref,), PreparePayload(interval))
+    return _signed(TxKind.PREPARE, signer, (register_ref,), IntervalPayload(interval))
 
 
 def build_delete(signer: KeyPair, interval: int,
                  prepare_ref: OutPoint | None = None) -> Transaction:
     inputs = (prepare_ref,) if prepare_ref is not None else ()
-    return _signed(TxKind.DELETE, signer, inputs, DeletePayload(interval))
+    return _signed(TxKind.DELETE, signer, inputs, IntervalPayload(interval))
 
 
 def build_info(signer: KeyPair, register_ref: OutPoint, controller: bytes,
@@ -296,54 +314,20 @@ def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> Non
     kind = tx.kind
     if tx.value != 0 and kind is not TxKind.CONSENT:
         raise ShapeViolation("value-only-on-consent")
-    if kind is TxKind.REGISTER:
-        if tx.inputs:
-            raise ShapeViolation("register-has-no-input")
-        if tx.output_count != 1:
-            raise ShapeViolation("register-has-one-reusable-output")
-        if tx.payload is not None:
-            raise ShapeViolation("register-payload-empty")
-    elif kind is TxKind.REMOVABLE:
-        if len(tx.inputs) != 1:
-            raise ShapeViolation("removable-references-one-register-output")
-        if tx.output_count != 0:
-            raise ShapeViolation("removable-has-no-output")
-        if not isinstance(tx.payload, RemovablePayload):
-            raise ShapeViolation("removable-carries-data")
-    elif kind is TxKind.PREPARE:
-        if len(tx.inputs) != 1:
-            raise ShapeViolation("prepare-references-one-register-output")
-        if tx.output_count != 1:
-            raise ShapeViolation("prepare-has-one-output")
-        if not isinstance(tx.payload, PreparePayload):
-            raise ShapeViolation("prepare-names-an-interval")
-    elif kind is TxKind.DELETE:
-        if len(tx.inputs) > 1:
-            raise ShapeViolation("delete-has-at-most-one-input")
-        if tx.output_count != 0:
-            raise ShapeViolation("delete-has-no-output")
-        if not isinstance(tx.payload, DeletePayload):
-            raise ShapeViolation("delete-names-an-interval")
-    elif kind is TxKind.INFO:
-        if len(tx.inputs) != 1:
-            raise ShapeViolation("info-references-one-register-output")
-        if tx.output_count != 1:
-            raise ShapeViolation("info-has-one-output")
-        if not isinstance(tx.payload, InfoPayload):
-            raise ShapeViolation("info-carries-schema")
+    shape = SHAPES[kind]
+    if len(tx.inputs) not in shape.inputs:
+        raise ShapeViolation(shape.input_rule)
+    if tx.output_count != shape.outputs:
+        raise ShapeViolation(shape.output_rule)
+    if not isinstance(tx.payload, shape.payload):
+        raise ShapeViolation(shape.payload_rule)
+    if kind is TxKind.INFO:
         n = len(tx.payload.purposes)
         if not 1 <= n <= MAX_PURPOSES:
             raise ShapeViolation("info-purposes-range",
                                  f"{n} labels, need 1..{MAX_PURPOSES}")
         if len(set(tx.payload.purposes)) != n:
             raise ShapeViolation("info-purposes-unique")
-    elif kind is TxKind.CONSENT:
-        if len(tx.inputs) != 1:
-            raise ShapeViolation("consent-has-one-consuming-input")
-        if tx.output_count != 1:
-            raise ShapeViolation("consent-has-one-open-output")
-        if not isinstance(tx.payload, ConsentPayload):
-            raise ShapeViolation("consent-references-an-info-output")
     if check_signatures and not verify_signature(
             tx.signer, tx.signing_payload, tx.signature):
         raise BadSignature(f"signature invalid for tx kind {kind.name}")

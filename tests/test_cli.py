@@ -187,6 +187,12 @@ def _lose_interval_file(store):
     next(store.glob("interval_*.blk")).unlink()
 
 
+def _unnumbered_queue_file(store):
+    run(CliRunner(), "removable", "alice", "one", "--store", store)
+    queued, = (store / "pending").glob("*.tx")
+    queued.rename(queued.with_name("zz_note.tx"))
+
+
 def _write_seed(text):
     def corrupt(store):
         (store / "keys" / "alice.seed").write_text(text)
@@ -217,6 +223,8 @@ STORE = object()   # stands for the booted store's path
                  "UnknownInterval: interval 99", id="show-unknown-interval"),
     pytest.param(_lose_interval_file, ("status", STORE),
                  "MissingDeleteEvidence", id="status-lost-interval"),
+    pytest.param(_unnumbered_queue_file, ("removable", "alice", "two", STORE),
+                 "queue file pending/zz_note.tx", id="unnumbered-queue-file"),
 ])
 def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     store = tmp_path / "chain"

@@ -6,6 +6,7 @@ import pytest
 
 from mutachain import IntervalStatus, entity_keypair, run_scenario, verify_chain
 from mutachain.errors import ScenarioError
+from mutachain.simnet import fault_unauthorized_delete
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -38,9 +39,11 @@ def test_minimal_scenario():
 def test_unknown_directive_reports_its_line():
     # an unknown word, a missing argument, a number that is not one, a
     # size the network divides by, a chain parameter out of range or
-    # unknown, a fault no node can have
+    # unknown, a fault no node can have, a node the network lacks
     for bad in ("frobnicate A", "nodes", "step x", "nodes 0", "period 0",
-                "params confirm_depth=-3", "params foo=1", "byzantine 0 melt"):
+                "params confirm_depth=-3", "params foo=1", "byzantine 0 melt",
+                "byzantine 0 unauthorized_delete", "offline -1",
+                "removable A m via=-1", "online 3"):
         with pytest.raises(ScenarioError) as err:
             run_scenario(f"entity A\ngenesis A\n{bad}\n")
         assert err.value.line_no == 3
@@ -64,14 +67,16 @@ def test_byzantine_directive_sets_and_clears_each_fault():
         step 2
         byzantine 2
         step 6
+        byzantine 0 unauthorized_delete key=C
     """)
     net = sc.net
     # each faulty block fails on its own node, then on both peers
     rejects = [(e["step"], e["err"]) for e in net.events if e["ev"] == "reject"]
     rogue, wrong = "NotSoleOwnerAndNoPrepare", "PListMismatch"
     assert rejects == [(2, rogue), (3, rogue), (3, rogue), (4, wrong), (5, wrong), (5, wrong)]
-    assert net.nodes[1].byzantine is None and net.nodes[2].byzantine is None
-    assert net.nodes[1].byzantine_key.pubkey == sc.entities["C"].pubkey
+    assert net.nodes[1].fault is None and net.nodes[2].fault is None
+    assert net.nodes[0].fault.func is fault_unauthorized_delete
+    assert net.nodes[0].fault.args[0].pubkey == sc.entities["C"].pubkey
     assert len({n.chain.tip_hash for n in net.nodes}) == 1
     chain = net.nodes[0].chain
     assert chain.height >= 3 and chain.delete_record(1) is None

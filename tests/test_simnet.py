@@ -1,5 +1,7 @@
 """Simulated network: gossip, convergence, catch-up sync, faults."""
 
+from functools import partial
+
 from mutachain import (
     BlockStore,
     Chain,
@@ -13,7 +15,12 @@ from mutachain import (
     verify_chain,
 )
 from mutachain import verify
-from mutachain.simnet import FillResponse, SyncRequest
+from mutachain.simnet import (
+    FillResponse,
+    SyncRequest,
+    fault_unauthorized_delete,
+    fault_wrong_p_list,
+)
 from support import ALICE, BOB, CAROL
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -137,12 +144,12 @@ def test_mid_sync_announcements_are_not_lost():
 def test_wrong_p_list_fault_is_rejected_by_honest_nodes():
     net = SimNet(3, genesis(), FAST, propose_period=2)
     net.submit(rem(net, ALICE, b"bait"))
-    net.nodes[0].byzantine = "wrong_p_list"
+    net.nodes[0].fault = fault_wrong_p_list
     net.step(2)   # node 0's slot: corrupted proposal goes out
     rejects = [e for e in net.events if e["ev"] == "reject"]
     assert rejects and all(e["err"] == "PListMismatch" for e in rejects)
     assert all(n.chain.height == 0 for n in net.nodes)
-    net.nodes[0].byzantine = None
+    net.nodes[0].fault = None
     net.step(8)
     assert converged(net) and net.nodes[1].chain.height >= 1
 
@@ -153,8 +160,7 @@ def test_unauthorized_delete_fault_is_rejected():
     net.submit(rem(net, ALICE, b"a"))
     net.submit(rem(net, BOB, b"b"))
     net.step(2)
-    net.nodes[1].byzantine = "unauthorized_delete"
-    net.nodes[1].byzantine_key = CAROL
+    net.nodes[1].fault = partial(fault_unauthorized_delete, CAROL)
     net.step(2)   # node 1's slot
     rejects = {e["err"] for e in net.events if e["ev"] == "reject"}
     assert rejects & {"NotSoleOwnerAndNoPrepare", "UnknownRegisterRef"}
@@ -162,17 +168,18 @@ def test_unauthorized_delete_fault_is_rejected():
         assert node.chain.delete_record(1) is None
 
 
-def test_mutate_block_hook_can_corrupt_anything():
+def test_fault_hook_can_corrupt_anything():
     import dataclasses
     from mutachain import digest
 
-    def flip_root(node_id, interval, block):
-        if block.height == 1 and node_id == 0:
+    def flip_root(chain, interval, block):
+        if block.height == 1:
             hdr = dataclasses.replace(block.header, tx_root=digest(b"lie"))
             return interval, dataclasses.replace(block, header=hdr)
         return interval, block
 
-    net = SimNet(3, genesis(), FAST, propose_period=2, mutate_block=flip_root)
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    net.nodes[0].fault = flip_root
     net.submit(rem(net, ALICE, b"x"))
     net.step(2)
     rejects = {e["err"] for e in net.events if e["ev"] == "reject"}

@@ -21,7 +21,7 @@ from mutachain import (
     validate_stateless,
 )
 from mutachain import crypto
-from mutachain.errors import BadSignature, DecodingError, ShapeViolation
+from mutachain.errors import BadSignature, DecodingError, EncodingError, ShapeViolation
 from support import ALICE, BOB, kp
 
 REF = OutPoint(digest(b"some-register"), 0)
@@ -122,6 +122,11 @@ def violating(tx: Transaction, **changes) -> Transaction:
     return dataclasses.replace(tx, **changes)
 
 
+# donors of a payload of the wrong type for the kinds below
+DATA = build_removable(ALICE, REF, b"d")
+INTERVAL = build_prepare(ALICE, REF, 1)
+
+
 RULE_CASES = [
     ("register-has-no-input",
      lambda: violating(build_register(ALICE), inputs=(REF,))),
@@ -147,7 +152,37 @@ RULE_CASES = [
      lambda: violating(build_consent(ALICE, REF, INFO_REF, 1), inputs=())),
     ("value-only-on-consent",
      lambda: violating(build_removable(ALICE, REF, b"d"), value=9)),
+    ("register-payload-empty",
+     lambda: violating(build_register(ALICE), payload=DATA.payload)),
+    ("removable-carries-data",
+     lambda: violating(build_removable(ALICE, REF, b"d"), payload=INTERVAL.payload)),
+    ("prepare-references-one-register-output",
+     lambda: violating(build_prepare(ALICE, REF, 1), inputs=())),
+    ("prepare-names-an-interval",
+     lambda: violating(build_prepare(ALICE, REF, 1), payload=DATA.payload)),
+    ("delete-names-an-interval",
+     lambda: violating(build_delete(ALICE, 1), payload=DATA.payload)),
+    ("info-has-one-output",
+     lambda: violating(build_info(ALICE, REF, BOB.pubkey, ("a",)), output_count=0)),
+    ("info-carries-schema",
+     lambda: violating(build_info(ALICE, REF, BOB.pubkey, ("a",)), payload=DATA.payload)),
+    ("consent-has-one-open-output",
+     lambda: violating(build_consent(ALICE, REF, INFO_REF, 1), output_count=0)),
+    ("consent-references-an-info-output",
+     lambda: violating(build_consent(ALICE, REF, INFO_REF, 1), payload=INTERVAL.payload)),
 ]
+
+
+@pytest.mark.parametrize("kind", list(TxKind), ids=lambda k: k.name)
+def test_a_payload_of_another_type_cannot_be_encoded(kind):
+    # its bytes would decode as some other payload, or not at all
+    built = sample(kind)
+    others = {type(p): p for p in (sample(k).payload for k in TxKind)
+              if type(p) is not type(built.payload)}
+    assert len(others) == 4   # prepare and delete share a payload type
+    for payload in others.values():
+        with pytest.raises(EncodingError):
+            violating(built, payload=payload).encoded
 
 
 @pytest.mark.parametrize("rule,make", RULE_CASES, ids=[r for r, _ in RULE_CASES])
