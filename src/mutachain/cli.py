@@ -8,9 +8,10 @@ the store opened and its chain loaded and verified once, trusting the
 signatures the store marks as checked; ``verify`` checks them all.
 Bad input ends a command with exit 1 and an error that names it, a
 ``MutachainError`` as ``Error: <Class>: message``, never a traceback.
-Submission commands number each queue file one above the highest
-queued, so ``mine`` takes the queue in submission order; it drops the
-files of confirmed transactions and prunes matured deletions.
+Submission commands sign through ``Chain.sign``, which picks the input
+spent, and number each queue file one above the highest queued, so
+``mine`` takes the queue in submission order; it drops the files of
+confirmed transactions and prunes matured deletions.
 """
 
 from __future__ import annotations
@@ -26,22 +27,12 @@ import click
 from .blocks import MAX_P_LIST, header_overhead
 from .consent import labels_for_mask
 from .crypto import KeyPair, keypair_from_seed
-from .errors import MempoolRejection, MutachainError, UnknownRegisterRef
+from .errors import DecodingError, MempoolRejection, MutachainError, UnknownRegisterRef
 from .ledger import Chain, ChainParams
 from .mempool import Mempool
 from .scenario import run_scenario
 from .store import BlockStore
-from .tx import (
-    OutPoint,
-    Transaction,
-    TxKind,
-    build_consent,
-    build_delete,
-    build_info,
-    build_prepare,
-    build_register,
-    build_removable,
-)
+from .tx import Transaction, TxKind
 from .verify import verify_chain
 
 
@@ -119,7 +110,11 @@ def _pending(store_dir: str, chain: Chain) -> tuple[Mempool, list[tuple[Path, Tr
     queue.mkdir(exist_ok=True)
     pool, queued = Mempool(), []
     for path in sorted(queue.glob("*.tx")):
-        tx = Transaction.decode(path.read_bytes())
+        try:
+            tx = Transaction.decode(path.read_bytes())
+        except DecodingError as exc:
+            raise click.ClickException(
+                f"queue file pending/{path.name} does not decode: {exc}") from None
         queued.append((path, tx))
         try:
             pool.submit(tx, chain)
@@ -128,15 +123,14 @@ def _pending(store_dir: str, chain: Chain) -> tuple[Mempool, list[tuple[Path, Tr
     return pool, queued
 
 
-def _submit(store_dir: str, name: str, kind: TxKind, build, **where) -> Transaction:
-    """Queue ``build(key, input)`` signed by NAME, admitted after the queue."""
+def _submit(store_dir: str, name: str, kind: TxKind, **fields) -> Transaction:
+    """Queue a ``kind`` transaction signed by NAME, admitted after the queue."""
     kp = _load_key(store_dir, name)
     with _session(store_dir) as (_, chain):
         try:
-            ref = chain.input_for(kind, kp.pubkey, **where)
+            tx = chain.sign(kind, kp, **fields)
         except UnknownRegisterRef:
             raise click.ClickException(f"{name} is not registered on the chain yet")
-        tx = build(kp, ref)
         pool, queued = _pending(store_dir, chain)
         pool.submit(tx, chain)
         last = queued[-1][0].name if queued else "0_"
@@ -216,7 +210,7 @@ def key_list(store_dir: str) -> None:
 @click.argument("name")
 def register(store_dir: str, name: str) -> None:
     """Queue a register transaction for a stored key."""
-    _submit(store_dir, name, TxKind.REGISTER, lambda kp, _: build_register(kp))
+    _submit(store_dir, name, TxKind.REGISTER)
 
 
 @main.command()
@@ -227,8 +221,7 @@ def register(store_dir: str, name: str) -> None:
 def removable(store_dir: str, name: str, data: str, is_hex: bool) -> None:
     """Queue erasable data signed by NAME."""
     payload = _unhex(data, "DATA") if is_hex else data.encode("utf-8")
-    _submit(store_dir, name, TxKind.REMOVABLE,
-            lambda kp, ref: build_removable(kp, ref, payload))
+    _submit(store_dir, name, TxKind.REMOVABLE, data=payload)
 
 
 @main.command()
@@ -237,8 +230,7 @@ def removable(store_dir: str, name: str, data: str, is_hex: bool) -> None:
 @click.argument("interval", type=int)
 def prepare(store_dir: str, name: str, interval: int) -> None:
     """Queue a deletion announcement for INTERVAL."""
-    _submit(store_dir, name, TxKind.PREPARE,
-            lambda kp, ref: build_prepare(kp, ref, interval))
+    _submit(store_dir, name, TxKind.PREPARE, interval=interval)
 
 
 @main.command()
@@ -247,9 +239,7 @@ def prepare(store_dir: str, name: str, interval: int) -> None:
 @click.argument("interval", type=int)
 def delete(store_dir: str, name: str, interval: int) -> None:
     """Queue a deletion of INTERVAL (uses a confirmed prepare if present)."""
-    _submit(store_dir, name, TxKind.DELETE,
-            lambda kp, ref: build_delete(kp, interval, prepare_ref=ref),
-            interval=interval)
+    _submit(store_dir, name, TxKind.DELETE, interval=interval)
 
 
 @main.command()
@@ -263,8 +253,8 @@ def info(store_dir: str, name: str, label: str, purposes: str,
          controller: str | None) -> None:
     """Queue a consent schema and remember it as LABEL."""
     labels = _labels(store_dir)
-    tx = _submit(store_dir, name, TxKind.INFO, lambda kp, ref: build_info(
-        kp, ref, (controller or name).encode("utf-8"), tuple(purposes.split(","))))
+    tx = _submit(store_dir, name, TxKind.INFO, purposes=tuple(purposes.split(",")),
+                 controller=(controller or name).encode("utf-8"))
     labels[label] = tx.txid.hex()
     (Path(store_dir) / "labels.json").write_text(
         json.dumps(labels, sort_keys=True, indent=2) + "\n")
@@ -277,10 +267,8 @@ def info(store_dir: str, name: str, label: str, purposes: str,
 @click.argument("value", type=int)
 def consent(store_dir: str, name: str, info_label: str, value: int) -> None:
     """Queue a consent for INFO_LABEL; VALUE is the purpose bitmask."""
-    info_txid = _info_txid(store_dir, info_label)
     _submit(store_dir, name, TxKind.CONSENT,
-            lambda kp, ref: build_consent(kp, ref, OutPoint(info_txid, 0), value),
-            info=info_txid)
+            info=_info_txid(store_dir, info_label), value=value)
 
 
 @main.command()
@@ -320,7 +308,7 @@ def status(store_dir: str) -> None:
         p = chain.params
         click.echo(f"height {chain.height}, tip {chain.tip_hash.hex()[:16]}")
         click.echo(f"confirm_depth {p.confirm_depth}, delete_lock {p.delete_lock}")
-        click.echo(f"pending {len(_pending(store_dir, chain)[1])}")
+        click.echo(f"pending {len(list(Path(store_dir).glob('pending/*.tx')))}")
         for x in range(1, chain.height + 1):
             rec = chain.interval_record(x)
             if rec.length == 0:

@@ -53,7 +53,7 @@ from .blocks import (
     check_removable_shape,
     compute_p_list,
 )
-from .crypto import NULL_HASH
+from .crypto import NULL_HASH, KeyPair
 from .errors import (
     BlockShapeError,
     BrokenIntervalChain,
@@ -73,7 +73,18 @@ from .errors import (
     UnknownParent,
     UnknownRegisterRef,
 )
-from .tx import OutPoint, Transaction, TxKind, validate_stateless
+from .tx import (
+    OutPoint,
+    Transaction,
+    TxKind,
+    build_consent,
+    build_delete,
+    build_info,
+    build_prepare,
+    build_register,
+    build_removable,
+    validate_stateless,
+)
 
 
 @dataclass(frozen=True)
@@ -483,22 +494,28 @@ class Chain:
         txid = self._registrations.get(pubkey)
         return OutPoint(txid, 0) if txid is not None else None
 
-    def input_for(self, kind: TxKind, pubkey: bytes, *, interval: int | None = None,
-                  info: bytes | None = None) -> OutPoint | None:
-        """The outpoint a new ``kind`` transaction by ``pubkey`` spends: none
-        for a register, a delete its unspent prepare for ``interval`` (None:
+    def sign(self, kind: TxKind, key: KeyPair, *, data: bytes = b"", interval: int = 0,
+             controller: bytes = b"", purposes: tuple[str, ...] = (),
+             info: bytes = NULL_HASH, value: int = 0) -> Transaction:
+        """A new ``kind`` transaction signed by ``key``, spending nothing if
+        a register, a delete its unspent prepare for ``interval`` (none:
         fast path), a consent its live chain's output under ``info``, else
         the register output (``UnknownRegisterRef`` if there is none)."""
         if kind is TxKind.REGISTER:
-            return None
+            return build_register(key)
         if kind is TxKind.DELETE:
-            preps = self.prepares_for(pubkey, interval)
-            return OutPoint(preps[0].txid, 0) if preps else None
-        if kind is TxKind.CONSENT:
-            open_chain = self._consents.get((pubkey, info))
-            if open_chain is not None and open_chain.live:
-                return open_chain.outpoint
-        return self._register_outpoint(pubkey)
+            preps = self.prepares_for(key.pubkey, interval)
+            return build_delete(key, interval, OutPoint(preps[0].txid, 0) if preps else None)
+        open_chain = self._consents.get((key.pubkey, info)) if kind is TxKind.CONSENT else None
+        ref = open_chain.outpoint if open_chain is not None and open_chain.live \
+            else self._register_outpoint(key.pubkey)
+        if kind is TxKind.REMOVABLE:
+            return build_removable(key, ref, data)
+        if kind is TxKind.PREPARE:
+            return build_prepare(key, ref, interval)
+        if kind is TxKind.INFO:
+            return build_info(key, ref, controller, purposes)
+        return build_consent(key, ref, OutPoint(info, 0), value)
 
     def info_record(self, txid: bytes) -> consent.InfoRecord | None:
         return self._infos.get(txid)

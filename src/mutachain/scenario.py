@@ -33,7 +33,9 @@ key=NAME``                             set node N's fault hook
 
 Transaction directives take ``via=N`` to choose the submitting node and
 may be prefixed with ``try`` to tolerate a mempool rejection instead of
-failing the scenario.  A node id outside ``0..N-1`` fails its line.
+failing the scenario; ``Chain.sign`` on that node's chain picks the
+input each spends.  A node id outside ``0..N-1``, a size below 1, a
+negative step or a value its wire field cannot hold fails its line.
 """
 
 from __future__ import annotations
@@ -42,19 +44,10 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from .crypto import KeyPair, digest, keypair_from_seed
-from .errors import MempoolRejection, ScenarioError, UnknownRegisterRef
+from .errors import EncodingError, MempoolRejection, ScenarioError, UnknownRegisterRef
 from .ledger import ChainParams
 from .simnet import SimNet, fault_unauthorized_delete, fault_wrong_p_list
-from .tx import (
-    OutPoint,
-    TxKind,
-    build_consent,
-    build_delete,
-    build_info,
-    build_prepare,
-    build_register,
-    build_removable,
-)
+from .tx import TxKind, build_register
 
 CONFIG_DIRECTIVES = {"params", "nodes", "schedule", "period", "entity", "genesis"}
 ACTION_DIRECTIVES = {"register", "removable", "prepare", "delete", "info",
@@ -138,12 +131,11 @@ class _Parser:
                     self.fail(no, f"unknown parameter {key!r}")
                 values[key] = int(value)
             self.params = ChainParams(**values)
-        elif word in ("nodes", "period"):
-            if int(plain[0]) < 1:   # SimNet.step divides by both
+        elif word in ("nodes", "period", "schedule"):
+            # SimNet.step divides by the first two; schedule 0 mines no interval
+            if int(plain[0]) < 1:
                 self.fail(no, f"{word} must be at least 1")
             setattr(self, word, int(plain[0]))
-        elif word == "schedule":
-            self.schedule = int(plain[0])
         elif word == "entity":
             for name in plain:
                 self.entities.setdefault(name, entity_keypair(name))
@@ -180,6 +172,8 @@ class _Parser:
         net = scn.net
         plain, opts = self.options(args)
         if word == "step":
+            if plain and int(plain[0]) < 0:
+                self.fail(no, f"step {plain[0]} is negative")
             net.step(int(plain[0]) if plain else 1)
             return
         if word in ("offline", "online"):
@@ -202,45 +196,31 @@ class _Parser:
             return
 
         via = self.node_id(no, opts.get("via", "0"))
-        chain = net.nodes[via].chain
         kp = self.entity(no, plain[0])
+        payload = {}
+        if word == "removable":
+            payload["data"] = bytes.fromhex(opts["data"]) if "data" in opts \
+                else plain[1].encode("utf-8")
+        elif word in ("prepare", "delete"):
+            payload["interval"] = int(plain[1])
+        elif word == "info":
+            purposes = opts.get("purposes", "").split(",")
+            if purposes == [""]:
+                self.fail(no, "info needs purposes=a,b,...")
+            payload.update(purposes=tuple(purposes),
+                          controller=opts.get("controller", plain[0]).encode("utf-8"))
+        elif word == "consent":
+            if plain[1] not in scn.labels:
+                self.fail(no, f"unknown info label {plain[1]!r}")
+            payload.update(info=scn.labels[plain[1]], value=int(plain[2]))
         try:
-            if word == "register":
-                tx = build_register(kp)
-            elif word == "removable":
-                label = plain[1]
-                data = bytes.fromhex(opts["data"]) if "data" in opts \
-                    else label.encode("utf-8")
-                tx = build_removable(
-                    kp, chain.input_for(TxKind.REMOVABLE, kp.pubkey), data)
-                scn.labels[label] = tx.txid
-            elif word == "prepare":
-                tx = build_prepare(
-                    kp, chain.input_for(TxKind.PREPARE, kp.pubkey), int(plain[1]))
-            elif word == "delete":
-                interval = int(plain[1])
-                ref = chain.input_for(TxKind.DELETE, kp.pubkey, interval=interval)
-                tx = build_delete(kp, interval, prepare_ref=ref)
-            elif word == "info":
-                label = plain[1]
-                purposes = opts.get("purposes", "").split(",")
-                if purposes == [""]:
-                    self.fail(no, "info needs purposes=a,b,...")
-                controller = opts.get("controller", plain[0]).encode("utf-8")
-                tx = build_info(kp, chain.input_for(TxKind.INFO, kp.pubkey),
-                                controller, tuple(purposes))
-                scn.labels[label] = tx.txid
-            elif word == "consent":
-                info_txid = scn.labels.get(plain[1])
-                if info_txid is None:
-                    self.fail(no, f"unknown info label {plain[1]!r}")
-                value = int(plain[2])
-                spend = chain.input_for(TxKind.CONSENT, kp.pubkey, info=info_txid)
-                tx = build_consent(kp, spend, OutPoint(info_txid, 0), value)
-            else:  # pragma: no cover
-                self.fail(no, f"unhandled directive {word!r}")
+            tx = net.nodes[via].chain.sign(TxKind[word.upper()], kp, **payload)
         except UnknownRegisterRef:
             self.fail(no, f"{plain[0]} is not registered yet")
+        except EncodingError as exc:
+            self.fail(no, f"{word} cannot be encoded: {exc}")
+        if word in ("removable", "info"):
+            scn.labels[plain[1]] = tx.txid
         try:
             net.submit(tx, via=via)
         except MempoolRejection as exc:

@@ -193,6 +193,12 @@ def _unnumbered_queue_file(store):
     queued.rename(queued.with_name("zz_note.tx"))
 
 
+def _undecodable_queue_file(store):
+    (store / "pending" / "000009_x.tx").write_text("garbage\n")
+    # status counts the queue files without decoding them
+    assert "pending 1" in run(CliRunner(), "status", "--store", store)
+
+
 def _write_seed(text):
     def corrupt(store):
         (store / "keys" / "alice.seed").write_text(text)
@@ -225,6 +231,9 @@ STORE = object()   # stands for the booted store's path
                  "MissingDeleteEvidence", id="status-lost-interval"),
     pytest.param(_unnumbered_queue_file, ("removable", "alice", "two", STORE),
                  "queue file pending/zz_note.tx", id="unnumbered-queue-file"),
+    pytest.param(_undecodable_queue_file, ("removable", "alice", "three", STORE),
+                 "Error: queue file pending/000009_x.tx does not decode: ",
+                 id="undecodable-queue-file"),
 ])
 def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     store = tmp_path / "chain"

@@ -362,7 +362,7 @@ def test_delete_record_names_the_prepare_it_spent():
         # a deleted interval offers no prepare, spent or not
         assert chain.prepares_for(ALICE.pubkey, 1) == []
         assert chain.prepares_for(ALICE.pubkey, 2) == []
-        assert chain.input_for(TxKind.DELETE, ALICE.pubkey, interval=2) is None
+        assert chain.sign(TxKind.DELETE, ALICE, interval=2).inputs == ()
 
 
 def test_spent_prepare_cannot_be_spent_again():
@@ -403,25 +403,31 @@ def test_genesis_must_close_an_empty_interval():
         fresh.append_segment(interval, block)
 
 
-def test_input_for_names_the_outpoint_each_kind_spends():
+def test_sign_spends_the_outpoint_each_kind_needs():
     ch = fresh_chain(ALICE, BOB)
     register = reg(ch, ALICE)
+    assert ch.sign(TxKind.REGISTER, CAROL) == build_register(CAROL)
+    assert ch.sign(TxKind.REGISTER, CAROL).inputs == ()
     for kind in (TxKind.REMOVABLE, TxKind.PREPARE, TxKind.INFO):
-        assert ch.input_for(kind, ALICE.pubkey) == register
+        assert ch.sign(kind, ALICE, purposes=("ads",)).inputs == (register,)
     with pytest.raises(UnknownRegisterRef):
-        ch.input_for(TxKind.REMOVABLE, CAROL.pubkey)
+        ch.sign(TxKind.REMOVABLE, CAROL)
     extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")])
     # no prepare yet: the fast path spends nothing
-    assert ch.input_for(TxKind.DELETE, ALICE.pubkey, interval=1) is None
+    assert ch.sign(TxKind.DELETE, ALICE, interval=1).inputs == ()
     prep = build_prepare(ALICE, register, 1)
     info = build_info(BOB, reg(ch, BOB), b"ctl", ("ads",))
+    assert ch.sign(TxKind.PREPARE, ALICE, interval=1) == prep
+    assert ch.sign(TxKind.INFO, BOB, controller=b"ctl", purposes=("ads",)) == info
+    assert ch.sign(TxKind.REMOVABLE, ALICE, data=b"a") == rem(ch, ALICE, b"a")
     extend(ch, body_txs=[prep, info])
-    assert ch.input_for(TxKind.DELETE, ALICE.pubkey, interval=1) == OutPoint(prep.txid, 0)
+    assert ch.sign(TxKind.DELETE, ALICE, interval=1).inputs == (OutPoint(prep.txid, 0),)
     # a consent opens from the register output, then spends its own
-    assert ch.input_for(TxKind.CONSENT, ALICE.pubkey, info=info.txid) == register
     grant = build_consent(ALICE, register, OutPoint(info.txid, 0), 1)
+    assert ch.sign(TxKind.CONSENT, ALICE, info=info.txid, value=1) == grant
+    assert grant.inputs == (register,)
     extend(ch, body_txs=[grant])
-    assert ch.input_for(TxKind.CONSENT, ALICE.pubkey, info=info.txid) == OutPoint(grant.txid, 0)
+    assert ch.sign(TxKind.CONSENT, ALICE, info=info.txid).inputs == (OutPoint(grant.txid, 0),)
 
 
 def test_other_data_of_the_signer_is_no_duplicate():

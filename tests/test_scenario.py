@@ -38,12 +38,15 @@ def test_minimal_scenario():
 
 def test_unknown_directive_reports_its_line():
     # an unknown word, a missing argument, a number that is not one, a
-    # size the network divides by, a chain parameter out of range or
-    # unknown, a fault no node can have, a node the network lacks
+    # size the network divides by or that mines nothing, a negative step,
+    # a chain parameter out of range or unknown, a fault no node can
+    # have, a node the network lacks, an interval no u32 holds
     for bad in ("frobnicate A", "nodes", "step x", "nodes 0", "period 0",
+                "schedule 0", "schedule -1", "step -3",
                 "params confirm_depth=-3", "params foo=1", "byzantine 0 melt",
                 "byzantine 0 unauthorized_delete", "offline -1",
-                "removable A m via=-1", "online 3"):
+                "removable A m via=-1", "online 3",
+                "prepare A -1", "delete A 5000000000"):
         with pytest.raises(ScenarioError) as err:
             run_scenario(f"entity A\ngenesis A\n{bad}\n")
         assert err.value.line_no == 3
