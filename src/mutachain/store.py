@@ -2,40 +2,59 @@
 
 Layout under the store root:
 
-* ``permanent.log``: the spine, concatenated canonical block encodings,
-  append-only.
+* ``permanent.log``: the spine, append-only, one frame per block.  A
+  frame is the block's canonical encoding as a codec byte string, as
+  in interval files.
 * ``interval_<x>.blk``: interval ``x``'s removable blocks, each framed
   as a codec byte string.  Erasing the interval is unlinking this one
   file; nothing else on disk holds those bytes.  The spine header says
   how many blocks it holds; whether it exists says present or pruned.
-* ``manifest.json``: format version, parameters, committed height,
-  committed log length and ``tip``, the hex hash of the block at that
-  height: a size that does not grow with the chain.  Its rename is the
-  commit point: an append fsyncs the interval file and the log first
-  and the manifest last, through a temp file and an atomic rename.  The
-  root directory is fsynced after that rename and after a prune's
-  unlink, so commits and erasures survive power loss.
+* ``manifest.json``: format version, parameters and the mark: the
+  height, log length and ``tip`` (the hex hash of the block at that
+  height) as of the last clean write, a size that does not grow with
+  the chain.  ``create``, ``set_params``, the end of ``rebuild``,
+  ``mark`` and ``close`` write it, through a temp file, an atomic
+  rename and an fsync of the root directory; ``mark`` and ``close``
+  only when the session moved the tip, by appending or by a
+  ``load_chain`` that checked every signature past the mark.
 * ``.lock``: ``flock``-ed against concurrent writers; the lock dies
   with the process that holds it.
 
-Loading reads only the committed log prefix and sweeps leftovers of an
-interrupted append (log tail, interval files above the committed
-height), erasing nothing at or below it.  A missing interval file is
-served as a gap; the rebuilt chain is re-verified, including delete
-evidence for every gap.
+An append commits with its log frame.  It fsyncs the interval file,
+then the root directory so that the file's name is durable, then
+appends the frame and fsyncs the log: three fsyncs, one for an empty
+interval.  A prune is one unlink followed by an fsync of the root.
+
+Failures are crash-only: a process may die at any point, and the disk
+keeps what was fsynced before it.  Loading reads the log as follows and
+erases nothing at or below its last whole frame:
+
+* the bytes below the mark's ``log_bytes`` must be ``height + 1`` whole
+  frames that decode; anything else is ``CorruptStore`` and nothing is
+  truncated;
+* whole frames past the mark are appends committed by a session that
+  never closed; they are served, and the load checks their signatures;
+  one that does not decode is ``CorruptStore``;
+* a final frame cut short by EOF is a torn append and is truncated;
+* interval files above the last whole frame are orphans of torn appends
+  and are swept.
+
+A missing interval file is served as a gap; the rebuilt chain is
+re-verified, including delete evidence for every gap.
 
 The store appends only segments a ``Chain`` has accepted, so every
 signature it holds was checked before it was written.  ``tip`` marks
-that: when it names the last block of the committed log, ``load_chain``
-skips the Ed25519 checks and runs every other rule (decode, shape,
-``tx_root``, interval and prev links, p_lists, stateful rules, delete
-evidence for every gap).  A txid covers its signature, so ``tx_root``
-and the hash links bind every signature byte to the marked tip; a
-changed byte fails the replay as before.  Without the field, or when
-it names another block, the load checks every signature.  Someone who
-can rewrite the log can rewrite the mark too, so it costs no trust a
-node does not already place in its own disk.  Audits never trust it:
-``mutachain verify`` and ``verify.verify_chain`` check every signature.
+that: when it names the last block of the log, ``load_chain`` skips the
+Ed25519 checks and runs every other rule (decode, shape, ``tx_root``,
+interval and prev links, p_lists, stateful rules, delete evidence for
+every gap).  A txid covers its signature, so ``tx_root`` and the hash
+links bind every signature byte to the marked tip; a changed byte fails
+the replay as before.  Without the field, or when it names another
+block (as it does when frames follow the mark), the load checks every
+signature.  Someone who can rewrite the log can rewrite the mark too,
+so it costs no trust a node does not already place in its own disk.
+Audits never trust it: ``mutachain verify`` and ``verify.verify_chain``
+check every signature.
 
 ``crash_hook`` is a test seam: when set, it is called with a named
 point before each mutation step and may raise to simulate a crash.
@@ -57,6 +76,7 @@ from .blocks import PermanentBlock, RemovableBlock
 from .crypto import digest
 from .errors import (
     CorruptStore,
+    DecodingError,
     MissingDeleteEvidence,
     MutachainError,
     StoreLocked,
@@ -66,7 +86,7 @@ from .ledger import Chain, ChainParams
 MANIFEST = "manifest.json"
 LOG = "permanent.log"
 LOCK = ".lock"
-VERSION = 2
+VERSION = 3
 PARAM_FIELDS = tuple(f.name for f in fields(ChainParams))
 INTERVAL_FILE = re.compile(r"interval_(0|[1-9][0-9]*)\.blk")
 TIP = re.compile(r"[0-9a-f]{64}")
@@ -113,6 +133,7 @@ class BlockStore:
             raise CorruptStore(f"no store at {self.root}")
         self._lock_fd: int | None = None
         self._acquire_lock()
+        # _manifest is the live state, _written the manifest as on disk
         if create:
             self._manifest = {
                 "version": VERSION,
@@ -120,6 +141,8 @@ class BlockStore:
                 "height": -1,
                 "log_bytes": 0,
             }
+            # the manifest write's root fsync makes the log's name durable
+            (self.root / LOG).write_bytes(b"")
             self._write_manifest()
         else:
             try:
@@ -128,6 +151,9 @@ class BlockStore:
             except (OSError, ValueError) as exc:
                 self._release_lock()
                 raise CorruptStore(f"unreadable manifest: {exc}")
+            self._written = dict(self._manifest)
+        # until the log is read, frames past the mark are not counted
+        self._log_read = create
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -146,8 +172,18 @@ class BlockStore:
             os.close(self._lock_fd)     # closing drops the flock
             self._lock_fd = None
 
+    def mark(self) -> None:
+        """Write the manifest if this session moved the tip since it was
+        last written: by appending, or by a load that checked every
+        signature past the mark."""
+        if self._manifest.get("tip") != self._written.get("tip"):
+            self._write_manifest()
+
     def close(self) -> None:
-        self._release_lock()
+        try:
+            self.mark()
+        finally:
+            self._release_lock()
 
     def __enter__(self) -> "BlockStore":
         return self
@@ -180,6 +216,7 @@ class BlockStore:
         _write_synced(tmp, text.encode("utf-8"), "wb")
         os.replace(tmp, self.root / MANIFEST)
         self._sync_root()
+        self._written = dict(self._manifest)
 
     @property
     def params(self) -> ChainParams:
@@ -188,6 +225,8 @@ class BlockStore:
 
     @property
     def height(self) -> int:
+        """Height of the log's last whole frame, as far as this session
+        has read or appended it."""
         return self._manifest["height"]
 
     def set_params(self, params: ChainParams) -> None:
@@ -198,29 +237,32 @@ class BlockStore:
     # mutation
 
     def append_segment(self, removable_blocks, block: PermanentBlock) -> None:
-        """Persist one segment; the manifest flips last and marks
-        ``block`` as the tip.
+        """Persist one segment; its log frame commits it, and ``block``
+        becomes the tip the next mark names.
 
         Contract: append only segments a ``Chain`` accepted, signatures
         checked.  ``load_chain`` skips the Ed25519 checks up to the
         marked tip; ``verify_chain`` over ``segments()`` does not."""
         removable_blocks = tuple(removable_blocks or ())
+        if not self._log_read:
+            self.segments()     # count the frames left past the mark
         x = block.height
         if x != self.height + 1:
             raise CorruptStore(
                 f"appending height {x} onto committed height {self.height}")
         if removable_blocks:
-            # no temp file: until the manifest flips it is an orphan
+            # no temp file: until its frame is in the log it is an orphan
             self._crash("interval-file")
             _write_synced(self._interval_path(x),
                           b"".join(codec.encode_byte_string(rb.encoded)
                                    for rb in removable_blocks), "wb")
+            self._sync_root()
         self._crash("log-append")
-        _write_synced(self.root / LOG, block.encoded, "ab")
+        frame = codec.encode_byte_string(block.encoded)
+        _write_synced(self.root / LOG, frame, "ab")
         self._manifest["height"] = x
-        self._manifest["log_bytes"] += len(block.encoded)
+        self._manifest["log_bytes"] += len(frame)
         self._manifest["tip"] = block.block_hash.hex()
-        self._write_manifest()
 
     def prune(self, x: int) -> None:
         """Physically erase interval ``x`` from disk."""
@@ -232,49 +274,58 @@ class BlockStore:
 
     def rebuild(self, chain: Chain) -> None:
         """Replace all block data with the given chain's contents."""
-        # commit the empty store first: a crash below leaves only a log
-        # tail and orphan interval files, both swept on load
+        # mark the empty store first and empty the log before any
+        # interval file goes: a crash below leaves the old chain whole
+        # past the mark, or an empty log and orphan interval files
         self._manifest["height"] = -1
         self._manifest["log_bytes"] = 0
         self._manifest.pop("tip", None)
         self.set_params(chain.params)
+        _write_synced(self.root / LOG, b"", "wb")
         for child in self.root.glob("interval_*"):
             child.unlink()
-        (self.root / LOG).unlink(missing_ok=True)
+        self._sync_root()
         for x in range(chain.height + 1):
             self.append_segment(chain.interval_blocks(x), chain.block_at(x))
+        self._write_manifest()
 
     # ------------------------------------------------------------------
     # loading
 
     def segments(self) -> list:
-        """Committed segments, sweeping debris from interrupted appends."""
-        log_bytes = self._manifest["log_bytes"]
+        """Committed segments, one per whole log frame; truncates a torn
+        final frame and sweeps interval files above the last whole one."""
         log_path = self.root / LOG
-        raw = log_path.read_bytes() if log_path.exists() else b""
-        if len(raw) < log_bytes:
-            raise CorruptStore(
-                f"log holds {len(raw)} bytes, manifest committed {log_bytes}")
-        reader = codec.Reader(raw[:log_bytes])
-        blocks = []
         try:
-            while not reader.exhausted:
-                blocks.append(PermanentBlock.decode_from(reader))
-        except MutachainError as exc:
-            raise CorruptStore(f"undecodable spine: {exc}")
-        if len(blocks) != self.height + 1:
+            raw = log_path.read_bytes()
+        except OSError as exc:
+            raise CorruptStore(f"unreadable {LOG}: {exc}")
+        reader = codec.Reader(raw)
+        blocks, ends = [], [0]
+        while not reader.exhausted:
+            try:
+                frame = reader.byte_string()
+            except DecodingError:
+                break       # a final frame cut short by EOF: a torn append
+            try:
+                blocks.append(PermanentBlock.decode(frame))
+            except MutachainError as exc:
+                raise CorruptStore(f"undecodable log frame {len(blocks)}: {exc}")
+            ends.append(reader.pos)
+        marked, log_bytes = self._written["height"] + 1, self._written["log_bytes"]
+        if ends[marked:marked + 1] != [log_bytes]:
             raise CorruptStore(
-                f"{len(blocks)} blocks in log, manifest height {self.height}")
-        if len(raw) > log_bytes:
-            # torn append: drop the uncommitted tail
-            with open(log_path, "r+b") as fh:
-                fh.truncate(log_bytes)
+                f"log does not begin with {marked} whole frames in "
+                f"{log_bytes} bytes, as the manifest committed")
+        self._manifest["height"] = height = len(blocks) - 1
+        self._manifest["log_bytes"] = ends[-1]
+        self._log_read = True
 
         bodied = {self._interval_path(b.height).name
                   for b in blocks if b.header.interval_len}
         for child in self.root.glob("interval_*"):
             m = INTERVAL_FILE.fullmatch(child.name)
-            if m and int(m[1]) > self.height and child.is_file():
+            if m and int(m[1]) > height and child.is_file():
                 child.unlink()      # orphan of a torn append
             elif not (child.name in bodied and child.is_file()):
                 raise CorruptStore(f"stray {child.name} in {self.root}")
@@ -291,6 +342,8 @@ class BlockStore:
                 # pruned: the spine must prove the delete
                 segments.append((None, block))
                 continue
+            except OSError as exc:
+                raise CorruptStore(f"unreadable interval {x}: {exc}")
             rbs = []
             try:
                 while not reader.exhausted:
@@ -298,22 +351,31 @@ class BlockStore:
             except MutachainError as exc:
                 raise CorruptStore(f"undecodable interval {x}: {exc}")
             segments.append((tuple(rbs), block))   # replay checks the count
+        if ends[-1] < len(raw):
+            # the torn append's frame never committed; truncated last, so
+            # a load that fails leaves the log as it found it
+            with open(log_path, "r+b") as fh:
+                fh.truncate(ends[-1])
         return segments
 
     def load_chain(self) -> Chain:
         """Replay and re-verify the store's contents: every rule, and
-        every signature unless the manifest's tip marks this log."""
+        every signature unless the tip marks this log.  The loaded tip
+        becomes the tip the next mark names."""
         segments = self.segments()
-        marked = bool(segments) and \
-            self._manifest.get("tip") == segments[-1][1].block_hash.hex()
+        tip = segments[-1][1].block_hash.hex() if segments else None
         try:
-            return verify.replay_segments(segments, self.params,
-                                          check_signatures=not marked)
+            chain = verify.replay_segments(
+                segments, self.params,
+                check_signatures=self._manifest.get("tip") != tip)
         except MissingDeleteEvidence:
             raise
         except MutachainError as exc:
             raise CorruptStore(
                 f"stored chain does not verify: {type(exc).__name__}: {exc}")
+        if tip is not None:
+            self._manifest["tip"] = tip
+        return chain
 
     # ------------------------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 import json
 import os
-import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from mutachain import (
     build_prepare,
     verify_chain,
 )
+from mutachain import codec
 from mutachain import tx as txmod
 from mutachain.cli import main
 from mutachain.errors import (
@@ -252,7 +252,8 @@ def test_missing_body_without_evidence_fails_load(tmp_path):
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, two_block_chain())
         (store.root / "interval_1.blk").unlink()
-        before = file_bytes(store.root)
+    # taken once the filling session has closed and written its mark
+    before = file_bytes(tmp_path / "s")
     with BlockStore(tmp_path / "s") as store:
         assert store.segments()[1][0] is None
         with pytest.raises(MissingDeleteEvidence):
@@ -292,6 +293,16 @@ def test_stray_block_file_is_corruption(tmp_path):
         with pytest.raises(CorruptStore):
             store.load_chain()
     assert file_bytes(root) == before
+    (root / "interval_1" / "1.blk").unlink()
+    (root / "interval_1").rmdir()
+    # a directory in place of the log
+    (root / "permanent.log").unlink()
+    (root / "permanent.log").mkdir()
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(CorruptStore, match="permanent.log"):
+            store.load_chain()
+    assert file_bytes(root) == before
 
 
 def test_manifest_missing_a_field_is_corruption(tmp_path):
@@ -327,29 +338,35 @@ def test_manifest_missing_a_field_is_corruption(tmp_path):
 
 
 def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
-    # the manifest rename and a prune's unlink each reach the disk only
-    # with an fsync of the directory that holds them
+    # a new name (an interval file, the log, the renamed manifest) and a
+    # prune's unlink each reach the disk only with an fsync of the
+    # directory that holds them; the log frame that commits an append
+    # is fsynced only after its interval file's name is durable
     ch = fresh_chain(ALICE, params=FAST)
     extend(ch, [rem(ch, ALICE, b"purge me")])
     extend(ch, body_txs=[build_delete(ALICE, 1)])
     extend(ch)
     root = tmp_path / "s"
-    calls = []
+    calls = []      # (event, the root's names when it happened)
     real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+    def names():
+        return frozenset(os.listdir(root)) - {".lock"}
 
     def fsync(fd):
         st = os.fstat(fd)
-        on_root = stat.S_ISDIR(st.st_mode) and os.path.samestat(st, os.stat(root))
-        calls.append("fsync root" if on_root else "fsync")
+        name = "root" if os.path.samestat(st, os.stat(root)) else next(
+            n for n in os.listdir(root) if os.path.samestat(st, os.stat(root / n)))
+        calls.append((f"fsync {name}", names()))
         real_fsync(fd)
 
     def replace(src, dst):
-        calls.append("replace")
         real_replace(src, dst)
+        calls.append(("replace", names()))
 
     def unlink(path, missing_ok=False):
-        calls.append("unlink")
         real_unlink(path, missing_ok=missing_ok)
+        calls.append(("unlink", names()))
 
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
@@ -358,11 +375,26 @@ def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
         fill(store, ch)
         assert ch.prune() == [1]
         store.prune(1)
-    assert calls.count("replace") == ch.height + 3   # create, params, appends
-    assert calls.count("unlink") == 1
-    for k, call in enumerate(calls):
-        if call in ("replace", "unlink"):
-            assert calls[k + 1:k + 2] == ["fsync root"], (k, calls)
+    events = [event for event, _ in calls]
+    assert events.count("replace") == 3     # create, params, close
+    assert events.count("unlink") == 1
+    assert events.count("fsync permanent.log") == ch.height + 1
+    for k, event in enumerate(events):
+        if event in ("replace", "unlink"):
+            assert events[k + 1:k + 2] == ["fsync root"], (k, events)
+        if event.startswith("fsync interval_"):
+            later = events[k + 1:]
+            assert "fsync root" in later, (k, events)
+            assert later.index("fsync root") < later.index("fsync permanent.log")
+    # every name a log frame commits was made durable before it, and no
+    # name is left unsynced at the end
+    synced = frozenset()
+    for event, present in calls:
+        if event == "fsync root":
+            synced = present
+        elif event == "fsync permanent.log":
+            assert present <= synced, (present, synced)
+    assert names() == synced
 
 
 def test_tampered_block_file_fails_load(tmp_path):
@@ -540,3 +572,87 @@ def test_fork_rebuild_leaves_a_matching_mark(tmp_path):
     finally:
         for st in stores.values():
             st.close()
+
+
+# ----------------------------------------------------------------------
+# a session that never closed: its log frames are its commits
+
+
+def crash(store):
+    """What a killed process leaves: its lock dies with it, and the
+    manifest keeps the mark of the last clean write."""
+    store._release_lock()
+
+
+def tx_count(segments):
+    return sum(len(block.txs) + sum(len(rb.txs) for rb in blocks or ())
+               for blocks, block in segments)
+
+
+def crashed_store(root, ch, k):
+    """``ch`` stored up to ``k`` segments below its tip and closed, then
+    its last ``k`` appended by a session that never closed."""
+    with BlockStore(root, create=True) as store:
+        store.set_params(ch.params)
+        for x in range(ch.height + 1 - k):
+            store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
+    store = BlockStore(root)
+    store.load_chain()
+    for x in range(ch.height + 1 - k, ch.height + 1):
+        store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
+    crash(store)
+    assert tip_mark(root) == ch.block_at(ch.height - k).block_hash.hex()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_appends_past_the_mark_load_with_every_signature(tmp_path, monkeypatch, k):
+    ch = erased_chain()
+    root = tmp_path / "s"
+    crashed_store(root, ch, k)
+    calls = count_signature_checks(monkeypatch)
+    with BlockStore(root) as store:
+        segments = store.segments()
+        calls.clear()
+        loaded = store.load_chain()
+    assert loaded.tip_hash == ch.tip_hash and loaded.interval_blocks(1) is None
+    assert len(calls) == tx_count(segments) > 0
+    # that load checked the tip, and its close marked it
+    assert tip_mark(root) == ch.tip_hash.hex()
+    calls.clear()
+    with BlockStore(root) as store:
+        assert store.load_chain().tip_hash == ch.tip_hash
+    assert calls == []
+
+
+def test_last_frame_cut_at_any_byte_loads_the_height_below(tmp_path):
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"kept")])
+    extend(ch, [rem(ch, BOB, b"torn away")])
+    root = tmp_path / "s"
+    crashed_store(root, ch, 1)
+    log = (root / "permanent.log").read_bytes()
+    whole = len(log) - len(codec.encode_byte_string(ch.block_at(2).encoded))
+    body = (root / "interval_2.blk").read_bytes()
+    kept = (root / "interval_1.blk").read_bytes()
+    for cut in range(whole, len(log)):
+        (root / "permanent.log").write_bytes(log[:cut])
+        (root / "interval_2.blk").write_bytes(body)
+        with BlockStore(root) as store:
+            assert store.load_chain().height == 1, cut
+        assert (root / "permanent.log").read_bytes() == log[:whole]
+        assert (root / "interval_1.blk").read_bytes() == kept
+        assert not (root / "interval_2.blk").exists()   # an orphan, swept
+
+
+def test_undecodable_frame_past_the_mark_is_corruption(tmp_path):
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, simple_chain())
+    # a whole frame that is no block, then a torn one
+    with open(root / "permanent.log", "ab") as fh:
+        fh.write(codec.encode_byte_string(b"not a block") + b"\x40\x00")
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(CorruptStore, match="undecodable log frame 3"):
+            store.load_chain()
+    assert file_bytes(root) == before

@@ -1,7 +1,10 @@
-"""Store loading is total and erases nothing on failure: after one
-mutation of a small store, opening and loading it either succeeds or
-raises a ``MutachainError``, and a failed load has removed no interval
-file at or below the committed height and left the log as it was."""
+"""Store loading is total and erases nothing it may not: after one
+mutation of a small store, closed or left past its mark by a session
+that never closed, opening and loading it either succeeds or raises a
+``MutachainError``.  A failed load has removed no interval file at or
+below the committed height and left the log as it was; a load that
+succeeds has changed no interval file at or below the loaded height
+and no whole frame of the log."""
 
 import json
 import shutil
@@ -33,26 +36,44 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 1 << 12),
 @pytest.fixture(scope="module")
 def template(tmp_path_factory):
     """Interval 1 erased from disk, interval 2 of two blocks and
-    interval 3 of one live, at committed height 3."""
+    interval 3 of one live, at committed height 3: ``closed`` marks
+    height 3, ``crashed`` height 2, as a session killed after it
+    appended segment 3 leaves it."""
     ch = fresh_chain(ALICE, BOB, params=FAST)
     extend(ch, [rem(ch, ALICE, b"purge me")])                          # 1
     extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")],
            [build_delete(ALICE, 1)], per_block=1)                      # 2
     extend(ch, [rem(ch, BOB, b"c")])                                   # 3
     assert ch.height == HEIGHT and ch.prune() == [1]
-    root = tmp_path_factory.mktemp("store") / "s"
-    with BlockStore(root, create=True) as store:
+    roots = {}
+    for name in ("closed", "crashed"):
+        roots[name] = root = tmp_path_factory.mktemp(name) / "s"
+        store = BlockStore(root, create=True)
         store.set_params(ch.params)
         for x in range(HEIGHT + 1):
+            if x == HEIGHT:
+                store.prune(1)
+                store.mark()
             store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
-        store.prune(1)
-    return root
+        if name == "closed":
+            store.close()
+        else:
+            store._release_lock()   # killed: the lock goes, the mark stays
+    return roots
 
 
 @st.composite
 def mutations(draw):
-    kind = draw(st.sampled_from(["flip", "truncate", "append", "delete",
+    template = draw(st.sampled_from(["closed", "crashed"]))
+    return template, draw(mutations_of_a_store())
+
+
+@st.composite
+def mutations_of_a_store(draw):
+    kind = draw(st.sampled_from(["flip", "truncate", "append", "cut", "delete",
                                  "stray", "field"]))
+    if kind == "cut":
+        return kind, "permanent.log", draw(st.integers(0, 1 << 16))
     if kind in ("flip", "truncate", "append"):
         return (kind, draw(st.sampled_from(DATA_FILES)), draw(st.integers(0, 1 << 16)),
                 draw(st.binary(min_size=1, max_size=16)))
@@ -66,10 +87,26 @@ def mutations(draw):
     return kind, key, draw(st.one_of(st.just(ABSENT), st.just(OTHER_TIP), JUNK))
 
 
+def frame_ends(log: bytes) -> list:
+    """Where the log's whole frames end, 0 first."""
+    ends = [0]
+    while len(log) - ends[-1] >= 4:
+        end = ends[-1] + 4 + int.from_bytes(log[ends[-1]:ends[-1] + 4], "little")
+        if end > len(log):
+            break
+        ends.append(end)
+    return ends
+
+
 def mutate(root: Path, mutation) -> None:
     kind, name, *args = mutation
     path = root / name
-    if kind in ("flip", "truncate", "append"):
+    if kind == "cut":
+        # inside the last frame, as a torn append leaves it
+        data = path.read_bytes()
+        start, end = frame_ends(data)[-2:]
+        path.write_bytes(data[:start + 1 + args[0] % (end - start - 1)])
+    elif kind in ("flip", "truncate", "append"):
         at, junk = args
         data = bytearray(path.read_bytes())
         at %= len(data)
@@ -102,17 +139,17 @@ def mutate(root: Path, mutation) -> None:
         (root / "manifest.json").write_text(json.dumps(manifest))
 
 
-def committed_data(root: Path) -> dict:
+def committed_data(root: Path, height: int = HEIGHT) -> dict:
     return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file() and (
         p.name == "permanent.log"
-        or (m := INTERVAL_FILE.fullmatch(p.name)) and int(m[1]) <= HEIGHT)}
+        or (m := INTERVAL_FILE.fullmatch(p.name)) and int(m[1]) <= height)}
 
 
 @pytest.mark.parametrize("tip", [None, 7, "", "ab", "A" * 64, "0" * 63, "0" * 65,
                                  "g" * 64, "0" * 64 + "\n"])
 def test_tip_that_is_not_a_hex_hash_is_corruption(template, tip, tmp_path):
     root = tmp_path / "s"
-    shutil.copytree(template, root)
+    shutil.copytree(template["closed"], root)
     mutate(root, ("field", "tip", tip))
     with pytest.raises(CorruptStore, match="tip"):
         BlockStore(root)
@@ -121,13 +158,20 @@ def test_tip_that_is_not_a_hex_hash_is_corruption(template, tip, tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(mutations())
 def test_mutated_store_loads_or_fails_without_erasing(template, mutation):
+    name, change = mutation
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "s"
-        shutil.copytree(template, root)
-        mutate(root, mutation)
+        shutil.copytree(template[name], root)
+        mutate(root, change)
         before = committed_data(root)
         try:
             with BlockStore(root) as store:
-                store.load_chain()
+                height = store.load_chain().height
         except MutachainError:
             assert committed_data(root) == before
+        else:
+            after = committed_data(root, height)
+            log = before.pop("permanent.log")
+            assert after.pop("permanent.log") == log[:frame_ends(log)[-1]]
+            assert after == {k: v for k, v in before.items()
+                             if int(INTERVAL_FILE.fullmatch(k)[1]) <= height}
