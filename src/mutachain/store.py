@@ -3,8 +3,9 @@
 Layout under the store root:
 
 * ``permanent.log``: the spine, append-only, one frame per block.  A
-  frame is the block's canonical encoding as a codec byte string, as
-  in interval files.
+  frame is a 12-byte head, then the block's canonical encoding; the
+  head holds the block's length and crc32 and the crc32 of those 8
+  bytes, so a damaged length is told from a frame cut short.
 * ``interval_<x>.blk``: interval ``x``'s removable blocks, each framed
   as a codec byte string.  Erasing the interval is unlinking this one
   file; nothing else on disk holds those bytes.  The spine header says
@@ -26,8 +27,11 @@ appends the frame and fsyncs the log: three fsyncs, one for an empty
 interval.  A prune is one unlink followed by an fsync of the root.
 
 Failures are crash-only: a process may die at any point, and the disk
-keeps what was fsynced before it.  Loading reads the log as follows and
-erases nothing at or below its last whole frame:
+keeps what was fsynced before it.  Only the last append can be unsynced,
+so only the log's final frame can be torn: cut short by EOF, or its
+bytes lost (zeros or junk) where the file kept its new size.  A frame is
+whole when its head and block pass their checks.  Loading reads the log
+as follows and erases nothing at or below its last whole frame:
 
 * the bytes below the mark's ``log_bytes`` must be ``height + 1`` whole
   frames that decode; anything else is ``CorruptStore`` and nothing is
@@ -35,9 +39,15 @@ erases nothing at or below its last whole frame:
 * whole frames past the mark are appends committed by a session that
   never closed; they are served, and the load checks their signatures;
   one that does not decode is ``CorruptStore``;
-* a final frame cut short by EOF is a torn append and is truncated;
+* a frame that is not whole is the torn last append, and is truncated,
+  only if nothing of the log follows it: its head checks and states an
+  end at or past EOF, or its head fails and no whole frame starts
+  anywhere after it.  Otherwise it is ``CorruptStore``;
 * interval files above the last whole frame are orphans of torn appends
   and are swept.
+
+``load_chain`` truncates and sweeps only once the chain verifies, so a
+load that fails leaves the store as it found it.
 
 A missing interval file is served as a gap; the rebuilt chain is
 re-verified, including delete evidence for every gap.
@@ -66,6 +76,8 @@ import fcntl
 import json
 import os
 import re
+import struct
+import zlib
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable
@@ -76,7 +88,6 @@ from .blocks import PermanentBlock, RemovableBlock
 from .crypto import digest
 from .errors import (
     CorruptStore,
-    DecodingError,
     MissingDeleteEvidence,
     MutachainError,
     StoreLocked,
@@ -90,6 +101,36 @@ VERSION = 3
 PARAM_FIELDS = tuple(f.name for f in fields(ChainParams))
 INTERVAL_FILE = re.compile(r"interval_(0|[1-9][0-9]*)\.blk")
 TIP = re.compile(r"[0-9a-f]{64}")
+# a log frame's head: the block's length, its crc32, the crc32 of those 8 bytes
+FRAME_HEAD = struct.Struct("<III")
+
+
+def log_frame(block: bytes) -> bytes:
+    """``block``, an encoding, framed for the log."""
+    head = struct.pack("<II", len(block), zlib.crc32(block))
+    return head + struct.pack("<I", zlib.crc32(head)) + block
+
+
+def _framed_length(raw: bytes, pos: int) -> int | None:
+    """The block length the frame head at ``pos`` states, if the head is
+    whole and checks."""
+    head = raw[pos:pos + FRAME_HEAD.size]
+    if len(head) < FRAME_HEAD.size:
+        return None
+    length, _, check = FRAME_HEAD.unpack(head)
+    return length if zlib.crc32(head[:8]) == check else None
+
+
+def _framed_block(raw: bytes, pos: int) -> bytes | None:
+    """The block of the frame at ``pos``, if the frame is whole."""
+    length = _framed_length(raw, pos)
+    if length is None:
+        return None
+    start = pos + FRAME_HEAD.size
+    block = raw[start:start + length]
+    if len(block) < length or zlib.crc32(block) != FRAME_HEAD.unpack_from(raw, pos)[1]:
+        return None
+    return block
 
 
 def _write_synced(path: Path, data: bytes, mode: str) -> None:
@@ -258,7 +299,7 @@ class BlockStore:
                                    for rb in removable_blocks), "wb")
             self._sync_root()
         self._crash("log-append")
-        frame = codec.encode_byte_string(block.encoded)
+        frame = log_frame(block.encoded)
         _write_synced(self.root / LOG, frame, "ab")
         self._manifest["height"] = x
         self._manifest["log_bytes"] += len(frame)
@@ -295,38 +336,54 @@ class BlockStore:
     def segments(self) -> list:
         """Committed segments, one per whole log frame; truncates a torn
         final frame and sweeps interval files above the last whole one."""
+        segments, repair = self._read()
+        repair()
+        return segments
+
+    def _read(self) -> tuple[list, Callable[[], None]]:
+        """Committed segments, and the repair that truncates a torn final
+        frame and sweeps the orphans of torn appends.  The repair is run
+        once the segments are accepted, so a load that fails leaves the
+        store as it found it."""
         log_path = self.root / LOG
         try:
             raw = log_path.read_bytes()
         except OSError as exc:
             raise CorruptStore(f"unreadable {LOG}: {exc}")
-        reader = codec.Reader(raw)
         blocks, ends = [], [0]
-        while not reader.exhausted:
+        while ends[-1] < len(raw):
+            pos = ends[-1]
+            block = _framed_block(raw, pos)
+            if block is None:
+                # the torn last append, unless more of the log follows
+                length = _framed_length(raw, pos)
+                if length is None:
+                    followed = any(_framed_block(raw, q) is not None
+                                   for q in range(pos + 1, len(raw)))
+                else:
+                    followed = pos + FRAME_HEAD.size + length < len(raw)
+                if followed:
+                    raise CorruptStore(
+                        f"damaged log frame {len(blocks)} has more of the log after it")
+                break
             try:
-                frame = reader.byte_string()
-            except DecodingError:
-                break       # a final frame cut short by EOF: a torn append
-            try:
-                blocks.append(PermanentBlock.decode(frame))
+                blocks.append(PermanentBlock.decode(block))
             except MutachainError as exc:
                 raise CorruptStore(f"undecodable log frame {len(blocks)}: {exc}")
-            ends.append(reader.pos)
+            ends.append(pos + FRAME_HEAD.size + len(block))
         marked, log_bytes = self._written["height"] + 1, self._written["log_bytes"]
         if ends[marked:marked + 1] != [log_bytes]:
             raise CorruptStore(
                 f"log does not begin with {marked} whole frames in "
                 f"{log_bytes} bytes, as the manifest committed")
-        self._manifest["height"] = height = len(blocks) - 1
-        self._manifest["log_bytes"] = ends[-1]
-        self._log_read = True
-
+        height = len(blocks) - 1
         bodied = {self._interval_path(b.height).name
                   for b in blocks if b.header.interval_len}
+        orphans = []
         for child in self.root.glob("interval_*"):
             m = INTERVAL_FILE.fullmatch(child.name)
             if m and int(m[1]) > height and child.is_file():
-                child.unlink()      # orphan of a torn append
+                orphans.append(child)
             elif not (child.name in bodied and child.is_file()):
                 raise CorruptStore(f"stray {child.name} in {self.root}")
 
@@ -351,18 +408,23 @@ class BlockStore:
             except MutachainError as exc:
                 raise CorruptStore(f"undecodable interval {x}: {exc}")
             segments.append((tuple(rbs), block))   # replay checks the count
-        if ends[-1] < len(raw):
-            # the torn append's frame never committed; truncated last, so
-            # a load that fails leaves the log as it found it
-            with open(log_path, "r+b") as fh:
-                fh.truncate(ends[-1])
-        return segments
+
+        def repair() -> None:
+            for child in orphans:
+                child.unlink()
+            if ends[-1] < len(raw):
+                with open(log_path, "r+b") as fh:
+                    fh.truncate(ends[-1])
+            self._manifest["height"] = height
+            self._manifest["log_bytes"] = ends[-1]
+            self._log_read = True
+        return segments, repair
 
     def load_chain(self) -> Chain:
         """Replay and re-verify the store's contents: every rule, and
         every signature unless the tip marks this log.  The loaded tip
         becomes the tip the next mark names."""
-        segments = self.segments()
+        segments, repair = self._read()
         tip = segments[-1][1].block_hash.hex() if segments else None
         try:
             chain = verify.replay_segments(
@@ -373,6 +435,7 @@ class BlockStore:
         except MutachainError as exc:
             raise CorruptStore(
                 f"stored chain does not verify: {type(exc).__name__}: {exc}")
+        repair()
         if tip is not None:
             self._manifest["tip"] = tip
         return chain

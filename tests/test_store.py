@@ -17,7 +17,6 @@ from mutachain import (
     build_prepare,
     verify_chain,
 )
-from mutachain import codec
 from mutachain import tx as txmod
 from mutachain.cli import main
 from mutachain.errors import (
@@ -26,6 +25,7 @@ from mutachain.errors import (
     MissingDuplicates,
     StoreLocked,
 )
+from mutachain.store import FRAME_HEAD, log_frame
 from support import ALICE, BOB, extend, fresh_chain, make_segment, reg, rem
 from test_simnet import away_and_back
 
@@ -260,6 +260,24 @@ def test_missing_body_without_evidence_fails_load(tmp_path):
             store.load_chain()
     # no delete on the spine, so nothing may be erased or rewritten
     assert file_bytes(tmp_path / "s") == before
+
+
+def test_load_that_fails_repairs_nothing(tmp_path):
+    # a torn append (half its frame, its whole interval file) over a
+    # chain that fails to load: the tear is left for a load that succeeds
+    root = tmp_path / "s"
+    ch = two_block_chain()
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+        (store.root / "interval_1.blk").unlink()
+    (root / f"interval_{ch.height + 1}.blk").write_bytes(b"orphan")
+    with open(root / "permanent.log", "ab") as fh:
+        fh.write(log_frame(ch.block_at(1).encoded)[:FRAME_HEAD.size + 8])
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(MissingDeleteEvidence):
+            store.load_chain()
+    assert file_bytes(root) == before
 
 
 def test_interval_file_cut_short_is_corruption(tmp_path):
@@ -631,17 +649,34 @@ def test_last_frame_cut_at_any_byte_loads_the_height_below(tmp_path):
     root = tmp_path / "s"
     crashed_store(root, ch, 1)
     log = (root / "permanent.log").read_bytes()
-    whole = len(log) - len(codec.encode_byte_string(ch.block_at(2).encoded))
+    whole = len(log) - len(log_frame(ch.block_at(2).encoded))
     body = (root / "interval_2.blk").read_bytes()
     kept = (root / "interval_1.blk").read_bytes()
     for cut in range(whole, len(log)):
-        (root / "permanent.log").write_bytes(log[:cut])
-        (root / "interval_2.blk").write_bytes(body)
-        with BlockStore(root) as store:
-            assert store.load_chain().height == 1, cut
-        assert (root / "permanent.log").read_bytes() == log[:whole]
-        assert (root / "interval_1.blk").read_bytes() == kept
-        assert not (root / "interval_2.blk").exists()   # an orphan, swept
+        # cut short by EOF, or its bytes from the cut on lost while the
+        # log kept its size: read back as zeros or as junk
+        for tail in (b"", bytes(len(log) - cut), b"\xa5" * (len(log) - cut)):
+            if tail == log[cut:]:
+                continue    # the bytes lost were those already there
+            (root / "permanent.log").write_bytes(log[:cut] + tail)
+            (root / "interval_2.blk").write_bytes(body)
+            with BlockStore(root) as store:
+                assert store.load_chain().height == 1, (cut, tail[:1])
+            assert (root / "permanent.log").read_bytes() == log[:whole]
+            assert (root / "interval_1.blk").read_bytes() == kept
+            assert not (root / "interval_2.blk").exists()   # an orphan, swept
+
+
+def test_lost_append_after_the_last_frame_is_dropped(tmp_path):
+    # the log grew by a frame whose bytes never reached the disk
+    root = tmp_path / "s"
+    ch = simple_chain()
+    crashed_store(root, ch, 1)
+    log = (root / "permanent.log").read_bytes()
+    (root / "permanent.log").write_bytes(log + bytes(len(log_frame(ch.block_at(2).encoded))))
+    with BlockStore(root) as store:
+        assert store.load_chain().height == ch.height
+    assert (root / "permanent.log").read_bytes() == log
 
 
 def test_undecodable_frame_past_the_mark_is_corruption(tmp_path):
@@ -650,9 +685,30 @@ def test_undecodable_frame_past_the_mark_is_corruption(tmp_path):
         fill(store, simple_chain())
     # a whole frame that is no block, then a torn one
     with open(root / "permanent.log", "ab") as fh:
-        fh.write(codec.encode_byte_string(b"not a block") + b"\x40\x00")
+        fh.write(log_frame(b"not a block") + b"\x40\x00")
     before = file_bytes(root)
     with BlockStore(root) as store:
         with pytest.raises(CorruptStore, match="undecodable log frame 3"):
+            store.load_chain()
+    assert file_bytes(root) == before
+
+
+@pytest.mark.parametrize("at", [0, 3, 4, 8, 11, FRAME_HEAD.size])
+def test_damaged_frame_with_more_of_the_log_after_it_is_corruption(tmp_path, at):
+    # one flipped bit in a frame past the mark, in its length (the high
+    # byte makes the frame run past EOF), its block's check, its head's
+    # check or its block: the frame after it is a commit, so this is no
+    # torn append, and nothing may be cut away
+    ch = erased_chain()
+    root = tmp_path / "s"
+    crashed_store(root, ch, 2)
+    log = bytearray((root / "permanent.log").read_bytes())
+    start = len(log) - sum(len(log_frame(ch.block_at(x).encoded))
+                           for x in (ch.height - 1, ch.height))
+    log[start + at] ^= 0x80
+    (root / "permanent.log").write_bytes(log)
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(CorruptStore, match=f"damaged log frame {ch.height - 1}"):
             store.load_chain()
     assert file_bytes(root) == before

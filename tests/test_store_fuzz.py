@@ -2,9 +2,10 @@
 mutation of a small store, closed or left past its mark by a session
 that never closed, opening and loading it either succeeds or raises a
 ``MutachainError``.  A failed load has removed no interval file at or
-below the committed height and left the log as it was; a load that
-succeeds has changed no interval file at or below the loaded height
-and no whole frame of the log."""
+below the committed height and left the log as it was.  A load that
+succeeds has changed no interval file at or below the loaded height,
+has at most cut the log short, and has kept every frame of the store
+that the mutation left as it was."""
 
 import json
 import shutil
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from mutachain import BlockStore, ChainParams, build_delete
 from mutachain.errors import CorruptStore, MutachainError
-from mutachain.store import INTERVAL_FILE
+from mutachain.store import FRAME_HEAD, INTERVAL_FILE
 from support import ALICE, BOB, extend, fresh_chain, rem
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -37,8 +38,8 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 1 << 12),
 def template(tmp_path_factory):
     """Interval 1 erased from disk, interval 2 of two blocks and
     interval 3 of one live, at committed height 3: ``closed`` marks
-    height 3, ``crashed`` height 2, as a session killed after it
-    appended segment 3 leaves it."""
+    height 3, ``crashed`` height 1, as a session killed after it
+    appended segments 2 and 3 leaves it."""
     ch = fresh_chain(ALICE, BOB, params=FAST)
     extend(ch, [rem(ch, ALICE, b"purge me")])                          # 1
     extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")],
@@ -51,10 +52,10 @@ def template(tmp_path_factory):
         store = BlockStore(root, create=True)
         store.set_params(ch.params)
         for x in range(HEIGHT + 1):
-            if x == HEIGHT:
-                store.prune(1)
-                store.mark()
             store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
+            if x == 1:
+                store.mark()
+        store.prune(1)
         if name == "closed":
             store.close()
         else:
@@ -70,10 +71,15 @@ def mutations(draw):
 
 @st.composite
 def mutations_of_a_store(draw):
-    kind = draw(st.sampled_from(["flip", "truncate", "append", "cut", "delete",
-                                 "stray", "field"]))
+    kind = draw(st.sampled_from(["flip", "truncate", "append", "cut", "zero",
+                                 "length", "delete", "stray", "field"]))
     if kind == "cut":
         return kind, "permanent.log", draw(st.integers(0, 1 << 16))
+    if kind == "zero":
+        return kind, "permanent.log", draw(st.integers(0, 1 << 16)), draw(st.integers(0, 64))
+    if kind == "length":
+        return (kind, "permanent.log", draw(st.integers(0, HEIGHT)), draw(st.integers(0, 3)),
+                draw(st.integers(1, 0xFF)))
     if kind in ("flip", "truncate", "append"):
         return (kind, draw(st.sampled_from(DATA_FILES)), draw(st.integers(0, 1 << 16)),
                 draw(st.binary(min_size=1, max_size=16)))
@@ -87,15 +93,12 @@ def mutations_of_a_store(draw):
     return kind, key, draw(st.one_of(st.just(ABSENT), st.just(OTHER_TIP), JUNK))
 
 
-def frame_ends(log: bytes) -> list:
-    """Where the log's whole frames end, 0 first."""
-    ends = [0]
-    while len(log) - ends[-1] >= 4:
-        end = ends[-1] + 4 + int.from_bytes(log[ends[-1]:ends[-1] + 4], "little")
-        if end > len(log):
-            break
-        ends.append(end)
-    return ends
+def frames(log: bytes) -> list:
+    """``(start, end)`` of each frame of a log that holds whole frames."""
+    spans = []
+    while (start := spans[-1][1] if spans else 0) < len(log):
+        spans.append((start, start + FRAME_HEAD.size + FRAME_HEAD.unpack_from(log, start)[0]))
+    return spans
 
 
 def mutate(root: Path, mutation) -> None:
@@ -104,8 +107,20 @@ def mutate(root: Path, mutation) -> None:
     if kind == "cut":
         # inside the last frame, as a torn append leaves it
         data = path.read_bytes()
-        start, end = frame_ends(data)[-2:]
+        start, end = frames(data)[-1]
         path.write_bytes(data[:start + 1 + args[0] % (end - start - 1)])
+    elif kind == "zero":
+        # the last frame's bytes from some point on lost, read back as
+        # zeros, where the log kept its size or grew by a lost append
+        data = path.read_bytes()
+        start, end = frames(data)[-1]
+        at = start + args[0] % (end - start)
+        path.write_bytes(data[:at] + bytes(end - at + args[1]))
+    elif kind == "length":
+        frame, byte, bits = args
+        data = bytearray(path.read_bytes())
+        data[frames(data)[frame][0] + byte] ^= bits
+        path.write_bytes(bytes(data))
     elif kind in ("flip", "truncate", "append"):
         at, junk = args
         data = bytearray(path.read_bytes())
@@ -159,6 +174,7 @@ def test_tip_that_is_not_a_hex_hash_is_corruption(template, tip, tmp_path):
 @given(mutations())
 def test_mutated_store_loads_or_fails_without_erasing(template, mutation):
     name, change = mutation
+    stored = (template[name] / "permanent.log").read_bytes()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "s"
         shutil.copytree(template[name], root)
@@ -171,7 +187,10 @@ def test_mutated_store_loads_or_fails_without_erasing(template, mutation):
             assert committed_data(root) == before
         else:
             after = committed_data(root, height)
-            log = before.pop("permanent.log")
-            assert after.pop("permanent.log") == log[:frame_ends(log)[-1]]
+            log, loaded = before.pop("permanent.log"), after.pop("permanent.log")
+            assert log.startswith(loaded) and len(frames(loaded)) == height + 1
+            # only the damaged last frame of a torn append may be dropped
+            assert all(end <= len(loaded) for start, end in frames(stored)
+                       if log[start:end] == stored[start:end]), (frames(stored), len(loaded))
             assert after == {k: v for k, v in before.items()
                              if int(INTERVAL_FILE.fullmatch(k)[1]) <= height}
