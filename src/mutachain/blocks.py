@@ -34,6 +34,7 @@ interval carried transactions; ``header_overhead`` itemizes this.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,9 @@ from .errors import BlockShapeError, PListOverflow
 from .tx import SHAPES, Transaction
 
 MAX_P_LIST = 4
+# read in one step each: a permanent header up to its keys, a removable header
+_PERMANENT_HEAD = struct.Struct(f"<I{HASH_SIZE}s{HASH_SIZE}sBB")
+_REMOVABLE_HEADER = struct.Struct(f"<IB{HASH_SIZE}s{HASH_SIZE}s")
 
 
 def compute_tx_root(txs: tuple[Transaction, ...] | list[Transaction]) -> bytes:
@@ -90,15 +94,14 @@ class PermanentHeader(_Header):
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "PermanentHeader":
         start = r.pos
-        height = r.u32()
-        prev_permanent = r.fixed(HASH_SIZE)
-        prev_removable = r.fixed(HASH_SIZE)
-        interval_len = r.u8()
-        p_list = tuple(r.fixed(PUBKEY_SIZE) for _ in range(r.short_count()))
+        height, prev_permanent, prev_removable, interval_len, keys = r.unpack(
+            _PERMANENT_HEAD)
+        p_list = tuple(r.fixed(PUBKEY_SIZE) for _ in range(keys))
         tx_root = r.fixed(HASH_SIZE)
-        return codec.keep_encoded(
-            cls(height, prev_permanent, prev_removable, interval_len, p_list, tx_root),
-            r.since(start))
+        return codec.decoded(
+            cls, r.since(start), height=height, prev_permanent=prev_permanent,
+            prev_removable=prev_removable, interval_len=interval_len,
+            p_list=p_list, tx_root=tx_root)
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,9 @@ class RemovableHeader(_Header):
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "RemovableHeader":
         start = r.pos
-        header = cls(interval=r.u32(), seq=r.u8(),
-                     prev=r.fixed(HASH_SIZE), tx_root=r.fixed(HASH_SIZE))
-        return codec.keep_encoded(header, r.since(start))
+        interval, seq, prev, tx_root = r.unpack(_REMOVABLE_HEADER)
+        return codec.decoded(cls, r.since(start), interval=interval, seq=seq,
+                             prev=prev, tx_root=tx_root)
 
 
 class _Block(codec.Encoded):
@@ -130,7 +133,7 @@ class _Block(codec.Encoded):
         return self.header.block_hash
 
     def encode_into(self, w: codec.Writer) -> None:
-        self.header.encode_into(w)
+        w.fixed(self.header.encoded, len(self.header.encoded))
         w.count(len(self.txs))
         for tx in self.txs:
             w.fixed(tx.encoded, len(tx.encoded))

@@ -9,10 +9,13 @@ The encoding is also canonical: integers are fixed-width, lengths are
 prefixed, labels are strict UTF-8 and no type has an optional field, so
 for every byte string ``b`` that decodes, ``encode(decode(b)) == b``.
 Decoders rely on this and keep the bytes they read as the value's
-``encoded`` (see ``Reader.since`` and ``keep_encoded``): a decoded
-value is never encoded again, and its hash is taken over the bytes on
-the wire.  A value rebuilt with ``dataclasses.replace`` drops that
-cache and encodes afresh.
+``encoded`` (see ``Reader.since`` and ``decoded``, which skips the
+value's ``__init__``): a decoded value is never encoded again, and its
+hash is taken over the bytes on the wire.  A value rebuilt with
+``dataclasses.replace`` drops that cache and encodes afresh.  Each run
+of fixed-width fields (a transaction's kind, signer and input count, or
+its value and signature; an outpoint; a header up to its key list) is
+read by one ``Reader.unpack``: one bounds check and one ``struct`` call.
 
 Layout rules (normative)
 ------------------------
@@ -45,6 +48,7 @@ U8_MAX = 0xFF
 U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
+_U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
 
 
 class Writer:
@@ -112,17 +116,26 @@ class Reader:
         self._pos = end
         return self._data[start:end]
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """The fields of one fixed-width run, read in one bounds check."""
+        start = self._pos
+        end = start + layout.size
+        if end > len(self._data):
+            self._take(layout.size)     # raises: the run is cut short
+        self._pos = end
+        return layout.unpack_from(self._data, start)
+
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self.unpack(_U8)[0]
 
     def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
+        return self.unpack(_U16)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return self.unpack(_U64)[0]
 
     def fixed(self, width: int) -> bytes:
         return self._take(width)
@@ -132,9 +145,6 @@ class Reader:
 
     def count(self) -> int:
         return self.u16()
-
-    def short_count(self) -> int:
-        return self.u8()
 
     @property
     def pos(self) -> int:
@@ -155,11 +165,13 @@ class Reader:
                 f"{len(self._data) - self._pos} trailing byte(s) after value")
 
 
-def keep_encoded(value, data: bytes):
-    """Return ``value`` with ``data``, the bytes it was decoded from, as
-    its cached ``encoded`` property.  Canonical encoding makes them the
-    bytes a fresh encode would write."""
-    value.__dict__["encoded"] = data
+def decoded(cls, wire: bytes, /, **fields):
+    """A ``cls`` of ``fields`` whose cached ``encoded`` is ``wire``, the
+    bytes a decoder read or a signer wrote, built without ``__init__``:
+    the decoder has checked every width that ``__init__`` would."""
+    fields["encoded"] = wire
+    value = object.__new__(cls)
+    object.__setattr__(value, "__dict__", fields)   # a frozen value's setattr raises
     return value
 
 

@@ -108,9 +108,6 @@ class SimNode:
         if self.store is not None:
             for removable_blocks, block in segments:
                 self.store.append_segment(removable_blocks, block)
-            # marked at once, so the store names the node's tip: a
-            # simulated node has no idle point to defer the mark to
-            self.store.mark()
         dropped = self.chain.prune()
         if dropped:
             if self.store is not None:

@@ -13,11 +13,11 @@ Layout under the store root:
 * ``manifest.json``: format version, parameters and the mark: the
   height, log length and ``tip`` (the hex hash of the block at that
   height) as of the last clean write, a size that does not grow with
-  the chain.  ``create``, ``set_params``, the end of ``rebuild``,
-  ``mark`` and ``close`` write it, through a temp file, an atomic
-  rename and an fsync of the root directory; ``mark`` and ``close``
-  only when the session moved the tip, by appending or by a
-  ``load_chain`` that checked every signature past the mark.
+  the chain.  ``create``, ``set_params``, the end of ``rebuild`` and
+  ``close`` write it, through a temp file, an atomic rename and an
+  fsync of the root directory; ``close`` only when the session moved
+  the tip, by appending or by a ``load_chain`` that checked every
+  signature past the mark.
 * ``.lock``: ``flock``-ed against concurrent writers; the lock dies
   with the process that holds it.
 
@@ -213,16 +213,13 @@ class BlockStore:
             os.close(self._lock_fd)     # closing drops the flock
             self._lock_fd = None
 
-    def mark(self) -> None:
-        """Write the manifest if this session moved the tip since it was
-        last written: by appending, or by a load that checked every
-        signature past the mark."""
-        if self._manifest.get("tip") != self._written.get("tip"):
-            self._write_manifest()
-
     def close(self) -> None:
+        """Write the mark if this session moved the tip since it was last
+        written: by appending, or by a load that checked every signature
+        past the mark.  Then release the store."""
         try:
-            self.mark()
+            if self._manifest.get("tip") != self._written.get("tip"):
+                self._write_manifest()
         finally:
             self._release_lock()
 
@@ -377,15 +374,21 @@ class BlockStore:
                 f"log does not begin with {marked} whole frames in "
                 f"{log_bytes} bytes, as the manifest committed")
         height = len(blocks) - 1
-        bodied = {self._interval_path(b.height).name
-                  for b in blocks if b.header.interval_len}
-        orphans = []
-        for child in self.root.glob("interval_*"):
-            m = INTERVAL_FILE.fullmatch(child.name)
-            if m and int(m[1]) > height and child.is_file():
-                orphans.append(child)
-            elif not (child.name in bodied and child.is_file()):
-                raise CorruptStore(f"stray {child.name} in {self.root}")
+        bodied = {b.height for b in blocks if b.header.interval_len}
+        orphans, present = [], set()
+        try:
+            entries = list(os.scandir(self.root))
+        except OSError as exc:
+            raise CorruptStore(f"unreadable {self.root}: {exc}")
+        for entry in entries:
+            m = INTERVAL_FILE.fullmatch(entry.name)
+            x = int(m[1]) if m and entry.is_file() else None
+            if x is not None and x > height:
+                orphans.append(Path(entry.path))
+            elif x in bodied:
+                present.add(x)
+            elif entry.name.startswith("interval_"):
+                raise CorruptStore(f"stray {entry.name} in {self.root}")
 
         segments = []
         for block in blocks:
@@ -393,12 +396,12 @@ class BlockStore:
             if block.header.interval_len == 0:
                 segments.append(((), block))
                 continue
-            try:
-                reader = codec.Reader(self._interval_path(x).read_bytes())
-            except FileNotFoundError:
+            if x not in present:
                 # pruned: the spine must prove the delete
                 segments.append((None, block))
                 continue
+            try:
+                reader = codec.Reader(self._interval_path(x).read_bytes())
             except OSError as exc:
                 raise CorruptStore(f"unreadable interval {x}: {exc}")
             rbs = []

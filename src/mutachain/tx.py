@@ -48,7 +48,8 @@ signature included, so byte-identical re-broadcasts share one id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from types import NoneType
@@ -78,6 +79,10 @@ class TxKind(IntEnum):
 
 
 _KIND_OF_TAG = {int(kind): kind for kind in TxKind}
+# the fixed runs a decoder reads in one step each
+_OUTPOINT = struct.Struct(f"<{HASH_SIZE}sH")           # txid, index
+_TX_HEAD = struct.Struct(f"<B{PUBKEY_SIZE}sH")         # kind, signer, input count
+_TX_TAIL = struct.Struct(f"<Q{SIGNATURE_SIZE}s")       # value, signature
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ class OutPoint:
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "OutPoint":
-        return cls(txid=r.fixed(HASH_SIZE), index=r.u16())
+        return cls(*r.unpack(_OUTPOINT))
 
 
 @dataclass(frozen=True)
@@ -243,35 +248,32 @@ class Transaction(codec.Encoded):
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "Transaction":
         start = r.pos
-        tag = r.u8()
+        tag, signer, n_inputs = r.unpack(_TX_HEAD)
         kind = _KIND_OF_TAG.get(tag)
         if kind is None:
             raise DecodingError(f"unknown transaction kind tag {tag}")
-        signer = r.fixed(PUBKEY_SIZE)
-        inputs = tuple(OutPoint.decode_from(r) for _ in range(r.count()))
+        inputs = tuple(OutPoint.decode_from(r) for _ in range(n_inputs))
         output_count = r.u8()
         payload_type = SHAPES[kind].payload
         payload = None if payload_type is NoneType else payload_type.decode_from(r)
-        value = r.u64()
-        signature = r.fixed(SIGNATURE_SIZE)
-        return codec.keep_encoded(
-            cls(kind=kind, signer=signer, inputs=inputs,
-                output_count=output_count, payload=payload,
-                value=value, signature=signature), r.since(start))
+        value, signature = r.unpack(_TX_TAIL)
+        return codec.decoded(
+            cls, r.since(start), kind=kind, signer=signer, inputs=inputs,
+            output_count=output_count, payload=payload, value=value,
+            signature=signature)
 
     decode = classmethod(codec.decode_whole)
 
 
 def _signed(kind: TxKind, signer: KeyPair, inputs: tuple[OutPoint, ...],
             payload: Payload, value: int = 0) -> Transaction:
-    unsigned = Transaction(kind=kind, signer=signer.pubkey, inputs=inputs,
-                           output_count=SHAPES[kind].outputs, payload=payload,
-                           value=value, signature=b"")
+    fields = dict(kind=kind, signer=signer.pubkey, inputs=inputs,
+                  output_count=SHAPES[kind].outputs, payload=payload, value=value)
     w = codec.Writer()
-    unsigned._encode_unsigned(w)
+    Transaction(**fields, signature=b"")._encode_unsigned(w)
     body = w.getvalue()
     sig = sign_payload(signer, body)
-    return codec.keep_encoded(replace(unsigned, signature=sig), body + sig)
+    return codec.decoded(Transaction, body + sig, **fields, signature=sig)
 
 
 def build_register(signer: KeyPair) -> Transaction:

@@ -53,8 +53,10 @@ def test_loading_and_auditing_a_store_encode_nothing(tmp_path, encodes):
     assert encodes == Counter()
 
 
-def test_a_built_transaction_is_encoded_once_from_mempool_to_chain(encodes):
+def test_a_built_transaction_is_encoded_once_from_mempool_to_chain(tmp_path, encodes):
     ch = fresh_chain(ALICE)
+    store = BlockStore(tmp_path / "s", create=True)
+    fill(store, ch)
     encodes.clear()
     tx = rem(ch, ALICE, b"once")
     pool = Mempool()
@@ -62,5 +64,11 @@ def test_a_built_transaction_is_encoded_once_from_mempool_to_chain(encodes):
     interval, block = pool.build_candidate(ch, 1)
     ch.append_segment(interval, block)
     pool.observe_segment(interval, block, ch)
+    store.append_segment(interval, block)
+    store.close()
     assert ch.interval_record(1).txids == {tx.txid}
-    assert encodes["Transaction._encode_unsigned"] == 1
+    assert len(interval) == 1
+    # each header is encoded once too: the stored block writes its bytes
+    assert encodes == Counter({"Transaction._encode_unsigned": 1,
+                               "PermanentHeader.encode_into": 1,
+                               "RemovableHeader.encode_into": 1})

@@ -331,6 +331,7 @@ def test_rejoined_store_matches_a_store_rebuilt_from_the_peer(tmp_path):
         assert converged(net)
         late = net.nodes[2]
         assert not (late.store.root / "interval_1.blk").exists()
+        late.store.close()      # the mark is written when the session ends
         with BlockStore(tmp_path / "rebuilt", create=True) as fresh:
             fresh.rebuild(net.nodes[0].chain)
             assert late.store.digest() == fresh.digest()
@@ -353,6 +354,7 @@ def test_fork_below_the_tip_rebuilds_from_genesis(tmp_path, monkeypatch):
         assert [(heights[0], onto) for heights, onto in replays] == [(0, None)]
         assert late.chain.interval_blocks(x) is None
         assert all(h != x for h, _ in net.body_deliveries[2])
+        late.store.close()      # the mark is written when the session ends
         with BlockStore(tmp_path / "rebuilt", create=True) as fresh:
             fresh.rebuild(net.nodes[0].chain)
             assert late.store.digest() == fresh.digest()

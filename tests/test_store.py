@@ -323,6 +323,19 @@ def test_stray_block_file_is_corruption(tmp_path):
     assert file_bytes(root) == before
 
 
+def test_unlistable_root_is_corruption(tmp_path, monkeypatch):
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, simple_chain())
+
+    def refused(path):
+        raise PermissionError(13, "Permission denied", str(path))
+    with BlockStore(tmp_path / "s") as store:
+        # strays and orphans cannot be told apart from live files unseen
+        monkeypatch.setattr(os, "scandir", refused)
+        with pytest.raises(CorruptStore, match="unreadable"):
+            store.load_chain()
+
+
 def test_manifest_missing_a_field_is_corruption(tmp_path):
     with BlockStore(tmp_path / "s", create=True):
         pass
@@ -585,11 +598,13 @@ def test_fork_rebuild_leaves_a_matching_mark(tmp_path):
         net.step(10)
         assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
         late = net.nodes[2]
-        assert tip_mark(late.store.root) == late.chain.tip_hash.hex()
-        assert late.store.load_chain().tip_hash == late.chain.tip_hash
     finally:
         for st in stores.values():
             st.close()
+    # closing writes the mark
+    assert tip_mark(late.store.root) == late.chain.tip_hash.hex()
+    with BlockStore(late.store.root) as store:
+        assert store.load_chain().tip_hash == late.chain.tip_hash
 
 
 # ----------------------------------------------------------------------

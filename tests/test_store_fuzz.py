@@ -49,12 +49,14 @@ def template(tmp_path_factory):
     roots = {}
     for name in ("closed", "crashed"):
         roots[name] = root = tmp_path_factory.mktemp(name) / "s"
-        store = BlockStore(root, create=True)
-        store.set_params(ch.params)
-        for x in range(HEIGHT + 1):
+        with BlockStore(root, create=True) as store:
+            store.set_params(ch.params)
+            for x in range(2):
+                store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
+        # the session that closed at height 1 left its mark there
+        store = BlockStore(root)
+        for x in range(2, HEIGHT + 1):
             store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
-            if x == 1:
-                store.mark()
         store.prune(1)
         if name == "closed":
             store.close()
