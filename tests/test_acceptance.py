@@ -6,6 +6,8 @@ prints a single PASS line.  Run with ``pytest -v -s tests/test_acceptance.py``
 to see the per-criterion lines.
 """
 
+import hashlib
+import json
 import random
 import time
 from pathlib import Path
@@ -353,9 +355,17 @@ def test_criterion_9_determinism(tmp_path):
              for name in ("deletion", "consent", "rejoin")}
     cases["generated"] = random_scenario(random.Random(0x900001),
                                          steps=30, late_node=2)
+    # pinned across commits: a changed outcome fails here until the
+    # golden file is updated and the change is stated
+    golden = json.loads((DATA / "scenario_golden.json").read_text())
+    assert set(golden) == set(cases)
     for name, text in cases.items():
         first = _run_with_digest(text, tmp_path / f"{name}-1")
         second = _run_with_digest(text, tmp_path / f"{name}-2")
         assert first[0] == second[0], f"{name}: reports differ across runs"
         assert first[1] == second[1], f"{name}: store digests differ"
+        assert hashlib.sha256(first[0].encode()).hexdigest() \
+            == golden[name]["report_sha256"], f"{name}: report differs from the golden file"
+        assert first[1] == golden[name]["store_digest"], \
+            f"{name}: store digest differs from the golden file"
     conclude(9, "same seed, byte-identical reports and stores", t0, 10.0)
