@@ -2,13 +2,13 @@
 
 SHA-256 digests identify every protocol value; Ed25519 provides 32-byte
 public keys and 64-byte signatures.  All operations are pure and all
-values immutable, so they are safe to share between threads.
+values immutable, so they are safe to share between threads; nothing
+here caches (``tx.validate_stateless`` keeps one verdict per txid).
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -65,12 +65,6 @@ def sign_payload(kp: KeyPair, payload: bytes) -> bytes:
     return kp._private.sign(payload)
 
 
-# Identical transactions are re-verified on every node of a simulation;
-# memoize verdicts on (pubkey, payload digest, signature).
-_VERIFY_CACHE: OrderedDict[bytes, bool] = OrderedDict()
-_VERIFY_CACHE_MAX = 1 << 16
-
-
 def verify_signature(pk: bytes, payload: bytes, sig: bytes) -> bool:
     """True iff ``sig`` signs ``payload`` under ``pk``.
 
@@ -79,16 +73,8 @@ def verify_signature(pk: bytes, payload: bytes, sig: bytes) -> bool:
     """
     if len(pk) != PUBKEY_SIZE or len(sig) != SIGNATURE_SIZE:
         return False
-    key = pk + digest(payload) + sig
-    cached = _VERIFY_CACHE.get(key)
-    if cached is not None:
-        return cached
     try:
         Ed25519PublicKey.from_public_bytes(pk).verify(sig, payload)
-        ok = True
     except (InvalidSignature, ValueError):
-        ok = False
-    if len(_VERIFY_CACHE) >= _VERIFY_CACHE_MAX:
-        _VERIFY_CACHE.popitem(last=False)
-    _VERIFY_CACHE[key] = ok
-    return ok
+        return False
+    return True

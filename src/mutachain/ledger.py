@@ -40,7 +40,6 @@ an input naming it fails as ``RemovableTxDependsOnDeletedState``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -132,6 +131,29 @@ class DeleteRecord:
     prepare: bytes | None          # txid of the prepare it spent; None on the fast path
 
 
+class _Stage:
+    """The context manager ``Chain.stage`` returns."""
+
+    __slots__ = ("chain", "mine")
+
+    def __init__(self, chain: "Chain"):
+        self.chain = chain
+
+    def __enter__(self) -> None:
+        chain = self.chain
+        chain._enclosing.append(chain._journal)
+        chain._journal = self.mine = []
+
+    def __exit__(self, *exc) -> None:
+        chain, mine = self.chain, self.mine
+        outer = chain._enclosing.pop()
+        if chain._journal is mine:
+            chain._journal = None
+            for entry in reversed(mine):
+                chain._write(*entry)
+        chain._journal = outer
+
+
 class Chain:
     """Validated view of one chain, from genesis to the current tip."""
 
@@ -171,24 +193,12 @@ class Chain:
     # ------------------------------------------------------------------
     # staging
 
-    @contextmanager
-    def stage(self):
+    def stage(self) -> "_Stage":
         """Apply changes to the live state; on exit undo them all unless
         ``commit()`` was called inside.  Stages nest: an inner commit
         hands its writes to the enclosing stage, which may still undo
         them, and an inner stage left uncommitted undoes only its own."""
-        mine = []
-        self._enclosing.append(self._journal)
-        self._journal = mine
-        try:
-            yield
-        finally:
-            outer = self._enclosing.pop()
-            if self._journal is mine:
-                self._journal = None
-                for entry in reversed(mine):
-                    self._write(*entry)
-            self._journal = outer
+        return _Stage(self)
 
     def commit(self) -> None:
         """Keep everything written in the innermost open stage, for as
@@ -311,9 +321,11 @@ class Chain:
         return OutPoint(reg_txid, 0)
 
     def _check_register_input(self, tx: Transaction) -> None:
-        expected = self._register_outpoint(tx.signer)
+        reg_txid = self._registrations.get(tx.signer)
+        if reg_txid is None:
+            raise UnknownRegisterRef("signer is not registered")
         got = tx.inputs[0]
-        if got != expected:
+        if got.txid != reg_txid or got.index != 0:
             # erased: a pruned interval held it and no unpruned copy is left
             if got.txid not in self._dup_index and any(
                     got.txid in rec.txids for rec in self._intervals.values()

@@ -49,6 +49,7 @@ signature included, so byte-identical re-broadcasts share one id.
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -306,12 +307,21 @@ def build_consent(signer: KeyPair, input_ref: OutPoint, info_ref: OutPoint,
                    ConsentPayload(info_ref), value=value)
 
 
+# One signature verdict per txid for the process, first in, first out:
+# a txid digests the signing payload, which names the signer, and the
+# signature, so it covers everything Ed25519 judges.
+_VERDICTS: OrderedDict[bytes, bool] = OrderedDict()
+_VERDICTS_MAX = 1 << 16
+
+
 def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> None:
     """Shape rules plus signature check; no ledger lookups.
 
+    The shape rules run on every call; the signature reaches Ed25519 only
+    when its txid has no verdict yet, and a false verdict is kept too.
     Raises ``ShapeViolation`` naming the broken rule, or ``BadSignature``.
-    ``check_signatures=False`` skips only the Ed25519 check, for bytes
-    whose signature this node already checked (see ``BlockStore``).
+    ``check_signatures=False`` skips the signature and the verdict table,
+    for bytes whose signature this node already checked (see ``BlockStore``).
     """
     kind = tx.kind
     if tx.value != 0 and kind is not TxKind.CONSENT:
@@ -330,6 +340,13 @@ def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> Non
                                  f"{n} labels, need 1..{MAX_PURPOSES}")
         if len(set(tx.payload.purposes)) != n:
             raise ShapeViolation("info-purposes-unique")
-    if check_signatures and not verify_signature(
-            tx.signer, tx.signing_payload, tx.signature):
+    if not check_signatures:
+        return
+    ok = _VERDICTS.get(tx.txid)
+    if ok is None:
+        ok = verify_signature(tx.signer, tx.signing_payload, tx.signature)
+        if len(_VERDICTS) >= _VERDICTS_MAX:
+            _VERDICTS.popitem(last=False)
+        _VERDICTS[tx.txid] = ok
+    if not ok:
         raise BadSignature(f"signature invalid for tx kind {kind.name}")

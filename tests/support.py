@@ -7,6 +7,8 @@ missing duplicates, forged links, out-of-order sequence numbers.
 
 from __future__ import annotations
 
+import pytest
+
 from mutachain import (
     NULL_HASH,
     Chain,
@@ -22,6 +24,7 @@ from mutachain import (
     digest,
     keypair_from_seed,
 )
+from mutachain import tx as txmod
 
 MARK = digest(b"test-entity:")[:8]
 
@@ -51,6 +54,28 @@ def reg(chain: Chain, k: KeyPair) -> OutPoint:
 
 def rem(chain: Chain, k: KeyPair, data: bytes) -> Transaction:
     return build_removable(k, reg(chain, k), data)
+
+
+@pytest.fixture()
+def cold_cache():
+    """No signature verdict is left from earlier work in this process, so
+    each signature checked reaches Ed25519.  Call the value to drop the
+    verdicts that building a test's own chain left."""
+    txmod._VERDICTS.clear()
+    yield txmod._VERDICTS.clear
+    txmod._VERDICTS.clear()
+
+
+def count_signature_checks(monkeypatch):
+    """The argument tuples of every Ed25519 check from here on."""
+    calls = []
+    real = txmod.verify_signature
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(txmod, "verify_signature", counted)
+    return calls
 
 
 # dangling reference, fine for tests that never touch a chain

@@ -1,9 +1,8 @@
-"""Digests, key pairs, signatures, and the verification memo cache."""
+"""Digests, key pairs and signatures."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-import mutachain.crypto as crypto
 from mutachain import (
     HASH_SIZE,
     NULL_HASH,
@@ -67,32 +66,3 @@ def test_verify_rejects_wrong_key_and_garbage():
     assert not verify_signature(b"\x00" * 31, b"hello", sig)
     assert not verify_signature(kp.pubkey, b"hello", b"\x00" * 63)
     assert not verify_signature(b"\xff" * 32, b"hello", b"\xff" * 64)
-
-
-def test_verify_cache_memoizes_and_stays_bounded():
-    kp = keypair_from_seed(b"\x03" * 32)
-    payload = b"cached payload"
-    sig = sign_payload(kp, payload)
-    crypto._VERIFY_CACHE.clear()
-    assert verify_signature(kp.pubkey, payload, sig)
-    assert len(crypto._VERIFY_CACHE) == 1
-    key, verdict = next(iter(crypto._VERIFY_CACHE.items()))
-    assert verdict is True
-    # hit: the verdict comes out of the memo, entry count is unchanged
-    assert verify_signature(kp.pubkey, payload, sig)
-    assert len(crypto._VERIFY_CACHE) == 1
-    # a poisoned memo being believed proves the lookup short-circuits
-    crypto._VERIFY_CACHE[key] = False
-    assert not verify_signature(kp.pubkey, payload, sig)
-    crypto._VERIFY_CACHE[key] = True
-
-    crypto._VERIFY_CACHE.clear()
-    keep = crypto._VERIFY_CACHE_MAX
-    try:
-        crypto._VERIFY_CACHE_MAX = 4
-        for i in range(10):
-            verify_signature(kp.pubkey, b"p%d" % i, sig)
-        assert len(crypto._VERIFY_CACHE) <= 4
-    finally:
-        crypto._VERIFY_CACHE_MAX = keep
-        crypto._VERIFY_CACHE.clear()

@@ -21,7 +21,7 @@ from mutachain.simnet import (
     fault_unauthorized_delete,
     fault_wrong_p_list,
 )
-from support import ALICE, BOB, CAROL
+from support import ALICE, BOB, CAROL, cold_cache, count_signature_checks
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
@@ -516,3 +516,15 @@ def test_sync_drops_what_the_synced_segments_confirm():
     assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
     assert late.chain.registered(CAROL.pubkey)
     assert len(late.mempool) == 0
+
+
+def test_a_transaction_reaches_ed25519_once_across_the_network(cold_cache, monkeypatch):
+    # three mempools and three segment appends check it; one of them pays
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    tx = rem(net, ALICE, b"checked once")
+    calls = count_signature_checks(monkeypatch)
+    net.submit(tx)
+    net.step(6)
+    assert converged(net)
+    assert all(tx in n.chain.interval_txs(1) for n in net.nodes)
+    assert calls == [(tx.signer, tx.signing_payload, tx.signature)]

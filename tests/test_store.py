@@ -17,7 +17,6 @@ from mutachain import (
     build_prepare,
     verify_chain,
 )
-from mutachain import tx as txmod
 from mutachain.cli import main
 from mutachain.errors import (
     CorruptStore,
@@ -26,7 +25,10 @@ from mutachain.errors import (
     StoreLocked,
 )
 from mutachain.store import FRAME_HEAD, log_frame
-from support import ALICE, BOB, extend, fresh_chain, make_segment, reg, rem
+from support import (
+    ALICE, BOB, cold_cache, count_signature_checks, extend, fresh_chain, make_segment,
+    reg, rem,
+)
 from test_simnet import away_and_back
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -498,17 +500,6 @@ def erased_chain():
     return ch
 
 
-def count_signature_checks(monkeypatch):
-    calls = []
-    real = txmod.verify_signature
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(txmod, "verify_signature", counted)
-    return calls
-
-
 def tip_mark(root):
     return json.loads((root / "manifest.json").read_text()).get("tip")
 
@@ -535,12 +526,13 @@ def test_load_of_a_marked_store_checks_no_signature(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("tip", ["other block", None])
-def test_load_without_a_matching_mark_checks_every_signature(tmp_path, monkeypatch, tip):
+def test_load_without_a_matching_mark_checks_every_signature(tmp_path, monkeypatch, tip, cold_cache):
     ch = erased_chain()
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
         segments = store.segments()
     set_tip(tmp_path / "s", ch.block_at(1).block_hash.hex() if tip else None)
+    cold_cache()
     calls = count_signature_checks(monkeypatch)
     with BlockStore(tmp_path / "s") as store:
         assert store.load_chain().tip_hash == ch.tip_hash
@@ -638,10 +630,11 @@ def crashed_store(root, ch, k):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_appends_past_the_mark_load_with_every_signature(tmp_path, monkeypatch, k):
+def test_appends_past_the_mark_load_with_every_signature(tmp_path, monkeypatch, k, cold_cache):
     ch = erased_chain()
     root = tmp_path / "s"
     crashed_store(root, ch, k)
+    cold_cache()
     calls = count_signature_checks(monkeypatch)
     with BlockStore(root) as store:
         segments = store.segments()

@@ -20,9 +20,9 @@ from mutachain import (
     digest,
     validate_stateless,
 )
-from mutachain import crypto
+from mutachain import tx as txmod
 from mutachain.errors import BadSignature, DecodingError, EncodingError, ShapeViolation
-from support import ALICE, BOB, kp
+from support import ALICE, BOB, cold_cache, count_signature_checks, kp
 
 REF = OutPoint(digest(b"some-register"), 0)
 INFO_REF = OutPoint(digest(b"some-info"), 0)
@@ -207,13 +207,6 @@ def test_distinct_signers_distinct_txids():
     assert len(seen) == 8
 
 
-@pytest.fixture()
-def cold_cache():
-    crypto._VERIFY_CACHE.clear()
-    yield
-    crypto._VERIFY_CACHE.clear()
-
-
 def flipped(data: bytes, at: int) -> bytes:
     return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
 
@@ -224,7 +217,6 @@ def test_one_flipped_byte_of_a_decoded_transaction_is_a_bad_signature(kind, cold
     # signature is under it, and a flip anywhere reaches Ed25519 afresh
     raw = sample(kind).encoded
     validate_stateless(Transaction.decode(raw))
-    crypto._VERIFY_CACHE.clear()
     checked = []
     for at in range(len(raw)):
         try:
@@ -239,3 +231,61 @@ def test_one_flipped_byte_of_a_decoded_transaction_is_a_bad_signature(kind, cold
     assert set(range(sig_at, len(raw))) <= set(checked)
     # the signer, the input and the payload bytes are signed
     assert len([at for at in checked if at < sig_at]) >= 32 + 34 + 4
+
+
+# ----------------------------------------------------------------------
+# the verdict table: one Ed25519 check per txid and process
+
+
+def test_verdicts_are_kept_per_txid_and_stay_bounded(cold_cache, monkeypatch):
+    tx = sample(TxKind.REMOVABLE)
+    validate_stateless(tx)
+    assert dict(txmod._VERDICTS) == {tx.txid: True}
+    validate_stateless(tx)
+    assert len(txmod._VERDICTS) == 1
+    # a poisoned verdict being believed proves the lookup short-circuits
+    txmod._VERDICTS[tx.txid] = False
+    with pytest.raises(BadSignature):
+        validate_stateless(tx)
+
+    txmod._VERDICTS.clear()
+    monkeypatch.setattr(txmod, "_VERDICTS_MAX", 4)
+    txs = [build_removable(ALICE, REF, b"p%d" % i) for i in range(10)]
+    for t in txs:
+        validate_stateless(t)
+    assert list(txmod._VERDICTS) == [t.txid for t in txs[-4:]]   # first in, first out
+
+
+def test_a_kept_verdict_does_not_cover_a_flipped_copy(cold_cache, monkeypatch):
+    raw = sample(TxKind.REMOVABLE).encoded
+    calls = count_signature_checks(monkeypatch)
+    validate_stateless(Transaction.decode(raw))
+    validate_stateless(Transaction.decode(raw))
+    assert len(calls) == 1
+    # no clearing in between: the copy's txid differs, so Ed25519 judges it
+    for at in (raw.index(b"payload bytes"), len(raw) - 1):
+        with pytest.raises(BadSignature):
+            validate_stateless(Transaction.decode(flipped(raw, at)))
+    assert len(calls) == 3
+
+
+def test_a_bad_signature_fails_every_call_and_reaches_ed25519_once(cold_cache, monkeypatch):
+    forged = dataclasses.replace(sample(TxKind.CONSENT), signature=bytes(SIGNATURE_SIZE))
+    calls = count_signature_checks(monkeypatch)
+    for again in (forged, forged, Transaction.decode(forged.encoded)):
+        with pytest.raises(BadSignature):
+            validate_stateless(again)
+    assert len(calls) == 1
+
+
+def test_unchecked_validation_neither_reads_nor_fills_the_table(cold_cache, monkeypatch):
+    tx = sample(TxKind.PREPARE)
+    calls = count_signature_checks(monkeypatch)
+    validate_stateless(tx, check_signatures=False)
+    assert calls == [] and not txmod._VERDICTS
+    validate_stateless(tx)
+    assert len(calls) == 1
+    txmod._VERDICTS[tx.txid] = False
+    validate_stateless(tx, check_signatures=False)    # the false verdict is not read
+    with pytest.raises(BadSignature):
+        validate_stateless(tx)
