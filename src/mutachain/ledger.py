@@ -136,7 +136,7 @@ class _Stage:
 
     __slots__ = ("chain", "mine")
 
-    def __init__(self, chain: "Chain"):
+    def __init__(self, chain: Chain):
         self.chain = chain
 
     def __enter__(self) -> None:
@@ -193,7 +193,7 @@ class Chain:
     # ------------------------------------------------------------------
     # staging
 
-    def stage(self) -> "_Stage":
+    def stage(self) -> _Stage:
         """Apply changes to the live state; on exit undo them all unless
         ``commit()`` was called inside.  Stages nest: an inner commit
         hands its writes to the enclosing stage, which may still undo

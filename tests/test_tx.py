@@ -256,19 +256,6 @@ def test_verdicts_are_kept_per_txid_and_stay_bounded(cold_cache, monkeypatch):
     assert list(txmod._VERDICTS) == [t.txid for t in txs[-4:]]   # first in, first out
 
 
-def test_a_kept_verdict_does_not_cover_a_flipped_copy(cold_cache, monkeypatch):
-    raw = sample(TxKind.REMOVABLE).encoded
-    calls = count_signature_checks(monkeypatch)
-    validate_stateless(Transaction.decode(raw))
-    validate_stateless(Transaction.decode(raw))
-    assert len(calls) == 1
-    # no clearing in between: the copy's txid differs, so Ed25519 judges it
-    for at in (raw.index(b"payload bytes"), len(raw) - 1):
-        with pytest.raises(BadSignature):
-            validate_stateless(Transaction.decode(flipped(raw, at)))
-    assert len(calls) == 3
-
-
 def test_a_bad_signature_fails_every_call_and_reaches_ed25519_once(cold_cache, monkeypatch):
     forged = dataclasses.replace(sample(TxKind.CONSENT), signature=bytes(SIGNATURE_SIZE))
     calls = count_signature_checks(monkeypatch)
