@@ -104,11 +104,14 @@ def _info_txid(store_dir: str, label: str) -> bytes:
 
 
 def _pending(store_dir: str, chain: Chain) -> tuple[Mempool, list[tuple[Path, Transaction]]]:
-    """The queue files in order, and a pool holding those of them that
-    ``chain`` still admits."""
+    """The queue files in order, and a pool holding the copies that the
+    confirmed prepares of ``chain`` still owe, then those queue files
+    that ``chain`` still admits."""
     queue = Path(store_dir) / "pending"
     queue.mkdir(exist_ok=True)
     pool, queued = Mempool(), []
+    for h in range(1, chain.height + 1):
+        pool.observe_segment((), chain.block_at(h), chain)
     for path in sorted(queue.glob("*.tx")):
         try:
             tx = Transaction.decode(path.read_bytes())

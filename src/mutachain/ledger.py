@@ -496,8 +496,10 @@ class Chain:
 
     def reinclusion_candidates(self, prepare: Transaction) -> list[Transaction]:
         """Other signers' transactions of the prepared interval that still
-        lack a live duplicate elsewhere, ready for re-broadcast."""
-        return self._uncopied(prepare.payload.interval, prepare.signer)
+        lack a live duplicate elsewhere, ready for re-broadcast; none once
+        the interval has a delete, as no second delete can follow."""
+        x = prepare.payload.interval
+        return [] if x in self._deletes else self._uncopied(x, prepare.signer)
 
     def registered(self, pubkey: bytes) -> bool:
         return pubkey in self._registrations

@@ -4,9 +4,11 @@ Admission trial-applies the transaction in a chain stage that is never
 committed, so the mempool enforces exactly the rules a block would and
 leaves the chain as it found it.  Two queues feed candidates: the
 re-inclusion queue and the ordinary pending queue.  The re-inclusion
-queue fills when a confirmed prepare is observed; it holds
-byte-identical copies of the prepared interval's transactions signed
-by anyone but the preparer, and it drains first so a deletion can
+queue holds byte-identical copies of a prepared interval's transactions
+signed by anyone but the preparer and held by no other live interval.
+A prepare queues them when the pool admits it or sees it confirmed,
+and a copy leaves once its interval has a delete; candidates run no
+prepare trial of their own.  The queue drains first so a deletion can
 never outrun the duplicates that make it safe.
 
 Deletes additionally pass the judgment hook, a callable deciding
@@ -89,6 +91,7 @@ class Mempool:
             raise AdmissionFailed(
                 MinerJudgmentRejected("this miner declines to carry the delete"))
         self._pending[tx.txid] = tx
+        self._queue_copies(tx, chain)
 
     def _check_stateful(self, tx: Transaction, chain: Chain) -> None:
         try:
@@ -122,16 +125,21 @@ class Mempool:
                         chain: Chain) -> None:
         """Sync queues with a freshly appended segment.
 
-        Confirmed transactions leave the queues; every confirmed
-        prepare feeds the re-inclusion queue with the other signers'
-        transactions from the interval it targets.
+        Confirmed transactions and copies whose interval has a delete
+        leave the queues; every confirmed prepare queues the copies it owes.
         """
         self.drop_confirmed(removable_blocks, block)
+        for txid in [t for t in self._reinclude if not chain.tx_confirmed(t)]:
+            del self._reinclude[txid]
         for tx in block.txs:
-            if tx.kind is TxKind.PREPARE:
-                for dup in chain.reinclusion_candidates(tx):
-                    if dup.txid not in self:
-                        self._reinclude[dup.txid] = dup
+            self._queue_copies(tx, chain)
+
+    def _queue_copies(self, tx: Transaction, chain: Chain) -> None:
+        """Queue the copies a prepare owes, each txid in one queue only."""
+        if tx.kind is TxKind.PREPARE:
+            for dup in chain.reinclusion_candidates(tx):
+                if dup.txid not in self:
+                    self._reinclude[dup.txid] = dup
 
     def drop_confirmed(self, removable_blocks, block: PermanentBlock) -> None:
         """Drop the segment's transactions from both queues."""
@@ -150,35 +158,19 @@ class Mempool:
         Fills up to ``max_interval_blocks`` removable blocks (re-imports
         first), then the permanent body, trial-applying every pick so
         the result is valid by construction.  Transactions that do not
-        fit or do not apply stay queued.  Both trials run in chain stages
-        that are never committed.
+        fit or do not apply stay queued.  The trials run in one chain
+        stage that is never committed.
         """
         height = chain.height + 1
-
-        # a prepare that is about to confirm in this very block needs
-        # the other signers' duplicates out no later than this interval,
-        # so pull them in ahead of everything else
-        urgent: list[Transaction] = []
-        with chain.stage():
-            for tx in self._pending.values():
-                if tx.kind is not TxKind.PREPARE:
-                    continue
-                try:
-                    chain.apply_body_tx(tx, height)
-                except LedgerError:
-                    continue
-                urgent.extend(chain.reinclusion_candidates(tx))
-
         chosen: list[Transaction] = []
-        picked: set[bytes] = set()
         signers: set[bytes] = set()
         capacity = max_interval_blocks * MAX_BLOCK_TXS
         with chain.stage():
             if max_interval_blocks > 0:
-                for tx in urgent + self.pending():
+                for tx in self.pending():
                     if len(chosen) >= capacity:
                         break
-                    if tx.kind is not TxKind.REMOVABLE or tx.txid in picked:
+                    if tx.kind is not TxKind.REMOVABLE:
                         continue
                     if len(signers | {tx.signer}) > MAX_P_LIST:
                         continue
@@ -187,7 +179,6 @@ class Mempool:
                     except LedgerError:
                         continue
                     chosen.append(tx)
-                    picked.add(tx.txid)
                     signers.add(tx.signer)
 
             interval: list[RemovableBlock] = []

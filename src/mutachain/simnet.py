@@ -140,7 +140,6 @@ class SimNode:
             if self._asked is None and h == self.chain.height + 1 \
                     and msg.block.header.prev_permanent == self.chain.tip_hash:
                 self._append(msg.removable_blocks, msg.block, net)
-                self._release_backlog(net)
                 return
             # behind, forked while isolated, or mid-handshake: applied
             # after the reply lands, so no announced block is lost

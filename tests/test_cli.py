@@ -83,6 +83,22 @@ def test_full_deletion_flow_erases_bytes_on_disk(runner, tmp_path):
     assert "valid" in run(runner, "verify", "--store", store)
 
 
+def test_delete_confirms_when_its_prepare_was_mined_without_copies(runner, tmp_path):
+    store = tmp_path / "chain"
+    boot(runner, store)
+    run(runner, "removable", "alice", "very private note", "--store", store)
+    run(runner, "removable", "bob", "bobs business", "--store", store)
+    run(runner, "mine", "--store", store)                     # interval 2
+    run(runner, "prepare", "alice", 2, "--store", store)
+    run(runner, "mine", "--max-interval-blocks", 0, "--store", store)
+    run(runner, "mine", "--store", store)                     # re-includes bob
+    run(runner, "delete", "alice", 2, "--store", store)
+    run(runner, "mine", "--store", store)
+    assert "pruned [2]" in run(runner, "mine", "--store", store)
+    assert "interval 2: deleted" in run(runner, "status", "--store", store)
+    assert "valid" in run(runner, "verify", "--store", store)
+
+
 def test_show_interval(runner, tmp_path):
     store = tmp_path / "chain"
     boot(runner, store)

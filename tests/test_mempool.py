@@ -170,6 +170,57 @@ def test_pending_prepare_pulls_duplicates_into_its_own_segment():
     assert any(b_tx in rb.txs for rb in interval)
 
 
+def test_admitted_prepare_queues_its_copies_at_once():
+    ch = fresh_chain(ALICE, BOB)
+    pool = Mempool()
+    b_tx = rem(ch, BOB, b"copy me now")
+    extend(ch, [rem(ch, ALICE, b"a"), b_tx])
+    pool.submit(build_prepare(ALICE, reg(ch, ALICE), 1), ch)
+    # held before any candidate is built, ahead of the prepare itself
+    assert b_tx.txid in pool and pool.pending()[0] == b_tx
+
+
+def bob_prepared_shared_interval(ch):
+    """Interval 1 holds alice's and bob's data, interval 2 a copy of
+    alice's, and bob's prepare for interval 1 is confirmed."""
+    a_tx, b_tx = rem(ch, ALICE, b"kept elsewhere"), rem(ch, BOB, b"erase me")
+    extend(ch, [a_tx, b_tx])
+    extend(ch, [a_tx])
+    bob_prep = build_prepare(BOB, reg(ch, BOB), 1)
+    extend(ch, body_txs=[bob_prep])
+    return b_tx, build_delete(BOB, 1, OutPoint(bob_prep.txid, 0))
+
+
+def test_no_copies_once_the_prepared_interval_has_a_delete():
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    pool = Mempool()
+    b_tx, bob_delete = bob_prepared_shared_interval(ch)
+    # alice's prepare confirms in the very segment that deletes interval 1
+    interval, block = extend(ch, body_txs=[
+        build_prepare(ALICE, reg(ch, ALICE), 1), bob_delete])
+    pool.observe_segment(interval, block, ch)
+    assert b_tx.txid not in pool
+    mine(pool, ch)
+    assert ch.prune() == [1]
+    assert not ch.tx_confirmed(b_tx.txid)   # bob's data is gone for good
+
+
+def test_a_queued_copy_leaves_once_its_interval_has_a_delete():
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    pool = Mempool()
+    b_tx, bob_delete = bob_prepared_shared_interval(ch)
+    interval, block = extend(ch, body_txs=[build_prepare(ALICE, reg(ch, ALICE), 1)])
+    pool.observe_segment(interval, block, ch)
+    assert b_tx.txid in pool
+    # another miner's segment confirms bob's delete before this pool mines
+    interval, block = extend(ch, body_txs=[bob_delete])
+    pool.observe_segment(interval, block, ch)
+    assert b_tx.txid not in pool
+    mine(pool, ch)
+    assert ch.prune() == [1]
+    assert not ch.tx_confirmed(b_tx.txid)
+
+
 def test_candidate_respects_p_list_bound():
     ch = fresh_chain(*[kp(f"m{i}") for i in range(6)])
     pool = Mempool()
