@@ -40,7 +40,7 @@ from .ledger import (
     IntervalStatus,
     PrepareRecord,
 )
-from .mempool import MAX_BLOCK_TXS, Mempool, accept_all
+from .mempool import MAX_BLOCK_TXS, Mempool
 from .scenario import Scenario, entity_keypair, run_scenario
 from .simnet import SimNet, SimNode
 from .store import BlockStore
@@ -71,7 +71,7 @@ __all__ = [
     "verify_signature",
     "Chain", "ChainParams", "DeleteRecord", "IntervalRecord",
     "IntervalStatus", "PrepareRecord",
-    "Mempool", "accept_all",
+    "Mempool",
     "Scenario", "entity_keypair", "run_scenario",
     "SimNet", "SimNode",
     "BlockStore",

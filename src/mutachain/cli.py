@@ -165,7 +165,7 @@ def main() -> None:
 @click.option("--confirm-depth", default=2, show_default=True,
               help="Blocks a delete must age before pruning.")
 @click.option("--delete-lock", default=1, show_default=True,
-              help="Minimum height gap between interval and delete.")
+              help="Blocks an interval must age before pruning.")
 def init(store_dir: str, confirm_depth: int, delete_lock: int) -> None:
     """Create a store with an empty genesis."""
     with _named_errors():

@@ -124,17 +124,6 @@ class NotEligible(InvalidPrepare):
     """Prepare signer's key is not in the target interval's key list."""
 
 
-class MissingDuplicates(InvalidPrepare):
-    """Other signers' removable transactions lack confirmed copies;
-    ``missing_txids`` is empty when the target is a gap."""
-
-    def __init__(self, missing_txids, signers):
-        self.missing_txids = tuple(missing_txids)
-        self.signers = tuple(signers)
-        names = ", ".join(s.hex()[:12] for s in self.signers)
-        super().__init__(f"missing duplicates for {len(self.missing_txids)} tx(s) of {names}")
-
-
 class InvalidDelete(LedgerError):
     pass
 
@@ -147,8 +136,15 @@ class PrepareSignerMismatch(InvalidDelete):
     pass
 
 
-class MinerJudgmentRejected(InvalidDelete):
-    """Unauthorized-policy delete refused by the judgment hook."""
+class MissingDuplicates(InvalidDelete):
+    """Other signers' removable transactions lack confirmed copies;
+    ``missing_txids`` is empty when the target is a gap."""
+
+    def __init__(self, missing_txids, signers):
+        self.missing_txids = tuple(missing_txids)
+        self.signers = tuple(signers)
+        names = ", ".join(s.hex()[:12] for s in self.signers)
+        super().__init__(f"missing duplicates for {len(self.missing_txids)} tx(s) of {names}")
 
 
 class IntervalAlreadyDeleted(LedgerError):

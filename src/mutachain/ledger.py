@@ -31,9 +31,10 @@ if ``I_x`` is a gap, any undeleted ``j != x`` naming the signer counts.
 A live chain's gaps all carry their deletes, so it excuses nothing.
 
 A confirmed delete does not remove anything by itself.  ``prune`` drops
-interval bodies once the delete is ``confirm_depth`` blocks deep and at
-least ``delete_lock`` blocks younger than the interval it targets;
-the interval's status flips to Deleted at that moment.  A transaction
+an interval's body once the delete is ``confirm_depth`` blocks deep and
+the interval is at least ``delete_lock`` blocks old, both counted from
+the tip, so every confirmed delete erases in time; the interval's
+status flips to Deleted at that moment.  A transaction
 that a pruned interval held and no unpruned one still holds is erased;
 an input naming it fails as ``RemovableTxDependsOnDeletedState``.
 """
@@ -89,7 +90,7 @@ from .tx import (
 @dataclass(frozen=True)
 class ChainParams:
     confirm_depth: int = 2   # blocks a delete must age before pruning
-    delete_lock: int = 1     # minimum height gap delete - interval
+    delete_lock: int = 1     # blocks an interval must age before pruning
 
     def __post_init__(self):
         for key, value in vars(self).items():
@@ -375,9 +376,7 @@ class Chain:
         self._write(self._permanent_txids, tx.txid, height)
 
     def _interval_for_removal(self, x: int) -> IntervalRecord:
-        rec = self._intervals.get(x)
-        if rec is None:
-            raise UnknownInterval(f"interval {x} is not closed yet")
+        rec = self.interval_record(x)
         if rec.length == 0:
             raise UnknownInterval(f"interval {x} is empty")
         # judged by the delete evidence seen so far, not by the record's
@@ -457,11 +456,12 @@ class Chain:
     # pruning
 
     def prune_eligible(self) -> list[int]:
-        """Intervals whose confirmed delete has aged past both bounds."""
+        """Intervals whose delete is ``confirm_depth`` blocks deep and
+        which are themselves ``delete_lock`` blocks old, both from the tip."""
         return sorted(x for x, rec in self._deletes.items()
                       if self._intervals[x].blocks is not None
                       and self.height - rec.height >= self.params.confirm_depth
-                      and rec.height - x >= self.params.delete_lock)
+                      and self.height - x >= self.params.delete_lock)
 
     def prune(self) -> list[int]:
         """Drop every eligible interval body; return the heights dropped."""

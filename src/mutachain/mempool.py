@@ -10,17 +10,11 @@ A prepare queues them when the pool admits it or sees it confirmed,
 and a copy leaves once its interval has a delete; candidates run no
 prepare trial of their own.  The queue drains first so a deletion can
 never outrun the duplicates that make it safe.
-
-Deletes additionally pass the judgment hook, a callable deciding
-whether this miner is willing to carry an (otherwise valid) deletion.
-The default accepts everything; the hook is mining discretion, not a
-chain rule, so blocks mined by less picky peers still validate.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 from .blocks import (
     MAX_P_LIST,
@@ -36,7 +30,6 @@ from .errors import (
     AlreadyKnown,
     IneligiblePrepare,
     LedgerError,
-    MinerJudgmentRejected,
     MissingDuplicates,
     NotSoleOwnerAndNoPrepare,
     PrematureDelete,
@@ -49,16 +42,9 @@ from .tx import Transaction, TxKind, validate_stateless
 
 MAX_BLOCK_TXS = 8
 
-JudgmentHook = Callable[[Transaction, Chain], bool]
-
-
-def accept_all(tx: Transaction, chain: Chain) -> bool:
-    return True
-
 
 class Mempool:
-    def __init__(self, judgment: JudgmentHook | None = None):
-        self.judgment = judgment or accept_all
+    def __init__(self):
         self._pending: OrderedDict[bytes, Transaction] = OrderedDict()
         self._reinclude: OrderedDict[bytes, Transaction] = OrderedDict()
 
@@ -87,9 +73,6 @@ class Mempool:
         if tx.kind is not TxKind.REGISTER and not chain.registered(tx.signer):
             raise UnknownSigner(f"key {tx.signer.hex()[:12]} is not registered")
         self._check_stateful(tx, chain)
-        if tx.kind is TxKind.DELETE and not self.judgment(tx, chain):
-            raise AdmissionFailed(
-                MinerJudgmentRejected("this miner declines to carry the delete"))
         self._pending[tx.txid] = tx
         self._queue_copies(tx, chain)
 

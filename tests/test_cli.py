@@ -99,6 +99,25 @@ def test_delete_confirms_when_its_prepare_was_mined_without_copies(runner, tmp_p
     assert "valid" in run(runner, "verify", "--store", store)
 
 
+def test_delete_lock_counts_from_the_interval_to_the_tip(runner, tmp_path):
+    store = tmp_path / "chain"
+    run(runner, "init", "--store", store, "--confirm-depth", 1, "--delete-lock", 3)
+    run(runner, "key", "new", "alice", "--store", store)
+    run(runner, "register", "alice", "--store", store)
+    run(runner, "mine", "--store", store)
+    run(runner, "removable", "alice", "secret", "--store", store)
+    run(runner, "mine", "--store", store)                     # interval 2
+    run(runner, "delete", "alice", 2, "--store", store)
+    run(runner, "mine", "--store", store)                     # delete at 3
+    out = run(runner, "mine", "--store", store)               # interval 2 blocks old
+    assert "pruned" not in out
+    out = run(runner, "mine", "--store", store)               # 3 blocks old
+    assert out.startswith("mined height 5") and "pruned [2]" in out
+    assert "interval 2: deleted" in run(runner, "status", "--store", store)
+    assert run(runner, "verify", "--store", store).startswith(
+        "valid: height 5, 0 intervals present, 1 deleted")
+
+
 def test_show_interval(runner, tmp_path):
     store = tmp_path / "chain"
     boot(runner, store)
@@ -221,6 +240,10 @@ def _write_seed(text):
     return corrupt
 
 
+def _queued_info(store):
+    run(CliRunner(), "info", "bob", "terms", "--purposes", "ads", "--store", store)
+
+
 STORE = object()   # stands for the booted store's path
 
 
@@ -250,6 +273,14 @@ STORE = object()   # stands for the booted store's path
     pytest.param(_undecodable_queue_file, ("removable", "alice", "three", STORE),
                  "Error: queue file pending/000009_x.tx does not decode: ",
                  id="undecodable-queue-file"),
+    pytest.param(None, ("key", "new", "alice", STORE),
+                 "Error: key 'alice' already exists", id="key-exists"),
+    pytest.param(None, ("removable", "dave", "hello", STORE),
+                 "Error: no key named 'dave'", id="missing-key"),
+    pytest.param(None, ("consent", "alice", "nolabel", 1, STORE),
+                 "Error: unknown info label 'nolabel'", id="unknown-label"),
+    pytest.param(_queued_info, ("consent-status", "alice", "terms", STORE),
+                 "Error: info is not confirmed yet", id="info-unconfirmed"),
 ])
 def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     store = tmp_path / "chain"

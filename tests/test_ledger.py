@@ -108,6 +108,17 @@ def test_interval_chain_links_are_checked():
         ch.append_segment(interval, lying)
 
 
+def test_interval_block_must_carry_its_own_interval_tag():
+    ch = fresh_chain(ALICE)
+    tx = rem(ch, ALICE, b"misfiled")
+    # seq 1, linked to the tip and with a true tx_root, but tagged interval 2
+    misfiled, _ = make_segment(ch, [tx], height=2)
+    _, block = make_segment(ch, [tx], prev_removable=misfiled[0].block_hash)
+    with pytest.raises(BrokenIntervalChain, match="tagged interval 2 inside interval 1"):
+        ch.append_segment(misfiled, block)
+    assert ch.height == 0
+
+
 def test_segment_commit_is_atomic():
     ch = fresh_chain(ALICE)
     good = rem(ch, ALICE, b"kept?")
@@ -301,18 +312,21 @@ def test_prune_waits_for_both_depths():
 
 
 def test_delete_lock_delays_fresh_interval_erasure():
-    ch = fresh_chain(ALICE, params=ChainParams(confirm_depth=1, delete_lock=2))
+    ch = fresh_chain(ALICE, params=ChainParams(confirm_depth=1, delete_lock=3))
     extend(ch, [rem(ch, ALICE, b"young")])              # interval 1
-    # delete lands right next to the interval: height gap 1 < lock 2
-    extend(ch, body_txs=[build_delete(ALICE, 1)])
-    extend(ch)
-    extend(ch)
+    extend(ch, body_txs=[build_delete(ALICE, 1)])       # delete at 2
+    extend(ch)                                          # tip 3
+    # the delete is deep enough, but the interval is only 2 blocks old
     assert ch.prune_eligible() == []
-    # an older interval with the same confirm depth prunes fine
+    extend(ch)                                          # tip 4: 3 blocks old
+    assert ch.prune_eligible() == [1]
+    assert ch.prune() == [1]
+    # an older interval prunes as soon as its delete is deep enough
     extend(ch, [rem(ch, ALICE, b"old enough")])         # interval 5
     extend(ch)
     extend(ch)
-    extend(ch, body_txs=[build_delete(ALICE, 5)])       # gap 3 >= 2
+    extend(ch, body_txs=[build_delete(ALICE, 5)])       # delete at 8
+    assert ch.prune_eligible() == []
     extend(ch)
     assert ch.prune_eligible() == [5]
 

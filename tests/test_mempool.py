@@ -126,18 +126,6 @@ def test_ineligible_prepare_rejected():
         pool.submit(build_prepare(ALICE, reg(ch, ALICE), 7), ch)
 
 
-def test_judgment_hook_is_mining_discretion_only():
-    ch = fresh_chain(ALICE)
-    extend(ch, [rem(ch, ALICE, b"target")])
-    picky = Mempool(judgment=lambda tx, chain: tx.kind is not TxKind.DELETE)
-    tx = build_delete(ALICE, 1)
-    with pytest.raises(AdmissionFailed):
-        picky.submit(tx, ch)
-    # the chain itself carries the delete fine; the hook forks nothing
-    extend(ch, body_txs=[tx])
-    assert ch.delete_record(1) is not None
-
-
 def test_confirmed_prepare_fills_reinclusion_queue_first():
     ch = fresh_chain(ALICE, BOB)
     pool = Mempool()

@@ -85,6 +85,33 @@ def test_byzantine_directive_sets_and_clears_each_fault():
     assert chain.height >= 3 and chain.delete_record(1) is None
 
 
+def test_unauthorized_delete_with_nothing_to_delete_withholds_the_proposal():
+    sc = run_scenario("""
+        entity A
+        genesis A
+        byzantine 0 unauthorized_delete key=A
+        step 4
+    """)
+    # node 0 holds slots 0 and 3; no interval has data for it to delete
+    proposals = [e["node"] for e in sc.net.events if e["ev"] == "propose"]
+    assert proposals == [1, 2]
+    assert all(n.chain.height == 2 for n in sc.net.nodes)
+
+
+@pytest.mark.parametrize("bad, cause", [
+    ("try", "try needs a directive"),
+    ("params confirm_depth", "params takes key=value pairs only"),
+    ("info A terms", "info needs purposes=a,b,..."),
+    ("consent A nolabel 1", "unknown info label 'nolabel'"),
+    ("byzantine 0 unauthorized_delete key=Z", "unknown entity 'Z'"),
+])
+def test_malformed_line_fails_naming_line_and_cause(bad, cause):
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(f"entity A\ngenesis A\n{bad}\n")
+    assert err.value.line_no == 3
+    assert str(err.value) == f"line 3: {cause}"
+
+
 def test_config_after_actions_rejected():
     with pytest.raises(ScenarioError):
         run_scenario("entity A\ngenesis A\nstep\nnodes 5\n")

@@ -1,5 +1,6 @@
 """Simulated network: gossip, convergence, catch-up sync, faults."""
 
+from dataclasses import replace
 from functools import partial
 
 from mutachain import (
@@ -16,8 +17,10 @@ from mutachain import (
 )
 from mutachain import verify
 from mutachain.simnet import (
+    BlockAnnounce,
     FillResponse,
     SyncRequest,
+    TxGossip,
     fault_unauthorized_delete,
     fault_wrong_p_list,
 )
@@ -184,6 +187,27 @@ def test_fault_hook_can_corrupt_anything():
     net.step(2)
     rejects = {e["err"] for e in net.events if e["ev"] == "reject"}
     assert "BlockShapeError" in rejects
+
+
+def test_gossiped_transaction_peers_refuse_is_logged_on_each_receiver():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    forged = replace(rem(net, ALICE, b"never signed"), signature=bytes(64))
+    net.broadcast(0, TxGossip(forged))
+    net.step()
+    rejects = [(e["node"], e["err"]) for e in net.events if e["ev"] == "tx-reject"]
+    assert rejects == [(1, "StatelessInvalid"), (2, "StatelessInvalid")]
+    assert all(forged.txid not in n.mempool for n in net.nodes)
+
+
+def test_fault_hook_returning_none_withholds_the_proposal():
+    net = SimNet(3, genesis(), FAST)
+    net.nodes[0].fault = lambda chain, interval, block: None
+    net.submit(rem(net, ALICE, b"held back"))
+    sent = spy_sends(net)
+    net.step()   # node 0's slot
+    assert not [e for e in net.events if e["ev"] == "propose"]
+    assert all(n.chain.height == 0 for n in net.nodes)
+    assert not [msg for _, _, msg in sent if isinstance(msg, BlockAnnounce)]
 
 
 def test_archive_keeps_full_bodies_for_auditing():
