@@ -34,9 +34,13 @@ A confirmed delete does not remove anything by itself.  ``prune`` drops
 an interval's body once the delete is ``confirm_depth`` blocks deep and
 the interval is at least ``delete_lock`` blocks old, both counted from
 the tip, so every confirmed delete erases in time; the interval's
-status flips to Deleted at that moment.  A transaction
-that a pruned interval held and no unpruned one still holds is erased;
-an input naming it fails as ``RemovableTxDependsOnDeletedState``.
+status flips to Deleted at that moment.  ``prune`` reads only a table
+of the deleted intervals that still hold their bodies, which on a chain
+pruned after each append holds the deletes of the last
+``max(confirm_depth, delete_lock)`` blocks at most, so its cost does not
+grow with height.  A transaction that a pruned interval held and no
+unpruned one still holds is erased; an input naming it fails as
+``RemovableTxDependsOnDeletedState``.
 """
 
 from __future__ import annotations
@@ -167,6 +171,7 @@ class Chain:
         self._consents: dict[tuple[bytes, bytes], consent.ConsentChain] = {}
         self._prepares: dict[bytes, PrepareRecord] = {}  # prepare txid -> record
         self._deletes: dict[int, DeleteRecord] = {}      # interval -> record, with its prepare
+        self._unpruned: dict[int, int] = {}              # deleted interval, body held -> delete height
         self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> unpruned intervals
         self._permanent_txids: dict[bytes, int] = {}     # txid -> height confirmed
         self._journal: list | None = None                # undo entries of the innermost stage
@@ -321,6 +326,11 @@ class Chain:
             raise UnknownRegisterRef("signer is not registered")
         return OutPoint(reg_txid, 0)
 
+    def check_removable(self, tx: Transaction) -> None:
+        """Raise what ``apply_removable`` would for ``tx``, writing nothing:
+        a removable spends its signer's register output."""
+        self._check_register_input(tx)
+
     def _check_register_input(self, tx: Transaction) -> None:
         reg_txid = self._registrations.get(tx.signer)
         if reg_txid is None:
@@ -338,7 +348,7 @@ class Chain:
 
     def apply_removable(self, tx: Transaction, height: int) -> None:
         """Admit a removable transaction into interval ``height``."""
-        self._check_register_input(tx)
+        self.check_removable(tx)
         self._write(self._dup_index, tx.txid,
                     self._dup_index.get(tx.txid, frozenset()) | {height})
 
@@ -357,9 +367,12 @@ class Chain:
                 txid=tx.txid, signer=tx.signer,
                 interval=tx.payload.interval, height=height))
         elif tx.kind is TxKind.DELETE:
-            self._write(self._deletes, tx.payload.interval, DeleteRecord(
-                txid=tx.txid, signer=tx.signer, interval=tx.payload.interval,
+            x = tx.payload.interval
+            self._write(self._deletes, x, DeleteRecord(
+                txid=tx.txid, signer=tx.signer, interval=x,
                 height=height, prepare=self._validate_delete(tx)))
+            if self._intervals[x].blocks is not None:
+                self._write(self._unpruned, x, height)
         elif tx.kind is TxKind.INFO:
             self._check_register_input(tx)
             self._write(self._infos, tx.txid, consent.make_info_record(tx))
@@ -458,10 +471,12 @@ class Chain:
     def prune_eligible(self) -> list[int]:
         """Intervals whose delete is ``confirm_depth`` blocks deep and
         which are themselves ``delete_lock`` blocks old, both from the tip."""
-        return sorted(x for x, rec in self._deletes.items()
-                      if self._intervals[x].blocks is not None
-                      and self.height - rec.height >= self.params.confirm_depth
-                      and self.height - x >= self.params.delete_lock)
+        # the whole table is read: a stage undo re-inserts a key at the
+        # end, so its order is not the order of delete heights
+        tip, params = self.height, self.params
+        return sorted(x for x, at in self._unpruned.items()
+                      if tip - at >= params.confirm_depth
+                      and tip - x >= params.delete_lock)
 
     def prune(self) -> list[int]:
         """Drop every eligible interval body; return the heights dropped."""
@@ -471,6 +486,7 @@ class Chain:
             for txid in rec.txids:
                 self._write(self._dup_index, txid, self._dup_index[txid] - {x} or None)
             self._write(self._intervals, x, replace(rec, blocks=None))
+            self._write(self._unpruned, x)
         return dropped
 
     # ------------------------------------------------------------------

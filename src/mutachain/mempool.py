@@ -1,11 +1,13 @@
 """Pending transactions, re-inclusion, and block candidate assembly.
 
-Admission trial-applies the transaction in a chain stage that is never
-committed, so the mempool enforces exactly the rules a block would and
-leaves the chain as it found it.  Two queues feed candidates: the
-re-inclusion queue and the ordinary pending queue.  The re-inclusion
-queue holds byte-identical copies of a prepared interval's transactions
-signed by anyone but the preparer and held by no other live interval.
+Admission trial-applies a body transaction in a chain stage that is
+never committed, and judges a removable by ``Chain.check_removable``,
+the rule ``apply_removable`` runs, which writes nothing.  Either way
+the mempool enforces exactly the rules a block would and leaves the
+chain as it found it.  Two queues feed candidates: the re-inclusion
+queue and the ordinary pending queue.  The re-inclusion queue holds
+byte-identical copies of a prepared interval's transactions signed by
+anyone but the preparer and held by no other live interval.
 A prepare queues them when the pool admits it or sees it confirmed,
 and a copy leaves once its interval has a delete; candidates run no
 prepare trial of their own.  The queue drains first so a deletion can
@@ -78,10 +80,10 @@ class Mempool:
 
     def _check_stateful(self, tx: Transaction, chain: Chain) -> None:
         try:
-            with chain.stage():
-                if tx.kind is TxKind.REMOVABLE:
-                    chain.apply_removable(tx, chain.height + 1)
-                else:
+            if tx.kind is TxKind.REMOVABLE:
+                chain.check_removable(tx)
+            else:
+                with chain.stage():
                     chain.apply_body_tx(tx, chain.height + 1)
         except (MissingDuplicates, NotSoleOwnerAndNoPrepare) as exc:
             raise self._delete_timing(tx, chain, exc)
@@ -111,7 +113,10 @@ class Mempool:
         Confirmed transactions and copies whose interval has a delete
         leave the queues; every confirmed prepare queues the copies it owes.
         """
-        self.drop_confirmed(removable_blocks, block)
+        for rb in (*(removable_blocks or ()), block):
+            for tx in rb.txs:
+                self._pending.pop(tx.txid, None)
+                self._reinclude.pop(tx.txid, None)
         for txid in [t for t in self._reinclude if not chain.tx_confirmed(t)]:
             del self._reinclude[txid]
         for tx in block.txs:
@@ -123,13 +128,6 @@ class Mempool:
             for dup in chain.reinclusion_candidates(tx):
                 if dup.txid not in self:
                     self._reinclude[dup.txid] = dup
-
-    def drop_confirmed(self, removable_blocks, block: PermanentBlock) -> None:
-        """Drop the segment's transactions from both queues."""
-        for rb in (*(removable_blocks or ()), block):
-            for tx in rb.txs:
-                self._pending.pop(tx.txid, None)
-                self._reinclude.pop(tx.txid, None)
 
     # ------------------------------------------------------------------
     # candidate assembly

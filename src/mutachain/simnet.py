@@ -22,8 +22,8 @@ them once it has caught up and not against its stale tip, and it
 proposes nothing unless no other online node has caught up.
 
 Byzantine behaviour is modelled at proposal time: a node's ``fault``
-hook rewrites the segment it proposes, or withholds it, and honest
-nodes must reject what it announces.  ``fault_wrong_p_list`` and
+hook rewrites the segment it proposes, or withholds it (logged as a
+``withhold`` event), and honest nodes must reject what it announces.  ``fault_wrong_p_list`` and
 ``fault_unauthorized_delete`` (bound to a key) are two such hooks.
 """
 
@@ -185,12 +185,12 @@ class SimNode:
                 self._release_backlog(net)
                 return
             if rebuilt.height > tip:
-                # only what this node did not hold leaves the mempool: a
-                # fork's shared prefix is already observed
+                # only what this node did not hold is observed: a fork's
+                # shared prefix already was
                 for removable_blocks, block in segments:
                     if block.height > tip or block.block_hash \
                             != self.chain.block_at(block.height).block_hash:
-                        self.mempool.drop_confirmed(removable_blocks, block)
+                        self.mempool.observe_segment(removable_blocks, block, rebuilt)
                 if onto is None:
                     self.chain = rebuilt
                     if self.store is not None:
@@ -220,6 +220,7 @@ class SimNode:
         if self.fault is not None:
             mutated = self.fault(self.chain, interval, block)
             if mutated is None:
+                net.log(self.id, ev="withhold", height=block.height)
                 return
             interval, block = mutated
         net.log(self.id, ev="propose", height=block.height,

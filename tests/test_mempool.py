@@ -5,6 +5,7 @@ import pytest
 from mutachain import (
     MAX_BLOCK_TXS,
     MAX_P_LIST,
+    BlockStore,
     ChainParams,
     Mempool,
     OutPoint,
@@ -21,11 +22,12 @@ from mutachain.errors import (
     IneligiblePrepare,
     MempoolRejection,
     PrematureDelete,
+    RemovableTxDependsOnDeletedState,
     StatelessInvalid,
     UnknownRegisterRef,
     UnknownSigner,
 )
-from support import ALICE, BOB, CAROL, extend, fresh_chain, kp, reg, rem
+from support import ALICE, BOB, CAROL, REF_DUMMY, extend, fresh_chain, kp, reg, rem
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
@@ -256,3 +258,44 @@ def test_unrelated_rejections_are_mempool_rejections():
     pool = Mempool()
     with pytest.raises(MempoolRejection):
         pool.submit(build_register(ALICE), ch)   # already registered
+
+
+def _rebuilt_digest(chain, root):
+    with BlockStore(root, create=True) as store:
+        store.rebuild(chain)
+        return store.digest()
+
+
+@pytest.mark.parametrize("case, refusal, cause", [
+    ("erased-input", AdmissionFailed, RemovableTxDependsOnDeletedState),
+    ("unregistered-signer", UnknownSigner, None),
+    ("wrong-register-output", AdmissionFailed, UnknownRegisterRef),
+    ("admitted", None, None),
+])
+def test_removable_admission_reads_the_chain_only(tmp_path, case, refusal, cause):
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    gone = rem(ch, ALICE, b"erased")
+    extend(ch, [gone])                                  # 1
+    extend(ch, body_txs=[build_delete(ALICE, 1)])       # 2
+    extend(ch)                                          # 3
+    assert ch.prune() == [1]
+    tx = {
+        "erased-input": build_removable(ALICE, OutPoint(gone.txid, 0), b"on gone state"),
+        "unregistered-signer": build_removable(CAROL, REF_DUMMY, b"stranger"),
+        "wrong-register-output": build_removable(BOB, REF_DUMMY, b"stray"),
+        "admitted": rem(ch, BOB, b"fresh"),
+    }[case]
+    before, stored = ch.copy(), _rebuilt_digest(ch, tmp_path / "before")
+
+    pool = Mempool()
+    if refusal is None:
+        pool.submit(tx, ch)
+        assert tx.txid in pool
+    else:
+        with pytest.raises(refusal) as err:
+            pool.submit(tx, ch)
+        if cause is not None:
+            assert type(err.value.cause) is cause
+        assert tx.txid not in pool
+    assert vars(ch) == vars(before)
+    assert _rebuilt_digest(ch, tmp_path / "after") == stored

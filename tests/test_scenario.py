@@ -93,6 +93,9 @@ def test_unauthorized_delete_with_nothing_to_delete_withholds_the_proposal():
         step 4
     """)
     # node 0 holds slots 0 and 3; no interval has data for it to delete
+    withheld = [(e["step"], e["node"], e["height"])
+                for e in sc.net.events if e["ev"] == "withhold"]
+    assert withheld == [(0, 0, 1), (3, 0, 3)]
     proposals = [e["node"] for e in sc.net.events if e["ev"] == "propose"]
     assert proposals == [1, 2]
     assert all(n.chain.height == 2 for n in sc.net.nodes)

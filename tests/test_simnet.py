@@ -206,6 +206,8 @@ def test_fault_hook_returning_none_withholds_the_proposal():
     sent = spy_sends(net)
     net.step()   # node 0's slot
     assert not [e for e in net.events if e["ev"] == "propose"]
+    assert [(e["node"], e["height"]) for e in net.events
+            if e["ev"] == "withhold"] == [(0, 1)]
     assert all(n.chain.height == 0 for n in net.nodes)
     assert not [msg for _, _, msg in sent if isinstance(msg, BlockAnnounce)]
 
@@ -540,6 +542,33 @@ def test_sync_drops_what_the_synced_segments_confirm():
     assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
     assert late.chain.registered(CAROL.pubkey)
     assert len(late.mempool) == 0
+
+
+def test_synced_node_mines_the_copies_a_prepare_it_synced_past_owes():
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    bob = rem(net, BOB, b"bystander")
+    net.submit(rem(net, ALICE, b"doomed"))
+    net.submit(bob)
+    net.step(2)                             # interval 1: Alice and Bob
+    net.set_online(2, False)
+    net.max_interval_blocks = 0             # the prepare is mined without its copy
+    net.submit(build_prepare(ALICE, net.nodes[0].chain.register_outpoint(ALICE.pubkey), 1))
+    net.step(4)
+    assert net.nodes[0].chain.prepares_for(ALICE.pubkey, 1)
+    assert bob.txid in net.nodes[0].mempool
+    net.set_online(2, True)
+    net.step(6)
+    late = net.nodes[2]
+    assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
+    assert late.chain.prepares_for(ALICE.pubkey, 1) and bob.txid in late.mempool
+    # the peers that owed the copy leave before mining it
+    net.set_online(0, False)
+    net.set_online(1, False)
+    net.max_interval_blocks = 1
+    net.step(6)                             # one slot of node 2's
+    copies = [x for x in range(2, late.chain.height + 1)
+              if bob in late.chain.interval_txs(x)]
+    assert copies and bob.txid not in late.mempool
 
 
 def test_a_transaction_reaches_ed25519_once_across_the_network(cold_cache, monkeypatch):
