@@ -39,8 +39,9 @@ of the deleted intervals that still hold their bodies, which on a chain
 pruned after each append holds the deletes of the last
 ``max(confirm_depth, delete_lock)`` blocks at most, so its cost does not
 grow with height.  A transaction that a pruned interval held and no
-unpruned one still holds is erased; an input naming it fails as
-``RemovableTxDependsOnDeletedState``.
+unpruned one still holds is erased: the duplicate index keeps its txid
+with no interval, so an input naming it fails as
+``RemovableTxDependsOnDeletedState`` after one lookup.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class Chain:
         self._prepares: dict[bytes, PrepareRecord] = {}  # prepare txid -> record
         self._deletes: dict[int, DeleteRecord] = {}      # interval -> record, with its prepare
         self._unpruned: dict[int, int] = {}              # deleted interval, body held -> delete height
-        self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> unpruned intervals
+        self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> unpruned intervals; empty once erased
         self._permanent_txids: dict[bytes, int] = {}     # txid -> height confirmed
         self._journal: list | None = None                # undo entries of the innermost stage
         self._enclosing: list = []                       # journals of the stages around it
@@ -338,9 +339,7 @@ class Chain:
         got = tx.inputs[0]
         if got.txid != reg_txid or got.index != 0:
             # erased: a pruned interval held it and no unpruned copy is left
-            if got.txid not in self._dup_index and any(
-                    got.txid in rec.txids for rec in self._intervals.values()
-                    if rec.blocks is None):
+            if self._dup_index.get(got.txid) == frozenset():
                 raise RemovableTxDependsOnDeletedState(
                     f"input {got.txid.hex()[:12]} was erased with its interval")
             raise UnknownRegisterRef(
@@ -484,7 +483,7 @@ class Chain:
         for x in dropped:
             rec = self._intervals[x]
             for txid in rec.txids:
-                self._write(self._dup_index, txid, self._dup_index[txid] - {x} or None)
+                self._write(self._dup_index, txid, self._dup_index[txid] - {x})
             self._write(self._intervals, x, replace(rec, blocks=None))
             self._write(self._unpruned, x)
         return dropped

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from mutachain import (
     HASH_SIZE,
+    crypto,
     NULL_HASH,
     PUBKEY_SIZE,
     SIGNATURE_SIZE,
@@ -13,6 +14,7 @@ from mutachain import (
     sign_payload,
     verify_signature,
 )
+from mutachain.crypto import _GROUP_ORDER
 from mutachain.errors import EncodingError
 
 # SHA-256 of the empty string, a fixed point every implementation agrees on
@@ -66,3 +68,99 @@ def test_verify_rejects_wrong_key_and_garbage():
     assert not verify_signature(b"\x00" * 31, b"hello", sig)
     assert not verify_signature(kp.pubkey, b"hello", b"\x00" * 63)
     assert not verify_signature(b"\xff" * 32, b"hello", b"\xff" * 64)
+
+
+# Each Ed25519 verdict runs through both the checker the chain uses and
+# the OpenSSL reference that decides every rejection: they must agree.
+CHECKS = pytest.mark.parametrize(
+    "check", [verify_signature, crypto._verify_openssl], ids=["verify_signature", "openssl"])
+
+
+def flip(value: bytes, at: int, mask: int = 1) -> bytes:
+    return value[:at] + bytes([value[at] ^ mask]) + value[at + 1:]
+
+
+PINNED_KEY = keypair_from_seed(b"\x05" * 32)
+PINNED_PAYLOAD = b"pinned payload"
+PINNED_SIG = sign_payload(PINNED_KEY, PINNED_PAYLOAD)
+PINNED_S = int.from_bytes(PINNED_SIG[32:], "little")
+# the identity point as key and as R, with S = 0: [0]B == R + [k]A for any payload
+IDENTITY = b"\x01" + b"\x00" * 31
+IDENTITY_SIG = IDENTITY + b"\x00" * 32
+
+PINNED = {
+    "honest": (PINNED_KEY.pubkey, PINNED_PAYLOAD, PINNED_SIG, True),
+    "R-bit": (PINNED_KEY.pubkey, PINNED_PAYLOAD, flip(PINNED_SIG, 3), False),
+    "S-bit": (PINNED_KEY.pubkey, PINNED_PAYLOAD, flip(PINNED_SIG, 40), False),
+    "key-bit": (flip(PINNED_KEY.pubkey, 3), PINNED_PAYLOAD, PINNED_SIG, False),
+    "payload-bit": (PINNED_KEY.pubkey, flip(PINNED_PAYLOAD, 3), PINNED_SIG, False),
+    "S-plus-L": (PINNED_KEY.pubkey, PINNED_PAYLOAD,
+                 PINNED_SIG[:32] + (PINNED_S + _GROUP_ORDER).to_bytes(32, "little"), False),
+    # OpenSSL accepts the identity key's universal signature and libsodium
+    # refuses it; the chain keeps OpenSSL's verdict
+    "identity-key": (IDENTITY, b"any payload at all", IDENTITY_SIG, True),
+}
+
+
+@CHECKS
+@pytest.mark.parametrize("case", PINNED)
+def test_pinned_verdicts(check, case):
+    pk, payload, sig, expected = PINNED[case]
+    assert check(pk, payload, sig) is expected
+
+
+@pytest.mark.skipif(crypto._sodium_verify is None, reason="libsodium did not load")
+def test_libsodium_refuses_the_identity_key_that_openssl_accepts():
+    # so the pinned identity-key verdict comes from the OpenSSL fallback
+    assert crypto._sodium_verify(IDENTITY_SIG, b"x", 1, IDENTITY) != 0
+
+
+@given(st.binary(min_size=32, max_size=32), st.binary(max_size=96),
+       st.sampled_from(("none", "key", "signature", "payload")),
+       st.integers(min_value=0, max_value=63), st.integers(min_value=1, max_value=255))
+def test_verdict_equals_the_openssl_reference(seed, payload, part, at, mask):
+    kp = keypair_from_seed(seed)
+    pk, sig = kp.pubkey, sign_payload(kp, payload)
+    if part == "key":
+        pk = flip(pk, at % PUBKEY_SIZE, mask)
+    elif part == "signature":
+        sig = flip(sig, at, mask)
+    elif part == "payload" and payload:
+        payload = flip(payload, at % len(payload), mask)
+    assert verify_signature(pk, payload, sig) is crypto._verify_openssl(pk, payload, sig)
+
+
+def count_reference_checks(monkeypatch):
+    calls = []
+    real = crypto._verify_openssl
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(crypto, "_verify_openssl", counted)
+    return calls
+
+
+def test_an_honest_signature_is_answered_by_the_loaded_backend(monkeypatch):
+    assert crypto.ED25519_BACKEND in (
+        "libsodium.so.23", "libsodium.so.26", "libsodium.dylib", "openssl")
+    assert (crypto._sodium_verify is None) is (crypto.ED25519_BACKEND == "openssl")
+    calls = count_reference_checks(monkeypatch)
+    assert verify_signature(PINNED_KEY.pubkey, PINNED_PAYLOAD, PINNED_SIG)
+    # where libsodium loaded, a silent fall back to OpenSSL shows as a call
+    assert len(calls) == (crypto.ED25519_BACKEND == "openssl")
+
+
+def test_without_libsodium_openssl_decides_every_verdict(monkeypatch):
+    monkeypatch.setattr(crypto, "_sodium_verify", None)
+    calls = count_reference_checks(monkeypatch)
+    for pk, payload, sig, expected in PINNED.values():
+        assert verify_signature(pk, payload, sig) is expected
+    assert len(calls) == len(PINNED)
+
+
+def test_a_libsodium_yes_for_s_at_or_above_the_order_is_not_taken(monkeypatch):
+    # stands for an old libsodium that checked only the top bits of S
+    monkeypatch.setattr(crypto, "_sodium_verify", lambda sig, payload, n, pk: 0)
+    pk, payload, sig, _ = PINNED["S-plus-L"]
+    assert not verify_signature(pk, payload, sig)

@@ -355,6 +355,56 @@ def test_erased_reference_is_named_for_what_it_was():
         extend(ch, [leaning])
 
 
+class _Unread(dict):
+    """An interval table that fails any test reading it."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the interval table was read")
+
+    __getitem__ = __contains__ = __iter__ = get = keys = values = items = _refuse
+
+
+def test_erased_input_is_told_from_an_unknown_one_by_one_lookup():
+    ch = fresh_chain(ALICE, params=FAST)
+    erased = []
+    for i in range(40):
+        erased.append(rem(ch, ALICE, b"gone %d" % i))
+        extend(ch, [erased[-1]])
+        extend(ch, body_txs=[build_delete(ALICE, ch.height)])
+        extend(ch)
+        ch.prune()
+    last = rem(ch, ALICE, b"last")
+    extend(ch, [last])
+    extend(ch, body_txs=[build_delete(ALICE, ch.height)])
+    extend(ch)
+    on_erased = build_removable(ALICE, OutPoint(erased[0].txid, 0), b"on gone state")
+    on_last = build_removable(ALICE, OutPoint(last.txid, 0), b"on pending erasure")
+    junk = build_removable(ALICE, OutPoint(bytes(32), 0), b"junk")
+
+    intervals = ch._intervals
+    ch._intervals = _Unread(intervals)
+    try:
+        with pytest.raises(RemovableTxDependsOnDeletedState):
+            ch.check_removable(on_erased)
+        with pytest.raises(UnknownRegisterRef) as refused:
+            ch.check_removable(junk)
+        assert refused.type is UnknownRegisterRef
+    finally:
+        ch._intervals = intervals
+
+    # an undone prune stage gives back the verdict from before the prune
+    with ch.stage():
+        assert ch.prune() == [ch.height - 2]
+        with pytest.raises(RemovableTxDependsOnDeletedState):
+            ch.check_removable(on_last)
+    with pytest.raises(UnknownRegisterRef) as refused:
+        ch.check_removable(on_last)
+    assert refused.type is UnknownRegisterRef
+    assert ch.prune() == [ch.height - 2]
+    with pytest.raises(RemovableTxDependsOnDeletedState):
+        ch.check_removable(on_last)
+
+
 def test_delete_record_names_the_prepare_it_spent():
     ch = fresh_chain(ALICE, BOB, params=FAST)
     b_tx = rem(ch, BOB, b"bobs")
