@@ -41,6 +41,7 @@ from .ledger import (
     PrepareRecord,
 )
 from .mempool import MAX_BLOCK_TXS, Mempool
+from .node import Node
 from .scenario import Scenario, entity_keypair, run_scenario
 from .simnet import SimNet, SimNode
 from .store import BlockStore
@@ -71,7 +72,7 @@ __all__ = [
     "verify_signature",
     "Chain", "ChainParams", "DeleteRecord", "IntervalRecord",
     "IntervalStatus", "PrepareRecord",
-    "Mempool",
+    "Mempool", "Node",
     "Scenario", "entity_keypair", "run_scenario",
     "SimNet", "SimNode",
     "BlockStore",

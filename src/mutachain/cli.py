@@ -10,8 +10,11 @@ Bad input ends a command with exit 1 and an error that names it, a
 ``MutachainError`` as ``Error: <Class>: message``, never a traceback.
 Submission commands sign through ``Chain.sign``, which picks the input
 spent, and number each queue file one above the highest queued, so
-``mine`` takes the queue in submission order; it drops the files of
-confirmed transactions and prunes matured deletions.
+``mine`` takes the queue in submission order.  The session's chain and
+store make a ``Node``, the one path a simulated node grows by too:
+``mine`` extends it, which stores the segment and prunes matured
+deletions from chain and disk, then drops the files of confirmed
+transactions; ``prune`` runs that last step alone.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .crypto import KeyPair, keypair_from_seed
 from .errors import DecodingError, MempoolRejection, MutachainError, UnknownRegisterRef
 from .ledger import Chain, ChainParams
 from .mempool import Mempool
+from .node import Node
 from .scenario import run_scenario
 from .store import BlockStore
 from .tx import Transaction, TxKind
@@ -146,13 +150,6 @@ def _submit(store_dir: str, name: str, kind: TxKind, **fields) -> Transaction:
         path.write_bytes(tx.encoded)
     click.echo(f"queued {tx.kind.name.lower()} {tx.txid.hex()[:12]}")
     return tx
-
-
-def _prune(store: BlockStore, chain: Chain) -> list[int]:
-    dropped = chain.prune()
-    for x in dropped:
-        store.prune(x)
-    return dropped
 
 
 @click.group()
@@ -283,12 +280,10 @@ def mine(store_dir: str, max_interval_blocks: int) -> None:
     with _session(store_dir) as (store, chain):
         pool, queued = _pending(store_dir, chain)
         interval, block = pool.build_candidate(chain, max_interval_blocks)
-        chain.append_segment(interval, block)
-        store.append_segment(interval, block)
+        dropped = Node(chain, pool, store).extend([(interval, block)])
         for path, tx in queued:
             if chain.tx_confirmed(tx.txid):
                 path.unlink()
-        dropped = _prune(store, chain)
     click.echo(f"mined height {block.height}: {len(interval)} interval "
                f"block(s), {len(block.txs)} body tx(s)"
                + (f", pruned {dropped}" if dropped else ""))
@@ -299,7 +294,7 @@ def mine(store_dir: str, max_interval_blocks: int) -> None:
 def prune(store_dir: str) -> None:
     """Erase every interval whose deletion has matured."""
     with _session(store_dir) as (store, chain):
-        dropped = _prune(store, chain)
+        dropped = Node(chain, store=store).prune()
     click.echo(f"pruned {dropped}" if dropped else "nothing to prune")
 
 

@@ -14,7 +14,10 @@ last block both hold and the bodies of the intervals the peer still
 holds, read from one snapshot of the peer.  Deleted intervals are
 never sent, a rejoining node just sees the delete evidence in the
 spine.  A suffix on the node's tip extends its chain in place, all or
-nothing; only a fork below the tip rebuilds from genesis.  A reply
+nothing; only a fork below the tip, which the peer sends from genesis,
+rebuilds the chain.  Every append and sync goes through
+``Node.extend``, which observes, stores and prunes; a ``SimNode`` adds
+only its network state and its event log.  A reply
 takes two steps, one per hop; a node still waiting after that asks
 again at the next announcement.  A node back online is such a node:
 until a reply has landed it holds gossip and announcements, to judge
@@ -33,13 +36,12 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 
-# replay through the module: a wrapper set on verify.replay_segments sees it
-from . import verify
 from .blocks import PermanentBlock, RemovableBlock, compute_tx_root
 from .crypto import KeyPair
 from .errors import AlreadyKnown, MempoolRejection, MutachainError
 from .ledger import Chain, ChainParams, IntervalStatus
 from .mempool import Mempool
+from .node import Node
 from .tx import Transaction, build_delete
 
 REPLY_STEPS = 2   # a reply lands this many steps after its request, one per hop
@@ -67,12 +69,10 @@ class FillResponse:
     fills: dict  # height -> tuple[RemovableBlock, ...]
 
 
-class SimNode:
+class SimNode(Node):
     def __init__(self, node_id: int, chain: Chain, store=None):
+        super().__init__(chain, Mempool(), store)
         self.id = node_id
-        self.chain = chain
-        self.mempool = Mempool()
-        self.store = store
         self.online = True
         # (chain, interval, block) -> (interval, block), or None to propose nothing
         self.fault = None
@@ -81,39 +81,31 @@ class SimNode:
 
     # ------------------------------------------------------------------
 
-    def history_segments(self):
-        return [(self.chain.interval_blocks(x), self.chain.block_at(x))
-                for x in range(self.chain.height + 1)]
-
-    def _append(self, removable_blocks, block, net: "SimNet") -> bool:
+    def _grow(self, segments, net: "SimNet", done: dict, failed: dict) -> bool:
+        """Extend the chain, logging ``done`` then any prune, or
+        ``failed`` with the broken rule; False if refused."""
+        tip = self.chain.height
         try:
-            self.chain.append_segment(removable_blocks, block)
+            dropped = self.extend(segments)
         except MutachainError as exc:
-            net.log(self.id, ev="reject", height=block.height,
-                    err=type(exc).__name__)
+            if self.chain.height > tip:
+                raise   # the chain took the segments and the store failed
+            net.log(self.id, **failed, err=type(exc).__name__)
             return False
-        self.mempool.observe_segment(removable_blocks, block, self.chain)
-        net.log(self.id, ev="append", height=block.height)
-        kept = net.archive.get(block.block_hash)
-        # a late joiner appends deleted intervals without bodies; keep
-        # the fullest copy ever seen
-        if kept is None or len(removable_blocks) > len(kept[0]):
-            net.archive[block.block_hash] = (tuple(removable_blocks), block)
-        self._store_and_prune([(removable_blocks, block)], net)
+        if self.chain.height > tip:
+            net.log(self.id, **done, height=self.chain.height)
+        if dropped:
+            net.log(self.id, ev="prune", intervals=dropped)
         return True
 
-    def _store_and_prune(self, segments, net: "SimNet") -> None:
-        """Persist segments just appended to the chain, then drop every
-        interval whose delete has matured, in memory and on disk."""
-        if self.store is not None:
-            for removable_blocks, block in segments:
-                self.store.append_segment(removable_blocks, block)
-        dropped = self.chain.prune()
-        if dropped:
-            if self.store is not None:
-                for x in dropped:
-                    self.store.prune(x)
-            net.log(self.id, ev="prune", intervals=dropped)
+    def _append(self, removable_blocks, block, net: "SimNet") -> None:
+        if self._grow([(removable_blocks, block)], net, {"ev": "append"},
+                      {"ev": "reject", "height": block.height}):
+            kept = net.archive.get(block.block_hash)
+            # a late joiner appends deleted intervals without bodies; keep
+            # the fullest copy ever seen
+            if kept is None or len(removable_blocks) > len(kept[0]):
+                net.archive[block.block_hash] = (tuple(removable_blocks), block)
 
     # ------------------------------------------------------------------
     # message handling
@@ -153,51 +145,29 @@ class SimNode:
                     (h, self.chain.block_at(h).block_hash) for h in heights)))
         elif isinstance(msg, SyncRequest):
             # the spine above the highest locator block on this chain, from
-            # height 1 if that block is below the asker's tip (a fork), with
+            # genesis if that block is below the asker's tip (a fork), with
             # every body still held; empty if nothing here is newer or shared
             tip, asker = self.chain.height, msg.locator[0][0]
             shared = next((h for h, hash_ in msg.locator
                            if 0 <= h <= tip and self.chain.block_at(h).block_hash == hash_), None)
             blocks = ()
             if shared is not None and tip > asker:
-                start = shared + 1 if shared == asker else 1
+                start = shared + 1 if shared == asker else 0
                 blocks = tuple(map(self.chain.block_at, range(start, tip + 1)))
-            fills = {b.height: self.chain.interval_blocks(b.height) for b in blocks}
-            net.send(self.id, sender, FillResponse(
-                blocks, {h: rbs for h, rbs in fills.items() if rbs}))
+            fills = {b.height: rbs for b in blocks
+                     if (rbs := self.chain.interval_blocks(b.height))}
+            net.send(self.id, sender, FillResponse(blocks, fills))
         elif isinstance(msg, FillResponse):
             self._finish_sync(msg, sender, net)
 
     def _finish_sync(self, reply: FillResponse, peer: int, net: "SimNet") -> None:
         self._asked = None
-        tip = self.chain.height
-        if reply.blocks:
-            onto = self.chain if reply.blocks[0].height == tip + 1 else None
-            segments = [((), self.chain.block_at(0))] if onto is None else []
-            segments += [(reply.fills.get(b.height) if b.header.interval_len else (), b)
-                         for b in reply.blocks]
-            try:
-                rebuilt = verify.replay_segments(segments, self.chain.params, onto=onto)
-            except MutachainError as exc:
-                net.log(self.id, ev="sync-abort", peer=peer, err=type(exc).__name__)
-                # the blocks held for this sync go with it; gossip stays
-                self._backlog = [m for m in self._backlog if isinstance(m, TxGossip)]
-                self._release_backlog(net)
-                return
-            if rebuilt.height > tip:
-                # only what this node did not hold is observed: a fork's
-                # shared prefix already was
-                for removable_blocks, block in segments:
-                    if block.height > tip or block.block_hash \
-                            != self.chain.block_at(block.height).block_hash:
-                        self.mempool.observe_segment(removable_blocks, block, rebuilt)
-                if onto is None:
-                    self.chain = rebuilt
-                    if self.store is not None:
-                        self.store.rebuild(rebuilt)
-                    segments = []
-                net.log(self.id, ev="sync", peer=peer, height=self.chain.height)
-                self._store_and_prune(segments, net)
+        segments = [(reply.fills.get(b.height) if b.header.interval_len else (), b)
+                    for b in reply.blocks]
+        if segments and not self._grow(segments, net, {"ev": "sync", "peer": peer},
+                                       {"ev": "sync-abort", "peer": peer}):
+            # the blocks held for this sync go with it; gossip stays
+            self._backlog = [m for m in self._backlog if isinstance(m, TxGossip)]
         self._release_backlog(net)
 
     def _release_backlog(self, net: "SimNet") -> None:
@@ -262,13 +232,11 @@ class SimNet:
         self.max_interval_blocks = max_interval_blocks
         self.propose_period = propose_period
         base = Chain.bootstrap(genesis_txs, self.params)
-        self.nodes: list[SimNode] = []
-        for i in range(num_nodes):
-            store = (stores or {}).get(i)
-            node = SimNode(i, base.copy(), store=store)
-            if store is not None:
-                store.rebuild(node.chain)
-            self.nodes.append(node)
+        self.nodes = [SimNode(i, base.copy(), store=(stores or {}).get(i))
+                      for i in range(num_nodes)]
+        for node in self.nodes:
+            if node.store is not None:
+                node.store.rebuild(node.chain)
         self.step_no = 0
         self.events: list[dict] = []
         self._queues: dict[tuple[int, int], deque] = {}

@@ -1,6 +1,6 @@
 """Only ledger.py reaches into a Chain's private members; every other
 module goes through its public methods.  Only the verifier feeds a
-chain interval bodies it never saw."""
+chain interval bodies it never saw, and only the node prunes."""
 
 import ast
 from pathlib import Path
@@ -44,3 +44,34 @@ def test_only_the_verifier_appends_gap_segments():
                     and isinstance(node.ctx, ast.Load):
                 callers.append(path.name)
     assert callers == ["verify.py"]
+
+
+def callers(attr: str) -> set[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of each ``.attr(...)`` call
+    in the package, leaving out calls on a ``Node(...)`` built in place."""
+    found = set()
+
+    def walk(node, where, fn):
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == attr:
+            on = node.func.value
+            if not (isinstance(on, ast.Call) and isinstance(on.func, ast.Name)
+                    and on.func.id == "Node"):
+                found.add((where, fn))
+        for child in ast.iter_child_nodes(node):
+            walk(child, where, fn)
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def test_only_the_node_prunes():
+    # Chain.prune and BlockStore.prune run only from Node.prune, which
+    # Node.extend ends with; segments are appended only by the node, the
+    # store's rebuild, the verifier's replay and the chain's own genesis
+    assert callers("prune") == {("node.py", "prune"), ("node.py", "extend")}
+    assert callers("append_segment") == {
+        ("node.py", "extend"), ("store.py", "rebuild"),
+        ("verify.py", "_replay"), ("ledger.py", "bootstrap")}

@@ -3,12 +3,15 @@
 from dataclasses import replace
 from functools import partial
 
+import pytest
+
 from mutachain import (
     BlockStore,
     Chain,
     ChainParams,
     IntervalStatus,
     SimNet,
+    SimNode,
     build_delete,
     build_prepare,
     build_register,
@@ -16,6 +19,7 @@ from mutachain import (
     verify_chain,
 )
 from mutachain import verify
+from mutachain.errors import CorruptStore
 from mutachain.simnet import (
     BlockAnnounce,
     FillResponse,
@@ -24,7 +28,7 @@ from mutachain.simnet import (
     fault_unauthorized_delete,
     fault_wrong_p_list,
 )
-from support import ALICE, BOB, CAROL, cold_cache, count_signature_checks
+from support import ALICE, BOB, CAROL, cold_cache, count_signature_checks, make_segment
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
@@ -235,15 +239,23 @@ def test_report_is_deterministic():
 
 
 def spy_replays(monkeypatch):
-    """(heights replayed, chain extended or None) for each sync replay."""
-    calls = []
-    real = verify.replay_segments
+    """(heights replayed, chain extended or None) for each sync's own
+    replay; the appends of the backlog it releases are not recorded."""
+    calls, armed = [], []
+    real, finish = verify.replay_segments, SimNode._finish_sync
 
     def spy(segments, params=None, *, onto=None):
-        segments = list(segments)
-        calls.append(([block.height for _, block in segments], onto))
+        if armed:
+            armed.clear()
+            segments = list(segments)
+            calls.append(([block.height for _, block in segments], onto))
         return real(segments, params, onto=onto)
+
+    def spy_finish(node, reply, peer, net):
+        armed[:] = [True] if reply.blocks else []   # a reply with blocks replays once
+        finish(node, reply, peer, net)
     monkeypatch.setattr(verify, "replay_segments", spy)
+    monkeypatch.setattr(SimNode, "_finish_sync", spy_finish)
     return calls
 
 
@@ -387,6 +399,17 @@ def test_fork_below_the_tip_rebuilds_from_genesis(tmp_path, monkeypatch):
     finally:
         for st in stores.values():
             st.close()
+
+
+def test_a_store_failing_after_the_chain_took_a_segment_is_no_rejection(tmp_path):
+    with BlockStore(tmp_path / "s", create=True) as store:
+        net = SimNet(3, genesis(), FAST, stores={0: store})
+        # the store is one block ahead of node 0's chain
+        store.append_segment(*make_segment(Chain.bootstrap(genesis(), FAST)))
+        with pytest.raises(CorruptStore):
+            net.step()      # node 0 proposes height 1
+        assert net.nodes[0].chain.height == 1
+        assert not any(e["ev"] == "reject" for e in net.events)
 
 
 def test_node_back_in_its_own_slot_mines_nothing_until_it_has_caught_up(monkeypatch):
