@@ -2,14 +2,13 @@
 
 Layout under the store root:
 
-* ``permanent.log``: the spine, append-only, one frame per block.  A
-  frame is a 12-byte head, then the block's canonical encoding; the
-  head holds the block's length and crc32 and the crc32 of those 8
-  bytes, so a damaged length is told from a frame cut short.
-* ``interval_<x>.blk``: interval ``x``'s removable blocks, each framed
-  as a codec byte string.  Erasing the interval is unlinking this one
-  file; nothing else on disk holds those bytes.  The spine header says
-  how many blocks it holds; whether it exists says present or pruned.
+* ``permanent.log``: the chain, append-only, one segment after another.
+  A segment is its permanent block's frame, then, when the block's
+  header counts removable blocks, one body frame.  A frame is a 12-byte
+  head, then its payload; the head holds the payload's length and crc32
+  and the crc32 of those 8 bytes, so a damaged length is told from a
+  frame cut short.  A body frame's payload is the interval's removable
+  blocks, each a codec byte string.
 * ``manifest.json``: format version, parameters and the mark: the
   height, log length and ``tip`` (the hex hash of the block at that
   height) as of the last clean write, a size that does not grow with
@@ -21,36 +20,58 @@ Layout under the store root:
 * ``.lock``: ``flock``-ed against concurrent writers; the lock dies
   with the process that holds it.
 
-An append commits with its log frame.  It fsyncs the interval file,
-then the root directory so that the file's name is durable, then
-appends the frame and fsyncs the log: three fsyncs, one for an empty
-interval.  A prune is one unlink followed by an fsync of the root.
+An append writes its whole segment in one ``write`` and fsyncs the log:
+one fsync and no directory change, whatever the interval holds.  A
+session that appends one segment and closes, as ``mutachain mine`` does,
+pays three fsyncs: the append's, then the manifest's temp file and the
+root directory when ``close`` writes the mark.
+
+A prune overwrites interval ``x``'s body frame in place with an *erased*
+frame of the same length: zeros under a head recomputed over those
+zeros, so nothing derived from the body, not even its crc32, stays in
+the log.  It is one ``pwrite`` and one fsync of the log.  Every link to the log and
+every descriptor open on it reads the zeros.  A whole, all-zero body
+frame is a gap; a body that holds blocks never is, since each block's
+byte string starts with a non-zero length.
+
+What the overwrite cannot do (Reardon, Basin and Čapkun, "SoK: Secure
+Data Deletion", IEEE S&P 2013): it reaches the blocks the file system
+maps the log to now, so on a copy-on-write file system (btrfs, ZFS) or
+on flash with wear levelling the old bytes may survive elsewhere on the
+device.  The erased frame keeps the body's length.  Zeroed bytes stay
+allocated; nothing punches holes in the log.
 
 Failures are crash-only: a process may die at any point, and the disk
 keeps what was fsynced before it.  Only the last append can be unsynced,
-so only the log's final frame can be torn: cut short by EOF, or its
-bytes lost (zeros or junk) where the file kept its new size.  A frame is
-whole when its head and block pass their checks.  Loading reads the log
-as follows and erases nothing at or below its last whole frame:
+so only the log's final segment can be torn: cut short by EOF, or its
+bytes lost (zeros or junk) where the file kept its new size.  A prune
+cut short can leave one body frame below the tip partly zeroed.  A frame
+is whole when its head and payload pass their checks.  Loading reads the
+log as follows, and at or below its last whole segment erases only the
+bodies whose delete it proves:
 
-* the bytes below the mark's ``log_bytes`` must be ``height + 1`` whole
-  frames that decode; anything else is ``CorruptStore`` and nothing is
-  truncated;
-* whole frames past the mark are appends committed by a session that
-  never closed; they are served, and the load checks their signatures;
-  one that does not decode is ``CorruptStore``;
-* a frame that is not whole is the torn last append, and is truncated,
-  only if nothing of the log follows it: its head checks and states an
-  end at or past EOF, or its head fails and no whole frame starts
-  anywhere after it.  Otherwise it is ``CorruptStore``;
-* interval files above the last whole frame are orphans of torn appends
-  and are swept.
+* the bytes below the mark's ``log_bytes`` must be ``height + 1``
+  segments whose permanent frames are whole and decode; anything else is
+  ``CorruptStore`` and nothing is truncated;
+* segments past the mark are appends committed by a session that never
+  closed; they are served, and the load checks their signatures; a
+  permanent frame that does not decode is ``CorruptStore``;
+* a segment whose permanent or body frame is not whole is the torn last
+  append, and is truncated, only if no segment follows it: no whole
+  frame that holds a permanent block starts anywhere after that frame.
+  A permanent frame that is not whole with a segment after it is
+  ``CorruptStore``;
+* a body frame that is not whole but is followed by a whole frame where
+  its length says it ends is served as a gap, as is a whole erased one.
+  A prune never rewrites a body frame's length, so a prune cut short
+  leaves that length intact.
 
-``load_chain`` truncates and sweeps only once the chain verifies, so a
-load that fails leaves the store as it found it.
-
-A missing interval file is served as a gap; the rebuilt chain is
-re-verified, including delete evidence for every gap.
+The replay accepts a gap only where a confirmed delete backs it, and
+raises ``MissingDeleteEvidence`` otherwise.  ``load_chain`` truncates a
+torn append, and rewrites as erased each damaged body frame it served as
+a gap, only once the chain verifies, every gap's delete proven; so a
+load that fails leaves the store as it found it.  ``segments``, the
+audit path, truncates a torn append and overwrites nothing.
 
 The store appends only segments a ``Chain`` has accepted, so every
 signature it holds was checked before it was written.  ``tip`` marks
@@ -60,7 +81,7 @@ interval and prev links, p_lists, stateful rules, delete evidence for
 every gap).  A txid covers its signature, so ``tx_root`` and the hash
 links bind every signature byte to the marked tip; a changed byte fails
 the replay as before.  Without the field, or when it names another
-block (as it does when frames follow the mark), the load checks every
+block (as it does when segments follow the mark), the load checks every
 signature.  Someone who can rewrite the log can rewrite the mark too,
 so it costs no trust a node does not already place in its own disk.
 Audits never trust it: ``mutachain verify`` and ``verify.verify_chain``
@@ -97,40 +118,44 @@ from .ledger import Chain, ChainParams
 MANIFEST = "manifest.json"
 LOG = "permanent.log"
 LOCK = ".lock"
-VERSION = 3
+VERSION = 4
 PARAM_FIELDS = tuple(f.name for f in fields(ChainParams))
-INTERVAL_FILE = re.compile(r"interval_(0|[1-9][0-9]*)\.blk")
 TIP = re.compile(r"[0-9a-f]{64}")
-# a log frame's head: the block's length, its crc32, the crc32 of those 8 bytes
+# a frame's head: the payload's length, its crc32, the crc32 of those 8 bytes
 FRAME_HEAD = struct.Struct("<III")
 
 
-def log_frame(block: bytes) -> bytes:
-    """``block``, an encoding, framed for the log."""
-    head = struct.pack("<II", len(block), zlib.crc32(block))
-    return head + struct.pack("<I", zlib.crc32(head)) + block
+def log_frame(payload: bytes) -> bytes:
+    """``payload``, a block's encoding or an interval's body, framed for
+    the log."""
+    head = struct.pack("<II", len(payload), zlib.crc32(payload))
+    return head + struct.pack("<I", zlib.crc32(head)) + payload
 
 
-def _framed_length(raw: bytes, pos: int) -> int | None:
-    """The block length the frame head at ``pos`` states, if the head is
-    whole and checks."""
+def _framed(raw, pos: int):
+    """The payload of the frame at ``pos``, if the frame is whole."""
     head = raw[pos:pos + FRAME_HEAD.size]
     if len(head) < FRAME_HEAD.size:
         return None
-    length, _, check = FRAME_HEAD.unpack(head)
-    return length if zlib.crc32(head[:8]) == check else None
+    length, crc, check = FRAME_HEAD.unpack(head)
+    if zlib.crc32(head[:8]) != check:
+        return None
+    payload = raw[pos + FRAME_HEAD.size:pos + FRAME_HEAD.size + length]
+    return payload if len(payload) == length and zlib.crc32(payload) == crc else None
 
 
-def _framed_block(raw: bytes, pos: int) -> bytes | None:
-    """The block of the frame at ``pos``, if the frame is whole."""
-    length = _framed_length(raw, pos)
-    if length is None:
-        return None
-    start = pos + FRAME_HEAD.size
-    block = raw[start:start + length]
-    if len(block) < length or zlib.crc32(block) != FRAME_HEAD.unpack_from(raw, pos)[1]:
-        return None
-    return block
+def _ends_the_log(raw, pos: int) -> bool:
+    """Whether no segment follows the frame at ``pos``, which is not whole:
+    no whole frame that holds a permanent block starts after it."""
+    for q in range(pos + 1, len(raw)):
+        payload = _framed(raw, q)
+        if payload is not None:
+            try:
+                PermanentBlock.decode(payload)
+                return False
+            except MutachainError:
+                pass
+    return True
 
 
 def _write_synced(path: Path, data: bytes, mode: str) -> None:
@@ -193,8 +218,10 @@ class BlockStore:
                 self._release_lock()
                 raise CorruptStore(f"unreadable manifest: {exc}")
             self._written = dict(self._manifest)
-        # until the log is read, frames past the mark are not counted
+        # until the log is read, segments past the mark are not counted
+        # and bodies not located: height -> (offset, length) of its frame
         self._log_read = create
+        self._bodies: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -236,11 +263,8 @@ class BlockStore:
         if self.crash_hook is not None:
             self.crash_hook(point)
 
-    def _interval_path(self, x: int) -> Path:
-        return self.root / f"interval_{x}.blk"
-
     def _sync_root(self) -> None:
-        """Make the root's entries (new names, renames, unlinks) durable."""
+        """Make the root's entries (new names, renames) durable."""
         fd = os.open(self.root, os.O_RDONLY)
         try:
             os.fsync(fd)
@@ -256,6 +280,16 @@ class BlockStore:
         self._sync_root()
         self._written = dict(self._manifest)
 
+    def _erase(self, offset: int, length: int) -> None:
+        """Overwrite the body frame of ``length`` bytes at ``offset`` with
+        an erased frame, and fsync the log."""
+        fd = os.open(self.root / LOG, os.O_WRONLY)
+        try:
+            os.pwrite(fd, log_frame(bytes(length - FRAME_HEAD.size)), offset)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
     @property
     def params(self) -> ChainParams:
         p = self._manifest["params"]
@@ -263,7 +297,7 @@ class BlockStore:
 
     @property
     def height(self) -> int:
-        """Height of the log's last whole frame, as far as this session
+        """Height of the log's last whole segment, as far as this session
         has read or appended it."""
         return self._manifest["height"]
 
@@ -275,54 +309,54 @@ class BlockStore:
     # mutation
 
     def append_segment(self, removable_blocks, block: PermanentBlock) -> None:
-        """Persist one segment; its log frame commits it, and ``block``
-        becomes the tip the next mark names.
+        """Persist one segment, committed by one write and one fsync of the
+        log; ``block`` becomes the tip the next mark names.  A gap (no
+        blocks where the header counts some) is stored erased.
 
         Contract: append only segments a ``Chain`` accepted, signatures
         checked.  ``load_chain`` skips the Ed25519 checks up to the
         marked tip; ``verify_chain`` over ``segments()`` does not."""
-        removable_blocks = tuple(removable_blocks or ())
         if not self._log_read:
-            self.segments()     # count the frames left past the mark
+            self.segments()     # count the segments left past the mark
         x = block.height
         if x != self.height + 1:
             raise CorruptStore(
                 f"appending height {x} onto committed height {self.height}")
-        if removable_blocks:
-            # no temp file: until its frame is in the log it is an orphan
-            self._crash("interval-file")
-            _write_synced(self._interval_path(x),
-                          b"".join(codec.encode_byte_string(rb.encoded)
-                                   for rb in removable_blocks), "wb")
-            self._sync_root()
-        self._crash("log-append")
         frame = log_frame(block.encoded)
-        _write_synced(self.root / LOG, frame, "ab")
+        body = b""
+        if block.header.interval_len:
+            body = log_frame(b"".join(codec.encode_byte_string(rb.encoded)
+                                      for rb in removable_blocks or ()))
+        self._crash("log-append")
+        _write_synced(self.root / LOG, frame + body, "ab")
+        offset = self._manifest["log_bytes"] + len(frame)
+        if body:
+            self._bodies[x] = (offset, len(body))
         self._manifest["height"] = x
-        self._manifest["log_bytes"] += len(frame)
+        self._manifest["log_bytes"] = offset + len(body)
         self._manifest["tip"] = block.block_hash.hex()
 
     def prune(self, x: int) -> None:
-        """Physically erase interval ``x`` from disk."""
+        """Physically erase interval ``x``: overwrite its body frame in
+        place with an erased frame and fsync the log."""
+        if not self._log_read:
+            self.segments()     # locate the bodies
         if not 0 <= x <= self.height:
             raise CorruptStore(f"interval {x} is not in this store")
-        self._crash("prune-file")
-        self._interval_path(x).unlink(missing_ok=True)
-        self._sync_root()
+        self._crash("prune-overwrite")
+        if x in self._bodies:
+            self._erase(*self._bodies[x])
 
     def rebuild(self, chain: Chain) -> None:
         """Replace all block data with the given chain's contents."""
-        # mark the empty store first and empty the log before any
-        # interval file goes: a crash below leaves the old chain whole
-        # past the mark, or an empty log and orphan interval files
+        # mark the empty store before the log is emptied: a crash below
+        # leaves the old chain whole past the mark, or an empty log
         self._manifest["height"] = -1
         self._manifest["log_bytes"] = 0
         self._manifest.pop("tip", None)
         self.set_params(chain.params)
         _write_synced(self.root / LOG, b"", "wb")
-        for child in self.root.glob("interval_*"):
-            child.unlink()
-        self._sync_root()
+        self._log_read, self._bodies = True, {}
         for x in range(chain.height + 1):
             self.append_segment(chain.interval_blocks(x), chain.block_at(x))
         self._write_manifest()
@@ -331,103 +365,92 @@ class BlockStore:
     # loading
 
     def segments(self) -> list:
-        """Committed segments, one per whole log frame; truncates a torn
-        final frame and sweeps interval files above the last whole one."""
-        segments, repair = self._read()
+        """Committed segments, one per whole segment of the log; truncates
+        a torn final segment and overwrites nothing."""
+        segments, _, repair = self._read()
         repair()
         return segments
 
-    def _read(self) -> tuple[list, Callable[[], None]]:
-        """Committed segments, and the repair that truncates a torn final
-        frame and sweeps the orphans of torn appends.  The repair is run
-        once the segments are accepted, so a load that fails leaves the
-        store as it found it."""
+    def _read(self) -> tuple[list, list, Callable[[], None]]:
+        """Committed segments, the heights of the damaged body frames served
+        as gaps, and the repair that truncates a torn final segment and
+        records where the bodies are.  The repair is run once the segments
+        are accepted, so a load that fails leaves the store as it found
+        it."""
         log_path = self.root / LOG
         try:
             raw = log_path.read_bytes()
         except OSError as exc:
             raise CorruptStore(f"unreadable {LOG}: {exc}")
-        blocks, ends = [], [0]
+        view = memoryview(raw)      # frames are sliced, not copied
+        segments, damaged, bodies, ends = [], [], {}, [0]
         while ends[-1] < len(raw):
             pos = ends[-1]
-            block = _framed_block(raw, pos)
-            if block is None:
+            frame = _framed(view, pos)
+            if frame is None:
                 # the torn last append, unless more of the log follows
-                length = _framed_length(raw, pos)
-                if length is None:
-                    followed = any(_framed_block(raw, q) is not None
-                                   for q in range(pos + 1, len(raw)))
-                else:
-                    followed = pos + FRAME_HEAD.size + length < len(raw)
-                if followed:
+                if not _ends_the_log(view, pos):
                     raise CorruptStore(
-                        f"damaged log frame {len(blocks)} has more of the log after it")
+                        f"damaged log frame {len(segments)} has more of the log after it")
                 break
             try:
-                blocks.append(PermanentBlock.decode(block))
+                block = PermanentBlock.decode(frame)
             except MutachainError as exc:
-                raise CorruptStore(f"undecodable log frame {len(blocks)}: {exc}")
-            ends.append(pos + FRAME_HEAD.size + len(block))
-        marked, log_bytes = self._written["height"] + 1, self._written["log_bytes"]
-        if ends[marked:marked + 1] != [log_bytes]:
-            raise CorruptStore(
-                f"log does not begin with {marked} whole frames in "
-                f"{log_bytes} bytes, as the manifest committed")
-        height = len(blocks) - 1
-        bodied = {b.height for b in blocks if b.header.interval_len}
-        orphans, present = [], set()
-        try:
-            entries = list(os.scandir(self.root))
-        except OSError as exc:
-            raise CorruptStore(f"unreadable {self.root}: {exc}")
-        for entry in entries:
-            m = INTERVAL_FILE.fullmatch(entry.name)
-            x = int(m[1]) if m and entry.is_file() else None
-            if x is not None and x > height:
-                orphans.append(Path(entry.path))
-            elif x in bodied:
-                present.add(x)
-            elif entry.name.startswith("interval_"):
-                raise CorruptStore(f"stray {entry.name} in {self.root}")
-
-        segments = []
-        for block in blocks:
+                raise CorruptStore(f"undecodable log frame {len(segments)}: {exc}")
+            end = pos + FRAME_HEAD.size + len(frame)
             x = block.height
             if block.header.interval_len == 0:
                 segments.append(((), block))
+                ends.append(end)
                 continue
-            if x not in present:
-                # pruned: the spine must prove the delete
+            body = _framed(view, end)
+            # a prune keeps the length, so it holds in a frame it cut short
+            after = end + FRAME_HEAD.size + int.from_bytes(raw[end:end + 4], "little")
+            if body is None and _framed(view, after) is None:
+                if not _ends_the_log(view, end):
+                    raise CorruptStore(
+                        f"damaged body frame {x} has more of the log after it")
+                break
+            bodies[x] = (end, after - end)
+            if body is None:
+                damaged.append(x)
                 segments.append((None, block))
-                continue
-            try:
-                reader = codec.Reader(self._interval_path(x).read_bytes())
-            except OSError as exc:
-                raise CorruptStore(f"unreadable interval {x}: {exc}")
-            rbs = []
-            try:
-                while not reader.exhausted:
-                    rbs.append(RemovableBlock.decode(reader.byte_string()))
-            except MutachainError as exc:
-                raise CorruptStore(f"undecodable interval {x}: {exc}")
-            segments.append((tuple(rbs), block))   # replay checks the count
+            elif raw.count(0, end + FRAME_HEAD.size, after) == len(body):
+                segments.append((None, block))      # erased
+            else:
+                reader = codec.Reader(body)
+                rbs = []
+                try:
+                    while not reader.exhausted:
+                        rbs.append(RemovableBlock.decode(reader.byte_string()))
+                except MutachainError as exc:
+                    raise CorruptStore(f"undecodable interval {x}: {exc}")
+                segments.append((tuple(rbs), block))   # replay checks the count
+            ends.append(after)
+        marked, log_bytes = self._written["height"] + 1, self._written["log_bytes"]
+        if ends[marked:marked + 1] != [log_bytes]:
+            raise CorruptStore(
+                f"log does not begin with {marked} whole segments in "
+                f"{log_bytes} bytes, as the manifest committed")
+
+        size = len(raw)     # the repair keeps no reference to the log's bytes
 
         def repair() -> None:
-            for child in orphans:
-                child.unlink()
-            if ends[-1] < len(raw):
+            if ends[-1] < size:
                 with open(log_path, "r+b") as fh:
                     fh.truncate(ends[-1])
-            self._manifest["height"] = height
+            self._manifest["height"] = len(segments) - 1
             self._manifest["log_bytes"] = ends[-1]
+            self._bodies = bodies
             self._log_read = True
-        return segments, repair
+        return segments, damaged, repair
 
     def load_chain(self) -> Chain:
         """Replay and re-verify the store's contents: every rule, and
-        every signature unless the tip marks this log.  The loaded tip
-        becomes the tip the next mark names."""
-        segments, repair = self._read()
+        every signature unless the tip marks this log.  A body frame a
+        prune cut short is erased once its delete is proven.  The loaded
+        tip becomes the tip the next mark names."""
+        segments, damaged, repair = self._read()
         tip = segments[-1][1].block_hash.hex() if segments else None
         try:
             chain = verify.replay_segments(
@@ -439,6 +462,8 @@ class BlockStore:
             raise CorruptStore(
                 f"stored chain does not verify: {type(exc).__name__}: {exc}")
         repair()
+        for x in damaged:
+            self._erase(*self._bodies[x])
         if tip is not None:
             self._manifest["tip"] = tip
         return chain

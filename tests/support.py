@@ -7,6 +7,8 @@ missing duplicates, forged links, out-of-order sequence numbers.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from mutachain import (
@@ -15,6 +17,7 @@ from mutachain import (
     ChainParams,
     KeyPair,
     OutPoint,
+    PermanentBlock,
     Transaction,
     build_permanent_block,
     build_register,
@@ -25,6 +28,7 @@ from mutachain import (
     keypair_from_seed,
 )
 from mutachain import tx as txmod
+from mutachain.store import FRAME_HEAD, log_frame
 
 MARK = digest(b"test-entity:")[:8]
 
@@ -123,3 +127,48 @@ def extend(chain: Chain, removable_txs=(), body_txs=(), **overrides):
     interval, block = make_segment(chain, removable_txs, body_txs, **overrides)
     chain.append_segment(interval, block)
     return interval, block
+
+
+def segment_spans(log: bytes) -> list:
+    """``(start, body, end)`` of each segment of a log of whole segments,
+    by height: ``body`` is where its body frame starts, or None when its
+    header counts no removable blocks."""
+    spans, pos = [], 0
+    while pos < len(log):
+        size = FRAME_HEAD.unpack_from(log, pos)[0]
+        block = PermanentBlock.decode(log[pos + FRAME_HEAD.size:pos + FRAME_HEAD.size + size])
+        end = pos + FRAME_HEAD.size + size
+        body = end if block.header.interval_len else None
+        if body is not None:
+            end += FRAME_HEAD.size + FRAME_HEAD.unpack_from(log, body)[0]
+        spans.append((pos, body, end))
+        pos = end
+    return spans
+
+
+def body_frames(log: bytes) -> dict:
+    """``{x: (start, end)}`` of each body frame of a log of whole segments."""
+    return {x: (body, end) for x, (_, body, end) in enumerate(segment_spans(log))
+            if body is not None}
+
+
+def erased_frame(start: int, end: int) -> bytes:
+    """What a prune writes over the body frame at ``start:end``."""
+    return log_frame(bytes(end - start - FRAME_HEAD.size))
+
+
+def erase_body(root, data: bytes) -> int:
+    """Overwrite the body frame holding ``data`` in the store at ``root``
+    with an erased frame behind the store's back, as a prune without a
+    delete would; return the interval's height."""
+    path = Path(root) / "permanent.log"
+    log = path.read_bytes()
+    x, (start, end) = next((x, span) for x, span in body_frames(log).items()
+                           if data in log[span[0]:span[1]])
+    path.write_bytes(log[:start] + erased_frame(start, end) + log[end:])
+    return x
+
+
+def store_holds(root, data: bytes) -> bool:
+    """Whether any file of the store at ``root`` holds ``data``."""
+    return any(data in p.read_bytes() for p in Path(root).rglob("*") if p.is_file())

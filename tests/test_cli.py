@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from mutachain.cli import main
+from support import erase_body
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -150,9 +151,8 @@ def test_verify_flags_manipulation(runner, tmp_path):
     run(runner, "removable", "alice", "evidence", "--store", store)
     run(runner, "mine", "--store", store)
     assert "valid" in run(runner, "verify", "--store", store)
-    # rip out the interval body behind the store's back
-    blk = next(Path(store).glob("interval_*.blk"))
-    blk.unlink()
+    # erase the interval body behind the store's back
+    erase_body(store, b"evidence")
     out = run(runner, "verify", "--store", store, expect=1)
     assert "invalid" in out or "MissingDeleteEvidence" in out
 
@@ -216,10 +216,10 @@ def test_queue_keeps_submission_order_across_mines(runner, tmp_path):
     assert b"from k9".hex() not in shown
 
 
-def _lose_interval_file(store):
+def _lose_interval_body(store):
     run(CliRunner(), "removable", "alice", "lost", "--store", store)
     run(CliRunner(), "mine", "--store", store)
-    next(store.glob("interval_*.blk")).unlink()
+    erase_body(store, b"lost")
 
 
 def _unnumbered_queue_file(store):
@@ -266,7 +266,7 @@ STORE = object()   # stands for the booted store's path
                  "--p-list -1 is outside 0..4", id="p-list-below"),
     pytest.param(None, ("show", 99, STORE),
                  "UnknownInterval: interval 99", id="show-unknown-interval"),
-    pytest.param(_lose_interval_file, ("status", STORE),
+    pytest.param(_lose_interval_body, ("status", STORE),
                  "MissingDeleteEvidence", id="status-lost-interval"),
     pytest.param(_unnumbered_queue_file, ("removable", "alice", "two", STORE),
                  "queue file pending/zz_note.tx", id="unnumbered-queue-file"),

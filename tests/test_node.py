@@ -4,7 +4,7 @@ import pytest
 
 from mutachain import BlockStore, ChainParams, Mempool, Node, build_delete
 from mutachain.errors import PListMismatch
-from support import ALICE, BOB, fresh_chain, make_segment, rem
+from support import ALICE, BOB, fresh_chain, make_segment, rem, store_holds
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
@@ -44,10 +44,10 @@ def test_extend_returns_the_intervals_it_pruned_and_their_files_are_gone(tmp_pat
     with node.store:
         assert node.extend([make_segment(chain, [rem(chain, ALICE, b"erase me")])]) == []
         assert node.extend([make_segment(chain, body_txs=[build_delete(ALICE, 1)])]) == []
-        assert (node.store.root / "interval_1.blk").exists()
+        assert store_holds(node.store.root, b"erase me")
         assert node.extend([make_segment(chain)]) == [1]
         assert chain.interval_blocks(1) is None
-        assert not (node.store.root / "interval_1.blk").exists()
+        assert not store_holds(node.store.root, b"erase me")
 
 
 def test_a_fork_no_taller_than_the_tip_changes_nothing(tmp_path):
@@ -81,15 +81,15 @@ def test_prune_erases_what_a_crash_between_append_and_prune_left(tmp_path):
         node.extend([make_segment(chain, body_txs=[build_delete(ALICE, 1)])])
 
         def crash(point):
-            if point == "prune-file":
+            if point == "prune-overwrite":
                 raise Crash(point)
         node.store.crash_hook = crash
         with pytest.raises(Crash):
             node.extend([make_segment(chain)])   # appended, then the prune dies
     with BlockStore(tmp_path / "s") as store:
         assert store.height == 3
-        assert (store.root / "interval_1.blk").exists()
+        assert store_holds(store.root, b"erase me")
         node = Node(store.load_chain(), store=store)
         assert node.prune() == [1]
-        assert not (store.root / "interval_1.blk").exists()
+        assert not store_holds(store.root, b"erase me")
         assert node.prune() == []

@@ -2,6 +2,8 @@
 
 import json
 import os
+import struct
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,8 +28,8 @@ from mutachain.errors import (
 )
 from mutachain.store import FRAME_HEAD, log_frame
 from support import (
-    ALICE, BOB, cold_cache, count_signature_checks, extend, fresh_chain, make_segment,
-    reg, rem,
+    ALICE, BOB, body_frames, cold_cache, count_signature_checks, erase_body, erased_frame,
+    extend, fresh_chain, make_segment, reg, rem, segment_spans, store_holds,
 )
 from test_simnet import away_and_back
 
@@ -141,20 +143,26 @@ def test_appends_must_be_contiguous(tmp_path):
             store.append_segment(ch.interval_record(2).blocks, ch.block_at(2))
 
 
-def test_prune_unlinks_interval_files(tmp_path):
+def test_prune_zeroes_the_body_frame_in_place(tmp_path):
     ch = fresh_chain(ALICE, params=FAST)
     extend(ch, [rem(ch, ALICE, b"purge me")])
     extend(ch, body_txs=[build_delete(ALICE, 1)])
     extend(ch)
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
-        assert (store.root / "interval_1.blk").exists()
+        log = (store.root / "permanent.log").read_bytes()
+        assert b"purge me" in log
+        start, end = body_frames(log)[1]
         manifest = (store.root / "manifest.json").read_bytes()
         assert ch.prune() == [1]
         store.prune(1)
-        assert not (store.root / "interval_1.blk").exists()
-        # the file's absence is the record: prune commits nothing else
+        # the frame is rewritten in place at its length, and nothing else
+        assert (store.root / "permanent.log").read_bytes() \
+            == log[:start] + erased_frame(start, end) + log[end:]
+        assert not store_holds(store.root, b"purge me")
+        # the erased frame is the record: prune commits nothing else
         assert (store.root / "manifest.json").read_bytes() == manifest
+        assert sorted(os.listdir(store.root)) == [".lock", "manifest.json", "permanent.log"]
     with BlockStore(tmp_path / "s") as store:
         loaded = store.load_chain()
     assert loaded.interval_status(1) is IntervalStatus.DELETED
@@ -195,11 +203,13 @@ def test_manifest_behind_the_log_truncates_nothing(tmp_path):
     assert (tmp_path / "s" / "permanent.log").read_bytes() == log
 
 
-def test_crash_between_interval_file_and_manifest(tmp_path):
+def test_crash_mid_segment_append_is_truncated(tmp_path):
     ch = simple_chain()
-    with BlockStore(tmp_path / "s", create=True) as store:
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
         store.set_params(ch.params)
         store.append_segment((), ch.block_at(0))
+        log = (root / "permanent.log").read_bytes()
         hits = {"n": 0}
 
         def bomb(point):
@@ -211,13 +221,17 @@ def test_crash_between_interval_file_and_manifest(tmp_path):
         with pytest.raises(Crash):
             store.append_segment(ch.interval_record(1).blocks, ch.block_at(1))
         assert hits["n"] == 1
-        # interval files were written, but nothing was committed
+        # the segment goes out in one write after the hook: nothing of it
+        # reached the log, and nothing was committed
         assert store.height == 0
-        assert (store.root / "interval_1.blk").exists()
-    with BlockStore(tmp_path / "s") as store:
-        loaded = store.load_chain()   # orphan file swept
+        assert (root / "permanent.log").read_bytes() == log
+    # a write cut after the permanent frame, its body frame never written
+    with open(root / "permanent.log", "ab") as fh:
+        fh.write(log_frame(ch.block_at(1).encoded))
+    with BlockStore(root) as store:
+        loaded = store.load_chain()   # the torn segment is truncated
         assert loaded.height == 0
-        assert not (store.root / "interval_1.blk").exists()
+    assert (root / "permanent.log").read_bytes() == log
 
 
 def test_crash_mid_prune_completes_on_load(tmp_path):
@@ -231,29 +245,124 @@ def test_crash_mid_prune_completes_on_load(tmp_path):
         assert ch.prune() == [1]
 
         def bomb(point):
-            if point == "prune-file":
+            if point == "prune-overwrite":
                 raise Crash(point)
 
         store.crash_hook = bomb
         with pytest.raises(Crash):
             store.prune(1)
-        # a prune is one unlink: the crash came before it, so the
-        # interval is whole, never half erased
-        assert (store.root / "interval_1.blk").exists()
+        # the crash came before the overwrite, so the interval is whole
+        assert store_holds(store.root, b"going") and store_holds(store.root, b"gone")
     with BlockStore(tmp_path / "s") as store:
         loaded = store.load_chain()
         # the spine's matured delete makes the loaded chain prune again
         assert loaded.prune() == [1]
         store.prune(1)
-        assert not (store.root / "interval_1.blk").exists()
+        assert not store_holds(store.root, b"going")
+        assert not store_holds(store.root, b"gone")
     with BlockStore(tmp_path / "s") as store:
         assert store.load_chain().interval_status(1) is IntervalStatus.DELETED
+
+
+def prune_cut_short(root, x, cut):
+    """Interval ``x``'s body frame with the first ``cut`` bytes of its
+    erased frame written over it, as a crash inside a prune's overwrite
+    leaves it; returns the log before and after."""
+    path = root / "permanent.log"
+    log = path.read_bytes()
+    start, end = body_frames(log)[x]
+    cut = (end - start) // 2 if cut == "half" else cut
+    torn = log[:start] + erased_frame(start, end)[:cut] + log[start + cut:]
+    path.write_bytes(torn)
+    return log, torn
+
+
+@pytest.mark.parametrize("cut", [6, FRAME_HEAD.size + 3, "half"])
+def test_prune_cut_short_is_erased_by_the_load_that_proves_its_delete(tmp_path, cut):
+    # 6 bytes leave a head that fails its check, whose length a prune
+    # never changes; more leave a whole head over a body half zeroed
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"going"), rem(ch, ALICE, b"gone")], per_block=1)
+    extend(ch, [rem(ch, BOB, b"staying")], [build_delete(ALICE, 1)])
+    extend(ch)
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+        assert ch.prune() == [1]
+
+        def bomb(point):
+            if point == "prune-overwrite":
+                raise Crash(point)
+        store.crash_hook = bomb
+        with pytest.raises(Crash):
+            store.prune(1)
+    log, torn = prune_cut_short(root, 1, cut)
+    # the audit path serves the frame as a gap and leaves it as it was
+    with BlockStore(root) as store:
+        assert store.segments()[1][0] is None
+        assert verify_chain(store.segments(), store.params).ok
+    assert (root / "permanent.log").read_bytes() == torn
+    # the load proves interval 1's delete, then finishes the prune
+    with BlockStore(root) as store:
+        loaded = store.load_chain()
+    assert loaded.interval_status(1) is IntervalStatus.DELETED
+    assert loaded.interval_blocks(1) is None and loaded.height == ch.height
+    start, end = body_frames(log)[1]
+    assert (root / "permanent.log").read_bytes() \
+        == log[:start] + erased_frame(start, end) + log[end:]
+    assert not store_holds(root, b"going") and store_holds(root, b"staying")
+    # the same damage where no delete backs it fails, and changes nothing
+    prune_cut_short(root, 2, cut)
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(MissingDeleteEvidence):
+            store.load_chain()
+    assert file_bytes(root) == before
+
+
+def test_erasure_reaches_every_link_and_open_descriptor(tmp_path):
+    ch = fresh_chain(ALICE, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"VERY-PRIVATE-NOTE")])
+    extend(ch, body_txs=[build_delete(ALICE, 1)])
+    extend(ch)
+    root = tmp_path / "s"
+    link = tmp_path / "link.log"
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+        log = (root / "permanent.log").read_bytes()
+        start, end = body_frames(log)[1]
+        check = struct.pack("<I", zlib.crc32(log[start + FRAME_HEAD.size:end]))
+        assert log.count(b"VERY-PRIVATE-NOTE") == 1 and log.count(check) == 1
+        os.link(root / "permanent.log", link)
+        with open(link, "rb") as held:
+            assert ch.prune() == [1]
+            store.prune(1)
+            seen = [held.read(), link.read_bytes(), (root / "permanent.log").read_bytes()]
+    for data in seen:
+        # neither the body nor its old crc32 is left for any reader
+        assert b"VERY-PRIVATE-NOTE" not in data and check not in data
+
+
+def test_damaged_body_length_with_a_segment_after_it_is_corruption(tmp_path):
+    # a body frame's head fails its check, and the length it states
+    # lands on no segment: nothing tells where the next one starts
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, two_block_chain())
+    log = bytearray((root / "permanent.log").read_bytes())
+    log[body_frames(log)[1][0] + 3] ^= 0x80
+    (root / "permanent.log").write_bytes(log)
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(CorruptStore, match="damaged body frame 1"):
+            store.load_chain()
+    assert file_bytes(root) == before
 
 
 def test_missing_body_without_evidence_fails_load(tmp_path):
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, two_block_chain())
-        (store.root / "interval_1.blk").unlink()
+    assert erase_body(tmp_path / "s", b"first") == 1
     # taken once the filling session has closed and written its mark
     before = file_bytes(tmp_path / "s")
     with BlockStore(tmp_path / "s") as store:
@@ -265,14 +374,13 @@ def test_missing_body_without_evidence_fails_load(tmp_path):
 
 
 def test_load_that_fails_repairs_nothing(tmp_path):
-    # a torn append (half its frame, its whole interval file) over a
-    # chain that fails to load: the tear is left for a load that succeeds
+    # a torn append (half its permanent frame) over a chain that fails
+    # to load: the tear is left for a load that succeeds
     root = tmp_path / "s"
     ch = two_block_chain()
     with BlockStore(root, create=True) as store:
         fill(store, ch)
-        (store.root / "interval_1.blk").unlink()
-    (root / f"interval_{ch.height + 1}.blk").write_bytes(b"orphan")
+    erase_body(root, b"first")
     with open(root / "permanent.log", "ab") as fh:
         fh.write(log_frame(ch.block_at(1).encoded)[:FRAME_HEAD.size + 8])
     before = file_bytes(root)
@@ -283,39 +391,41 @@ def test_load_that_fails_repairs_nothing(tmp_path):
 
 
 def test_interval_file_cut_short_is_corruption(tmp_path):
-    with BlockStore(tmp_path / "s", create=True) as store:
-        fill(store, two_block_chain())
-        path = store.root / "interval_1.blk"
-        data = path.read_bytes()
-        first = 4 + int.from_bytes(data[:4], "little")   # one framed block
-        path.write_bytes(data[:first])
-    with BlockStore(tmp_path / "s") as store:
-        with pytest.raises(CorruptStore):
-            store.load_chain()
-    assert path.read_bytes() == data[:first]
-
-
-def test_stray_block_file_is_corruption(tmp_path):
-    ch = simple_chain()
-    with BlockStore(tmp_path / "s", create=True) as store:
-        fill(store, ch)
+    # interval 1's body frame holds its first block of two, under a head
+    # that checks, and the manifest counts the shorter log
     root = tmp_path / "s"
-    (root / "interval_1.bak").write_bytes(b"stray")
-    with BlockStore(root) as store:
-        with pytest.raises(CorruptStore):
-            store.load_chain()
-    (root / "interval_1.bak").unlink()
-    # a directory of the old one-file-per-block layout
-    (root / "interval_1").mkdir()
-    (root / "interval_1" / "1.blk").write_bytes(b"old layout")
+    with BlockStore(root, create=True) as store:
+        fill(store, two_block_chain())
+    path = root / "permanent.log"
+    log = path.read_bytes()
+    start, end = body_frames(log)[1]
+    body = log[start + FRAME_HEAD.size:end]
+    first = 4 + int.from_bytes(body[:4], "little")   # one block's byte string
+    path.write_bytes(log[:start] + log_frame(body[:first]) + log[end:])
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["log_bytes"] -= len(body) - first
+    (root / "manifest.json").write_text(json.dumps(manifest))
     before = file_bytes(root)
     with BlockStore(root) as store:
         with pytest.raises(CorruptStore):
             store.load_chain()
     assert file_bytes(root) == before
-    (root / "interval_1" / "1.blk").unlink()
-    (root / "interval_1").rmdir()
-    # a directory in place of the log
+
+
+def test_directory_in_place_of_the_log_is_corruption(tmp_path):
+    ch = simple_chain()
+    with BlockStore(tmp_path / "s", create=True) as store:
+        fill(store, ch)
+    root = tmp_path / "s"
+    # the store reads only its own files: those of an older layout are
+    # neither read nor removed
+    (root / "interval_1.blk").write_bytes(b"old layout")
+    (root / "interval_2").mkdir()
+    (root / "interval_2" / "1.blk").write_bytes(b"older layout")
+    with BlockStore(root) as store:
+        assert store.load_chain().tip_hash == ch.tip_hash
+    assert (root / "interval_1.blk").read_bytes() == b"old layout"
+    assert (root / "interval_2" / "1.blk").read_bytes() == b"older layout"
     (root / "permanent.log").unlink()
     (root / "permanent.log").mkdir()
     before = file_bytes(root)
@@ -325,16 +435,18 @@ def test_stray_block_file_is_corruption(tmp_path):
     assert file_bytes(root) == before
 
 
-def test_unlistable_root_is_corruption(tmp_path, monkeypatch):
+def test_unreadable_log_is_corruption(tmp_path, monkeypatch):
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, simple_chain())
+    real = Path.read_bytes
 
     def refused(path):
-        raise PermissionError(13, "Permission denied", str(path))
+        if path.name == "permanent.log":
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path)
     with BlockStore(tmp_path / "s") as store:
-        # strays and orphans cannot be told apart from live files unseen
-        monkeypatch.setattr(os, "scandir", refused)
-        with pytest.raises(CorruptStore, match="unreadable"):
+        monkeypatch.setattr(Path, "read_bytes", refused)
+        with pytest.raises(CorruptStore, match="unreadable permanent.log"):
             store.load_chain()
 
 
@@ -351,10 +463,11 @@ def test_manifest_missing_a_field_is_corruption(tmp_path):
     with pytest.raises(CorruptStore):
         BlockStore(tmp_path / "s")
     manifest["log_bytes"] = 0
-    # a store of the old layout names its version
-    path.write_text(json.dumps({**manifest, "version": 1}))
-    with pytest.raises(CorruptStore, match="version 1"):
-        BlockStore(tmp_path / "s")
+    # a store of an old layout names its version: 3 kept a file per interval
+    for old in (1, 3):
+        path.write_text(json.dumps({**manifest, "version": old}))
+        with pytest.raises(CorruptStore, match=f"version {old}, expected 4"):
+            BlockStore(tmp_path / "s")
     for field, value in [("version", True), ("version", "2"), ("version", 2.0),
                          ("height", -2), ("height", "0"), ("height", None),
                          ("height", True), ("log_bytes", -1), ("log_bytes", 0.5),
@@ -371,10 +484,9 @@ def test_manifest_missing_a_field_is_corruption(tmp_path):
 
 
 def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
-    # a new name (an interval file, the log, the renamed manifest) and a
-    # prune's unlink each reach the disk only with an fsync of the
-    # directory that holds them; the log frame that commits an append
-    # is fsynced only after its interval file's name is durable
+    # a new name (the log, the renamed manifest) reaches the disk only
+    # with an fsync of the directory that holds it; an append and a
+    # prune each change the log alone and end with one fsync of it
     ch = fresh_chain(ALICE, params=FAST)
     extend(ch, [rem(ch, ALICE, b"purge me")])
     extend(ch, body_txs=[build_delete(ALICE, 1)])
@@ -382,6 +494,7 @@ def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
     root = tmp_path / "s"
     calls = []      # (event, the root's names when it happened)
     real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+    real_pwrite = os.pwrite
 
     def names():
         return frozenset(os.listdir(root)) - {".lock"}
@@ -401,24 +514,29 @@ def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
         real_unlink(path, missing_ok=missing_ok)
         calls.append(("unlink", names()))
 
+    def pwrite(fd, data, offset):
+        calls.append(("pwrite", names()))
+        return real_pwrite(fd, data, offset)
+
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "pwrite", pwrite)
     monkeypatch.setattr(Path, "unlink", unlink)
     with BlockStore(root, create=True) as store:
         fill(store, ch)
+        appended = len(calls)
         assert ch.prune() == [1]
         store.prune(1)
+        assert [event for event, _ in calls[appended:]] == ["pwrite", "fsync permanent.log"]
     events = [event for event, _ in calls]
     assert events.count("replace") == 3     # create, params, close
-    assert events.count("unlink") == 1
-    assert events.count("fsync permanent.log") == ch.height + 1
+    assert events.count("fsync root") == 3
+    assert events.count("unlink") == 0
+    # one fsync per append, whatever its interval holds, and one per prune
+    assert events.count("fsync permanent.log") == ch.height + 2
     for k, event in enumerate(events):
-        if event in ("replace", "unlink"):
+        if event == "replace":
             assert events[k + 1:k + 2] == ["fsync root"], (k, events)
-        if event.startswith("fsync interval_"):
-            later = events[k + 1:]
-            assert "fsync root" in later, (k, events)
-            assert later.index("fsync root") < later.index("fsync permanent.log")
     # every name a log frame commits was made durable before it, and no
     # name is left unsynced at the end
     synced = frozenset()
@@ -432,15 +550,30 @@ def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
 
 def test_tampered_block_file_fails_load(tmp_path):
     ch = simple_chain()
-    with BlockStore(tmp_path / "s", create=True) as store:
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
         fill(store, ch)
-        path = store.root / "interval_1.blk"
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-    with BlockStore(tmp_path / "s") as store:
+    path = root / "permanent.log"
+    log = path.read_bytes()
+    start, end = body_frames(log)[1]
+    # a flipped byte fails the body frame's check: the frame is served
+    # as a gap, and no delete backs it
+    data = bytearray(log)
+    data[end - 1] ^= 0xFF
+    path.write_bytes(bytes(data))
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(MissingDeleteEvidence):
+            store.load_chain()
+    assert file_bytes(root) == before
+    # under a head recomputed to match, it fails the replay
+    path.write_bytes(log[:start] + log_frame(bytes(data[start + FRAME_HEAD.size:end]))
+                     + log[end:])
+    before = file_bytes(root)
+    with BlockStore(root) as store:
         with pytest.raises(CorruptStore):
             store.load_chain()
+    assert file_bytes(root) == before
 
 
 def test_rebuild_mirrors_a_chain(tmp_path):
@@ -467,8 +600,10 @@ def test_digest_tracks_content(tmp_path):
         fill(store, ch)
         before = store.digest()
         assert before == store.digest()
-        store.prune_probe = None
-        (store.root / "interval_1.blk").write_bytes(b"altered")
+        path = store.root / "permanent.log"
+        data = bytearray(path.read_bytes())
+        data[body_frames(data)[1][1] - 1] ^= 0xFF     # a byte of interval 1
+        path.write_bytes(bytes(data))
         assert store.digest() != before
 
 
@@ -657,9 +792,8 @@ def test_last_frame_cut_at_any_byte_loads_the_height_below(tmp_path):
     root = tmp_path / "s"
     crashed_store(root, ch, 1)
     log = (root / "permanent.log").read_bytes()
-    whole = len(log) - len(log_frame(ch.block_at(2).encoded))
-    body = (root / "interval_2.blk").read_bytes()
-    kept = (root / "interval_1.blk").read_bytes()
+    whole, body, _ = segment_spans(log)[2]
+    assert body is not None      # the last segment is a permanent frame and a body frame
     for cut in range(whole, len(log)):
         # cut short by EOF, or its bytes from the cut on lost while the
         # log kept its size: read back as zeros or as junk
@@ -667,12 +801,10 @@ def test_last_frame_cut_at_any_byte_loads_the_height_below(tmp_path):
             if tail == log[cut:]:
                 continue    # the bytes lost were those already there
             (root / "permanent.log").write_bytes(log[:cut] + tail)
-            (root / "interval_2.blk").write_bytes(body)
             with BlockStore(root) as store:
                 assert store.load_chain().height == 1, (cut, tail[:1])
+            # the torn segment is truncated; interval 1's body is kept
             assert (root / "permanent.log").read_bytes() == log[:whole]
-            assert (root / "interval_1.blk").read_bytes() == kept
-            assert not (root / "interval_2.blk").exists()   # an orphan, swept
 
 
 def test_lost_append_after_the_last_frame_is_dropped(tmp_path):
@@ -711,8 +843,7 @@ def test_damaged_frame_with_more_of_the_log_after_it_is_corruption(tmp_path, at)
     root = tmp_path / "s"
     crashed_store(root, ch, 2)
     log = bytearray((root / "permanent.log").read_bytes())
-    start = len(log) - sum(len(log_frame(ch.block_at(x).encoded))
-                           for x in (ch.height - 1, ch.height))
+    start = segment_spans(log)[ch.height - 1][0]
     log[start + at] ^= 0x80
     (root / "permanent.log").write_bytes(log)
     before = file_bytes(root)

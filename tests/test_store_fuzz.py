@@ -1,11 +1,11 @@
 """Store loading is total and erases nothing it may not: after one
-mutation of a small store, closed or left past its mark by a session
-that never closed, opening and loading it either succeeds or raises a
-``MutachainError``.  A failed load has removed no interval file at or
-below the committed height and left the log as it was.  A load that
-succeeds has changed no interval file at or below the loaded height,
-has at most cut the log short, and has kept every frame of the store
-that the mutation left as it was."""
+mutation of a small store, closed, left past its mark by a session that
+never closed, or left by a prune cut short inside its overwrite, opening
+and loading it either succeeds or raises a ``MutachainError``.  A failed
+load leaves the log byte-identical.  A load that succeeds has changed no
+body at or below the loaded height, except that it may erase a body
+whose delete the replay proved; it has at most cut the log short, and
+has kept every segment of the store that the mutation left as it was."""
 
 import json
 import shutil
@@ -17,12 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 from mutachain import BlockStore, ChainParams, build_delete
 from mutachain.errors import CorruptStore, MutachainError
-from mutachain.store import FRAME_HEAD, INTERVAL_FILE
-from support import ALICE, BOB, extend, fresh_chain, rem
+from mutachain.store import FRAME_HEAD
+from support import (
+    ALICE, BOB, body_frames, erased_frame, extend, fresh_chain, rem, segment_spans,
+)
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 HEIGHT = 3
-DATA_FILES = ["permanent.log", "interval_2.blk", "interval_3.blk"]
+BODIED = (1, 2, 3)      # the intervals whose segments carry a body frame
+# names of the older one-file-per-interval layouts, which the store ignores
 STRAYS = ["interval_0.blk", "interval_1.blk", "interval_4.blk", "interval_01.blk",
           "interval_2.bak", "interval_2", "interval_x.blk"]
 ABSENT = object()
@@ -39,7 +42,8 @@ def template(tmp_path_factory):
     """Interval 1 erased from disk, interval 2 of two blocks and
     interval 3 of one live, at committed height 3: ``closed`` marks
     height 3, ``crashed`` height 1, as a session killed after it
-    appended segments 2 and 3 leaves it."""
+    appended segments 2 and 3 leaves it.  ``torn`` is ``crashed`` killed
+    halfway through writing interval 1's erased frame."""
     ch = fresh_chain(ALICE, BOB, params=FAST)
     extend(ch, [rem(ch, ALICE, b"purge me")])                          # 1
     extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")],
@@ -47,7 +51,7 @@ def template(tmp_path_factory):
     extend(ch, [rem(ch, BOB, b"c")])                                   # 3
     assert ch.height == HEIGHT and ch.prune() == [1]
     roots = {}
-    for name in ("closed", "crashed"):
+    for name in ("closed", "crashed", "torn"):
         roots[name] = root = tmp_path_factory.mktemp(name) / "s"
         with BlockStore(root, create=True) as store:
             store.set_params(ch.params)
@@ -57,36 +61,45 @@ def template(tmp_path_factory):
         store = BlockStore(root)
         for x in range(2, HEIGHT + 1):
             store.append_segment(ch.interval_blocks(x) or (), ch.block_at(x))
-        store.prune(1)
+        if name != "torn":
+            store.prune(1)
         if name == "closed":
             store.close()
         else:
             store._release_lock()   # killed: the lock goes, the mark stays
+        if name == "torn":
+            log = (root / "permanent.log").read_bytes()
+            start, end = body_frames(log)[1]
+            half = (end - start) // 2
+            (root / "permanent.log").write_bytes(
+                log[:start] + erased_frame(start, end)[:half] + log[start + half:])
     return roots
 
 
 @st.composite
 def mutations(draw):
-    template = draw(st.sampled_from(["closed", "crashed"]))
+    template = draw(st.sampled_from(["closed", "crashed", "torn"]))
     return template, draw(mutations_of_a_store())
 
 
 @st.composite
 def mutations_of_a_store(draw):
     kind = draw(st.sampled_from(["flip", "truncate", "append", "cut", "zero",
-                                 "length", "delete", "stray", "field"]))
+                                 "length", "erase", "delete", "stray", "field"]))
     if kind == "cut":
         return kind, "permanent.log", draw(st.integers(0, 1 << 16))
     if kind == "zero":
         return kind, "permanent.log", draw(st.integers(0, 1 << 16)), draw(st.integers(0, 64))
     if kind == "length":
-        return (kind, "permanent.log", draw(st.integers(0, HEIGHT)), draw(st.integers(0, 3)),
-                draw(st.integers(1, 0xFF)))
+        return (kind, "permanent.log", draw(st.integers(0, HEIGHT + len(BODIED))),
+                draw(st.integers(0, 3)), draw(st.integers(1, 0xFF)))
+    if kind == "erase":
+        return kind, "permanent.log", draw(st.sampled_from(BODIED))
     if kind in ("flip", "truncate", "append"):
-        return (kind, draw(st.sampled_from(DATA_FILES)), draw(st.integers(0, 1 << 16)),
+        return (kind, "permanent.log", draw(st.integers(0, 1 << 16)),
                 draw(st.binary(min_size=1, max_size=16)))
     if kind == "delete":
-        return kind, draw(st.sampled_from(DATA_FILES + ["manifest.json"]))
+        return kind, draw(st.sampled_from(["permanent.log", "manifest.json"]))
     if kind == "stray":
         return (kind, draw(st.sampled_from(STRAYS)), draw(st.booleans()),
                 draw(st.binary(max_size=16)))
@@ -123,6 +136,11 @@ def mutate(root: Path, mutation) -> None:
         data = bytearray(path.read_bytes())
         data[frames(data)[frame][0] + byte] ^= bits
         path.write_bytes(bytes(data))
+    elif kind == "erase":
+        # a body erased with or without its delete, as a prune writes it
+        data = path.read_bytes()
+        start, end = body_frames(data)[args[0]]
+        path.write_bytes(data[:start] + erased_frame(start, end) + data[end:])
     elif kind in ("flip", "truncate", "append"):
         at, junk = args
         data = bytearray(path.read_bytes())
@@ -156,12 +174,6 @@ def mutate(root: Path, mutation) -> None:
         (root / "manifest.json").write_text(json.dumps(manifest))
 
 
-def committed_data(root: Path, height: int = HEIGHT) -> dict:
-    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file() and (
-        p.name == "permanent.log"
-        or (m := INTERVAL_FILE.fullmatch(p.name)) and int(m[1]) <= height)}
-
-
 @pytest.mark.parametrize("tip", [None, 7, "", "ab", "A" * 64, "0" * 63, "0" * 65,
                                  "g" * 64, "0" * 64 + "\n"])
 def test_tip_that_is_not_a_hex_hash_is_corruption(template, tip, tmp_path):
@@ -181,18 +193,27 @@ def test_mutated_store_loads_or_fails_without_erasing(template, mutation):
         root = Path(tmp) / "s"
         shutil.copytree(template[name], root)
         mutate(root, change)
-        before = committed_data(root)
+        log_path = root / "permanent.log"
+        log = log_path.read_bytes() if log_path.is_file() else None
         try:
             with BlockStore(root) as store:
-                height = store.load_chain().height
+                chain = store.load_chain()
         except MutachainError:
-            assert committed_data(root) == before
+            assert (log_path.read_bytes() if log_path.is_file() else None) == log
         else:
-            after = committed_data(root, height)
-            log, loaded = before.pop("permanent.log"), after.pop("permanent.log")
-            assert log.startswith(loaded) and len(frames(loaded)) == height + 1
-            # only the damaged last frame of a torn append may be dropped
-            assert all(end <= len(loaded) for start, end in frames(stored)
-                       if log[start:end] == stored[start:end]), (frames(stored), len(loaded))
-            assert after == {k: v for k, v in before.items()
-                             if int(INTERVAL_FILE.fullmatch(k)[1]) <= height}
+            loaded = log_path.read_bytes()
+            spans = frames(loaded)
+            assert len(loaded) <= len(log)
+            assert len(spans) == chain.height + 1 + sum(x <= chain.height for x in BODIED)
+            # a frame may change only where the replay proved a delete,
+            # and only to an erased body frame
+            erased = {x: span for x, span in body_frames(loaded).items()
+                      if loaded[span[0]:span[1]] != log[span[0]:span[1]]}
+            assert all(chain.delete_record(x) is not None
+                       and loaded[start:end] == erased_frame(start, end)
+                       for x, (start, end) in erased.items()), erased
+            changed = [span for span in spans if loaded[span[0]:span[1]] != log[span[0]:span[1]]]
+            assert changed == sorted(erased.values())
+            # only the damaged last segment of a torn append may be dropped
+            assert all(end <= len(loaded) for start, _, end in segment_spans(stored)
+                       if log[start:end] == stored[start:end]), (segment_spans(stored), len(loaded))
