@@ -24,6 +24,17 @@ until a reply has landed it holds gossip and announcements, to judge
 them once it has caught up and not against its stale tip, and it
 proposes nothing unless no other online node has caught up.
 
+Gossip and announcements take one path: ``handle`` holds each in the
+node's backlog, and ``_release_backlog`` admits or appends what it
+holds, at once for a caught-up node, after the reply for one that is
+catching up.
+
+The net holds protocol state only: nodes, queues, the step counter and
+the event log.  It keeps no copy of a body and no record of what it
+delivered, so a body every node has pruned is held by nothing the net
+reaches.  Tests that need such a record wrap
+``SimNode.handle`` or ``Node.extend`` themselves.
+
 Byzantine behaviour is modelled at proposal time: a node's ``fault``
 hook rewrites the segment it proposes, or withholds it (logged as a
 ``withhold`` event), and honest nodes must reject what it announces.  ``fault_wrong_p_list`` and
@@ -98,45 +109,28 @@ class SimNode(Node):
             net.log(self.id, ev="prune", intervals=dropped)
         return True
 
-    def _append(self, removable_blocks, block, net: "SimNet") -> None:
-        if self._grow([(removable_blocks, block)], net, {"ev": "append"},
-                      {"ev": "reject", "height": block.height}):
-            kept = net.archive.get(block.block_hash)
-            # a late joiner appends deleted intervals without bodies; keep
-            # the fullest copy ever seen
-            if kept is None or len(removable_blocks) > len(kept[0]):
-                net.archive[block.block_hash] = (tuple(removable_blocks), block)
+    def _extends(self, block: PermanentBlock) -> bool:
+        return block.height == self.chain.height + 1 \
+            and block.header.prev_permanent == self.chain.tip_hash
 
     # ------------------------------------------------------------------
     # message handling
 
-    def _admit(self, tx: Transaction, net: "SimNet") -> None:
-        try:
-            self.mempool.submit(tx, self.chain)
-        except AlreadyKnown:
-            pass
-        except MempoolRejection as exc:
-            net.log(self.id, ev="tx-reject", err=type(exc).__name__)
-
     def handle(self, sender: int, msg, net: "SimNet") -> None:
-        if isinstance(msg, TxGossip):
-            if self._asked is None:
-                self._admit(msg.tx, net)
-            else:
-                # judged against a stale tip it could be lost for good
-                self._backlog.append(msg)
-        elif isinstance(msg, BlockAnnounce):
-            h = msg.block.height
-            if h <= self.chain.height:
+        if isinstance(msg, (TxGossip, BlockAnnounce)):
+            announce = isinstance(msg, BlockAnnounce)
+            if announce and msg.block.height <= self.chain.height:
                 return
-            if self._asked is None and h == self.chain.height + 1 \
-                    and msg.block.header.prev_permanent == self.chain.tip_hash:
-                self._append(msg.removable_blocks, msg.block, net)
-                return
-            # behind, forked while isolated, or mid-handshake: applied
-            # after the reply lands, so no announced block is lost
+            # held until caught up: gossip judged against a stale tip could
+            # be lost for good, and a block that does not extend the tip
+            # waits for the reply.  A caught-up node (_asked is None) holds
+            # nothing else, since a sync's end and the "alone" rule release
+            # the backlog and going offline clears it.
             self._backlog.append(msg)
-            if self._asked is None or net.step_no > self._asked + REPLY_STEPS:
+            if self._asked is None and (not announce or self._extends(msg.block)):
+                self._release_backlog(net)
+            elif announce and (self._asked is None
+                               or net.step_no > self._asked + REPLY_STEPS):
                 self._asked = net.step_no
                 tip = self.chain.height     # locator: tip, tip-1, tip-2, tip-4, ..., 0
                 heights = dict.fromkeys(max(tip - (1 << k >> 1), 0)
@@ -171,15 +165,21 @@ class SimNode(Node):
         self._release_backlog(net)
 
     def _release_backlog(self, net: "SimNet") -> None:
-        """Apply what was held while catching up, in arrival order: each
-        announced block that extends the tip, and each gossiped tx."""
+        """Apply what was held, in arrival order: each announced block
+        that extends the tip, and each gossiped tx.  The only place a
+        node admits gossip or appends an announced block."""
         backlog, self._backlog = self._backlog, []
         for msg in backlog:
             if isinstance(msg, TxGossip):
-                self._admit(msg.tx, net)
-            elif msg.block.height == self.chain.height + 1 \
-                    and msg.block.header.prev_permanent == self.chain.tip_hash:
-                self._append(msg.removable_blocks, msg.block, net)
+                try:
+                    self.mempool.submit(msg.tx, self.chain)
+                except AlreadyKnown:
+                    pass
+                except MempoolRejection as exc:
+                    net.log(self.id, ev="tx-reject", err=type(exc).__name__)
+            elif self._extends(msg.block):
+                self._grow([(msg.removable_blocks, msg.block)], net, {"ev": "append"},
+                           {"ev": "reject", "height": msg.block.height})
 
     # ------------------------------------------------------------------
     # proposing
@@ -197,7 +197,8 @@ class SimNode(Node):
                 interval_blocks=len(interval), body=len(block.txs))
         # a corrupted segment fails here and the node's own chain stays
         # put, but the announcement still goes out for others to judge
-        self._append(interval, block, net)
+        self._grow([(interval, block)], net, {"ev": "append"},
+                   {"ev": "reject", "height": block.height})
         net.broadcast(self.id, BlockAnnounce(interval, block))
 
 
@@ -240,11 +241,6 @@ class SimNet:
         self.step_no = 0
         self.events: list[dict] = []
         self._queues: dict[tuple[int, int], deque] = {}
-        # instrumentation, not part of the protocol: full bodies of
-        # every segment any node accepted (never pruned), and which
-        # removable bodies were ever handed to each node
-        self.archive: dict[bytes, tuple] = {}
-        self.body_deliveries: dict[int, set] = {i: set() for i in range(num_nodes)}
 
     # ------------------------------------------------------------------
     # fabric
@@ -305,20 +301,7 @@ class SimNet:
             node = self.nodes[receiver]
             for msg in batch[(sender, receiver)]:
                 if node.online:
-                    self._record_bodies(receiver, msg)
                     node.handle(sender, msg, self)
-
-    def _record_bodies(self, receiver: int, msg) -> None:
-        seen = self.body_deliveries[receiver]
-        if isinstance(msg, BlockAnnounce):
-            for rb in msg.removable_blocks:
-                for tx in rb.txs:
-                    seen.add((msg.block.height, tx.txid))
-        elif isinstance(msg, FillResponse):
-            for height, blocks in msg.fills.items():
-                for rb in blocks:
-                    for tx in rb.txs:
-                        seen.add((height, tx.txid))
 
     # ------------------------------------------------------------------
     # reporting

@@ -52,7 +52,8 @@ bodies whose delete it proves:
 
 * the bytes below the mark's ``log_bytes`` must be ``height + 1``
   segments whose permanent frames are whole and decode; anything else is
-  ``CorruptStore`` and nothing is truncated;
+  ``CorruptStore``, which names the first frame there that is not whole
+  (and not served as a gap), and nothing is truncated;
 * segments past the mark are appends committed by a session that never
   closed; they are served, and the load checks their signatures; a
   permanent frame that does not decode is ``CorruptStore``;
@@ -383,12 +384,17 @@ class BlockStore:
         except OSError as exc:
             raise CorruptStore(f"unreadable {LOG}: {exc}")
         view = memoryview(raw)      # frames are sliced, not copied
+        committed = self._written["log_bytes"]
         segments, damaged, bodies, ends = [], [], {}, [0]
         while ends[-1] < len(raw):
             pos = ends[-1]
             frame = _framed(view, pos)
             if frame is None:
-                # the torn last append, unless more of the log follows
+                # the torn last append, unless the mark or more of the log
+                # follows
+                if pos < committed:
+                    raise CorruptStore(
+                        f"damaged log frame {len(segments)} in the committed log")
                 if not _ends_the_log(view, pos):
                     raise CorruptStore(
                         f"damaged log frame {len(segments)} has more of the log after it")
@@ -407,6 +413,8 @@ class BlockStore:
             # a prune keeps the length, so it holds in a frame it cut short
             after = end + FRAME_HEAD.size + int.from_bytes(raw[end:end + 4], "little")
             if body is None and _framed(view, after) is None:
+                if end < committed:
+                    raise CorruptStore(f"damaged body frame {x} in the committed log")
                 if not _ends_the_log(view, end):
                     raise CorruptStore(
                         f"damaged body frame {x} has more of the log after it")
@@ -427,11 +435,11 @@ class BlockStore:
                     raise CorruptStore(f"undecodable interval {x}: {exc}")
                 segments.append((tuple(rbs), block))   # replay checks the count
             ends.append(after)
-        marked, log_bytes = self._written["height"] + 1, self._written["log_bytes"]
-        if ends[marked:marked + 1] != [log_bytes]:
+        marked = self._written["height"] + 1
+        if ends[marked:marked + 1] != [committed]:
             raise CorruptStore(
                 f"log does not begin with {marked} whole segments in "
-                f"{log_bytes} bytes, as the manifest committed")
+                f"{committed} bytes, as the manifest committed")
 
         size = len(raw)     # the repair keeps no reference to the log's bytes
 
@@ -471,17 +479,11 @@ class BlockStore:
     # ------------------------------------------------------------------
 
     def digest(self) -> str:
-        """Hex digest over the block data and manifest, path-ordered."""
-        h = []
-        for path in sorted(self.root.rglob("*")):
-            rel = path.relative_to(self.root).as_posix()
-            if path.is_dir() or rel == LOCK or rel.endswith(".tmp"):
-                continue
-            if rel.split("/")[0] in ("keys", "pending") or rel == "labels.json":
-                continue
-            h.append((rel, path.read_bytes()))
+        """Hex digest over the store's own files, the manifest then the
+        log, each hashed with its name and length."""
         acc = b""
-        for rel, data in h:
-            acc = digest(acc + rel.encode("utf-8") + b"\x00"
+        for name in (MANIFEST, LOG):
+            data = (self.root / name).read_bytes()
+            acc = digest(acc + name.encode("utf-8") + b"\x00"
                          + len(data).to_bytes(8, "little") + data)
         return acc.hex()

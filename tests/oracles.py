@@ -161,10 +161,12 @@ def authorization_rule(signers: frozenset, deleter, prepared_by_deleter: bool) -
     return prepared_by_deleter and deleter in signers
 
 
-def full_history_no_loss_violations(chain, archive) -> list[str]:
+def full_history_no_loss_violations(chain, bodies) -> list[str]:
     """Naive never-pruning replay: re-derive every removable transaction
-    ever confirmed from the archived bodies, then flag each transaction
-    of a non-deleting entity that no Present interval carries anymore.
+    ever confirmed from ``bodies`` (block hash -> (removable blocks,
+    block), every body recorded before its prune), then flag each
+    transaction of a non-deleting entity that no Present interval
+    carries anymore.
     """
     owners: dict[bytes, bytes] = {}            # removable txid -> signer
     locations: dict[bytes, set[int]] = {}      # removable txid -> intervals
@@ -172,9 +174,9 @@ def full_history_no_loss_violations(chain, archive) -> list[str]:
         block = chain.block_at(x)
         if block.header.interval_len == 0:
             continue
-        archived = archive.get(block.block_hash)
-        assert archived is not None, f"archive lost interval {x}"
-        for rb in archived[0]:
+        recorded = bodies.get(block.block_hash)
+        assert recorded is not None, f"no body recorded for interval {x}"
+        for rb in recorded[0]:
             for tx in rb.txs:
                 owners[tx.txid] = tx.signer
                 locations.setdefault(tx.txid, set()).add(x)

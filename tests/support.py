@@ -7,6 +7,7 @@ missing duplicates, forged links, out-of-order sequence numbers.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ from mutachain import (
     Chain,
     ChainParams,
     KeyPair,
+    Node,
     OutPoint,
     PermanentBlock,
+    SimNode,
     Transaction,
     build_permanent_block,
     build_register,
@@ -28,6 +31,7 @@ from mutachain import (
     keypair_from_seed,
 )
 from mutachain import tx as txmod
+from mutachain.simnet import BlockAnnounce, FillResponse
 from mutachain.store import FRAME_HEAD, log_frame
 
 MARK = digest(b"test-entity:")[:8]
@@ -80,6 +84,46 @@ def count_signature_checks(monkeypatch):
         return real(*args)
     monkeypatch.setattr(txmod, "verify_signature", counted)
     return calls
+
+
+def record_deliveries(monkeypatch) -> dict:
+    """``{node id: {(height, txid)}}`` of every removable body handed to
+    each node from here on, in an announcement or a sync reply.  Only an
+    online node's ``handle`` runs, so this is what reached each node."""
+    seen = defaultdict(set)
+    real = SimNode.handle
+
+    def handle(node, sender, msg, net):
+        bodies = {}
+        if isinstance(msg, BlockAnnounce):
+            bodies = {msg.block.height: msg.removable_blocks}
+        elif isinstance(msg, FillResponse):
+            bodies = msg.fills
+        seen[node.id].update((height, tx.txid) for height, rbs in bodies.items()
+                             for rb in rbs for tx in rb.txs)
+        real(node, sender, msg, net)
+    monkeypatch.setattr(SimNode, "handle", handle)
+    return seen
+
+
+def record_bodies(monkeypatch) -> dict:
+    """``{block hash: (removable blocks, block)}``, the fullest copy of
+    each segment that any node's chain took from here on: a node that
+    synced past a deleted interval took it without its body."""
+    kept = {}
+    real = Node.extend
+
+    def extend(node, segments):
+        segments = list(segments)
+        dropped = real(node, segments)
+        for blocks, block in segments:
+            blocks = tuple(blocks or ())
+            old = kept.get(block.block_hash)
+            if old is None or len(blocks) > len(old[0]):
+                kept[block.block_hash] = (blocks, block)
+        return dropped
+    monkeypatch.setattr(Node, "extend", extend)
+    return kept
 
 
 # dangling reference, fine for tests that never touch a chain

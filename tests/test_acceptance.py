@@ -43,7 +43,9 @@ from oracles import (
     full_history_no_loss_violations,
     random_scenario,
 )
-from support import ALICE, BOB, CAROL, extend, fresh_chain, kp, reg, rem
+from support import (
+    ALICE, BOB, CAROL, extend, fresh_chain, kp, record_bodies, record_deliveries, reg, rem,
+)
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -139,14 +141,16 @@ def test_criterion_3_degenerate_chain_equivalence():
              t0, 10.0)
 
 
-def test_criterion_4_no_loss_for_non_deleting_entities():
+def test_criterion_4_no_loss_for_non_deleting_entities(monkeypatch):
     t0 = time.perf_counter()
+    bodies = record_bodies(monkeypatch)
     with_deletion = with_bystanders = 0
     for i in range(200):
         rng = random.Random(0xA40000 + i)
+        bodies.clear()
         sc = run_scenario(random_scenario(rng))
         chain = sc.net.nodes[0].chain
-        bad = full_history_no_loss_violations(chain, sc.net.archive)
+        bad = full_history_no_loss_violations(chain, bodies)
         assert not bad, f"scenario {i}: " + "; ".join(bad)
         deleting = {r.signer for r in chain.delete_records().values()}
         deleted = [x for x in range(1, chain.height + 1)
@@ -155,7 +159,7 @@ def test_criterion_4_no_loss_for_non_deleting_entities():
         with_bystanders += any(
             tx.signer not in deleting
             for x in deleted
-            for rb in sc.net.archive[chain.block_at(x).block_hash][0]
+            for rb in bodies[chain.block_at(x).block_hash][0]
             for tx in rb.txs)
     # the property must actually bite: most runs delete, and a healthy
     # share erased intervals that held other entities' data
@@ -253,11 +257,13 @@ def test_criterion_6_consent_lifecycle():
     conclude(6, "consent 1 -> 3 -> 0 with audit trail", t0, 1.0)
 
 
-def test_criterion_7_late_join_sync_equivalence(tmp_path):
+def test_criterion_7_late_join_sync_equivalence(tmp_path, monkeypatch):
     t0 = time.perf_counter()
+    delivered = record_deliveries(monkeypatch)
     runs_with_deletion = 0
     for i in range(50):
         rng = random.Random(0xC70000 + i)
+        delivered.clear()
         sc = run_scenario(random_scenario(rng, steps=30, late_node=2))
         net = sc.net
         ref, late = net.nodes[0], net.nodes[2]
@@ -273,7 +279,7 @@ def test_criterion_7_late_join_sync_equivalence(tmp_path):
 
         gone = {x for x in range(1, ref.chain.height + 1)
                 if ref.chain.interval_record(x).status is IntervalStatus.DELETED}
-        received = {h for h, _ in net.body_deliveries[late.id]}
+        received = {h for h, _ in delivered[late.id]}
         assert not (gone & received), (
             f"scenario {i}: late node was sent bodies of deleted "
             f"intervals {sorted(gone & received)}")

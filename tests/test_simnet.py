@@ -1,6 +1,8 @@
 """Simulated network: gossip, convergence, catch-up sync, faults."""
 
+import gc
 import json
+import types
 from dataclasses import replace
 from functools import partial
 
@@ -17,6 +19,7 @@ from mutachain import (
     build_prepare,
     build_register,
     build_removable,
+    run_scenario,
     verify_chain,
 )
 from mutachain import verify
@@ -30,7 +33,8 @@ from mutachain.simnet import (
     fault_wrong_p_list,
 )
 from support import (
-    ALICE, BOB, CAROL, cold_cache, count_signature_checks, make_segment, store_holds,
+    ALICE, BOB, CAROL, cold_cache, count_signature_checks, make_segment,
+    record_deliveries, store_holds,
 )
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -101,7 +105,8 @@ def test_offline_node_syncs_on_rejoin():
     assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
 
 
-def test_rejoined_node_sees_gap_not_deleted_bodies():
+def test_rejoined_node_sees_gap_not_deleted_bodies(monkeypatch):
+    delivered = record_deliveries(monkeypatch)
     net = SimNet(3, genesis(), FAST, propose_period=2)
     # node 2 is away before the doomed interval even confirms
     net.set_online(2, False)
@@ -117,7 +122,7 @@ def test_rejoined_node_sees_gap_not_deleted_bodies():
     assert late.interval_status(1) is IntervalStatus.DELETED
     assert late.interval_blocks(1) is None
     # the wire never carried interval 1's body to the late joiner
-    assert all(h != 1 for h, _ in net.body_deliveries[2])
+    assert all(h != 1 for h, _ in delivered[2])
     segments = [(late.interval_record(x).blocks, late.block_at(x))
                 for x in range(late.height + 1)]
     assert verify_chain(segments, late.params).ok
@@ -219,13 +224,57 @@ def test_fault_hook_returning_none_withholds_the_proposal():
     assert not [msg for _, _, msg in sent if isinstance(msg, BlockAnnounce)]
 
 
-def test_archive_keeps_full_bodies_for_auditing():
-    net = SimNet(3, genesis(), FAST, propose_period=2)
-    net.submit(rem(net, ALICE, b"kept in the archive"))
-    net.step(4)
-    bodies = [blocks for blocks, _ in net.archive.values() if blocks]
-    assert any(tx.payload.data == b"kept in the archive"
-               for blocks in bodies for rb in blocks for tx in rb.txs)
+def reachable_bytes(root) -> list:
+    """Every bytes value reachable from ``root`` through the objects it
+    holds, by a walk over ``gc.get_referents``.  Classes, modules and
+    functions are not entered: through them every object is reachable."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (bytes, bytearray)):
+            found.append(bytes(obj))
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
+ERASURES = """
+params confirm_depth=1 delete_lock=0
+nodes 3
+schedule 1
+period 2
+entity A
+entity B
+genesis A B
+
+removable A erased-by-a-restricted-delete
+removable B bystander-copy-lives-on
+step 2
+removable A erased-on-the-fast-path
+step 2
+prepare A 1
+step 2
+delete A 1
+delete A 2
+step 6
+"""
+
+
+def test_erased_payloads_leave_every_object_of_the_network():
+    net = run_scenario(ERASURES).net
+    assert converged(net)
+    for node in net.nodes:
+        assert node.chain.delete_record(1).prepare is not None     # restricted
+        assert node.chain.delete_record(2).prepare is None         # fast path
+        assert node.chain.interval_blocks(1) is None and node.chain.interval_blocks(2) is None
+    held = reachable_bytes(net)
+    for payload in (b"erased-by-a-restricted-delete", b"erased-on-the-fast-path"):
+        assert not [b for b in held if payload in b], payload
+    # positive control: the bystander's copy is live, and the walk finds it
+    assert [b for b in held if b"bystander-copy-lives-on" in b]
 
 
 def test_report_is_deterministic():
@@ -287,7 +336,6 @@ def away_and_back(stores=None, fork=False, own_slot=False):
     old_tip = late.chain.height
     assert 5 <= old_tip <= 8
     net.set_online(2, False)
-    net.body_deliveries[2].clear()
     erased = rem(net, ALICE, b"born and erased while two is away")
     net.submit(erased)
     net.step(4)
@@ -314,6 +362,7 @@ def away_and_back(stores=None, fork=False, own_slot=False):
 def test_rejoin_sends_and_replays_only_the_missed_suffix(monkeypatch):
     replays = spy_replays(monkeypatch)
     net, old_tip, _ = away_and_back()
+    delivered = record_deliveries(monkeypatch)    # from node 2's return
     sent = spy_sends(net)
     net.step(9)
     assert converged(net)
@@ -322,8 +371,8 @@ def test_rejoin_sends_and_replays_only_the_missed_suffix(monkeypatch):
     assert any(e["ev"] == "sync" and e["node"] == 2 for e in net.events)
     assert replays and all(min(heights) > old_tip for heights, _ in replays)
     assert all(onto is late.chain for _, onto in replays)
-    delivered = {h for h, _ in net.body_deliveries[2]}
-    assert delivered and min(delivered) > old_tip
+    heights = {h for h, _ in delivered[2]}
+    assert heights and min(heights) > old_tip
     locator = [m.locator for s, _, m in sent if s == 2 and isinstance(m, SyncRequest)][0]
     assert [h for h, _ in locator] == [old_tip, old_tip - 1, old_tip - 2, old_tip - 4, 0]
     assert all(late.chain.block_at(h).block_hash == bh for h, bh in locator)
@@ -332,13 +381,14 @@ def test_rejoin_sends_and_replays_only_the_missed_suffix(monkeypatch):
 def test_suffix_gap_pruned_while_away_is_accepted_through_its_delete(monkeypatch):
     replays = spy_replays(monkeypatch)
     net, old_tip, x = away_and_back()
+    delivered = record_deliveries(monkeypatch)    # from node 2's return
     net.step(9)
     assert converged(net)
     late = net.nodes[2].chain
     assert not any(e["ev"] == "sync-abort" for e in net.events)
     assert late.interval_status(x) is IntervalStatus.DELETED
     assert late.interval_blocks(x) is None and late.delete_record(x) is not None
-    assert all(h != x for h, _ in net.body_deliveries[2])
+    assert all(h != x for h, _ in delivered[2])
     assert any(x in heights and onto is late for heights, onto in replays)
     # the delete of interval 1, which node 2 held, matured while it was
     # away: the rejoin prunes it
@@ -394,6 +444,7 @@ def test_fork_below_the_tip_rebuilds_from_genesis(tmp_path, monkeypatch):
     stores = {i: BlockStore(tmp_path / f"node{i}", create=True) for i in range(3)}
     try:
         net, old_tip, x = away_and_back(stores, fork=True)
+        delivered = record_deliveries(monkeypatch)    # from node 2's return
         net.step(10)
         assert converged(net)
         late = net.nodes[2]
@@ -401,7 +452,7 @@ def test_fork_below_the_tip_rebuilds_from_genesis(tmp_path, monkeypatch):
                    and e["height"] == old_tip + 1 for e in net.events)
         assert [(heights[0], onto) for heights, onto in replays] == [(0, None)]
         assert late.chain.interval_blocks(x) is None
-        assert all(h != x for h, _ in net.body_deliveries[2])
+        assert all(h != x for h, _ in delivered[2])
         late.store.close()      # the mark is written when the session ends
         with BlockStore(tmp_path / "rebuilt", create=True) as fresh:
             fresh.rebuild(net.nodes[0].chain)

@@ -359,6 +359,31 @@ def test_damaged_body_length_with_a_segment_after_it_is_corruption(tmp_path):
     assert file_bytes(root) == before
 
 
+@pytest.mark.parametrize("last, named", [
+    (b"last", "damaged body frame 2 in the committed log"),
+    (None, "damaged log frame 2 in the committed log"),
+])
+def test_damaged_last_frame_below_the_mark_is_named(tmp_path, last, named):
+    # the log's last byte flipped after a clean close: the mark committed
+    # that frame, so it is no torn append, and the error names the frame
+    # (a body frame, or a permanent one when the tip's interval is empty)
+    ch = fresh_chain(ALICE, BOB, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"first")])
+    extend(ch, [rem(ch, BOB, last)] if last else [])
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+    log = bytearray((root / "permanent.log").read_bytes())
+    log[-1] ^= 0xFF
+    (root / "permanent.log").write_bytes(log)
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        for read in (store.load_chain, store.segments):
+            with pytest.raises(CorruptStore, match=named):
+                read()
+    assert file_bytes(root) == before
+
+
 def test_missing_body_without_evidence_fails_load(tmp_path):
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, two_block_chain())
