@@ -1,6 +1,9 @@
 """Digests, key pairs and signatures."""
 
+import dataclasses
+
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, strategies as st
 
 from mutachain import (
@@ -164,3 +167,85 @@ def test_a_libsodium_yes_for_s_at_or_above_the_order_is_not_taken(monkeypatch):
     monkeypatch.setattr(crypto, "_sodium_verify", lambda sig, payload, n, pk: 0)
     pk, payload, sig, _ = PINNED["S-plus-L"]
     assert not verify_signature(pk, payload, sig)
+
+
+# Ed25519 signing is deterministic (RFC 8032), so whichever library derives
+# and signs, the bytes are OpenSSL's.
+SEEDS = st.binary(min_size=32, max_size=32)
+PAYLOADS = st.binary(max_size=1024)
+LIBSODIUM = pytest.mark.skipif(crypto._sodium_keypair is None, reason="libsodium did not load")
+
+
+def openssl_reference(seed: bytes, payload: bytes) -> tuple[bytes, bytes]:
+    private = Ed25519PrivateKey.from_private_bytes(seed)
+    return private.public_key().public_bytes_raw(), private.sign(payload)
+
+
+def hide_libsodium(monkeypatch):
+    for name in ("_sodium_keypair", "_sodium_sign", "_sodium_verify"):
+        monkeypatch.setattr(crypto, name, None)
+
+
+def count_openssl_signing(monkeypatch):
+    calls = []
+    real = crypto.Ed25519PrivateKey
+
+    class Counted:
+        def __init__(self, key):
+            self.key = key
+
+        @classmethod
+        def from_private_bytes(cls, seed):
+            calls.append("derive")
+            return cls(real.from_private_bytes(seed))
+
+        def public_key(self):
+            return self.key.public_key()
+
+        def sign(self, payload):
+            calls.append("sign")
+            return self.key.sign(payload)
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", Counted)
+    return calls
+
+
+@LIBSODIUM
+@given(SEEDS, PAYLOADS)
+def test_libsodium_keys_and_signatures_equal_openssl(seed, payload):
+    kp = keypair_from_seed(seed)
+    assert isinstance(kp._secret, bytes)
+    assert (kp.pubkey, sign_payload(kp, payload)) == openssl_reference(seed, payload)
+
+
+@given(SEEDS, PAYLOADS)
+def test_without_libsodium_keys_and_signatures_are_openssl(seed, payload):
+    loaded = keypair_from_seed(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        hide_libsodium(monkeypatch)
+        calls = count_openssl_signing(monkeypatch)
+        kp = keypair_from_seed(seed)
+        sig = sign_payload(kp, payload)
+    assert calls == ["derive", "sign"]
+    assert (kp.pubkey, sig) == openssl_reference(seed, payload)
+    assert (loaded.pubkey, sign_payload(loaded, payload)) == (kp.pubkey, sig)
+
+
+@pytest.mark.parametrize("hidden", [False, True], ids=["loaded", "libsodium-hidden"])
+def test_the_secret_never_comes_from_the_pubkey_field(monkeypatch, hidden):
+    if hidden:
+        hide_libsodium(monkeypatch)
+    kp = keypair_from_seed(b"\x03" * 32)
+    other = keypair_from_seed(b"\x04" * 32)
+    # a key pair whose pubkey field lies still signs under its seed's key:
+    # joining the seed to another public key would leak the private key
+    forged = dataclasses.replace(kp, pubkey=other.pubkey)
+    assert sign_payload(forged, b"hello") == sign_payload(kp, b"hello")
+
+
+def test_keys_and_signatures_come_from_the_loaded_backend(monkeypatch):
+    calls = count_openssl_signing(monkeypatch)
+    kp = keypair_from_seed(b"\x09" * 32)
+    sig = sign_payload(kp, PINNED_PAYLOAD)
+    assert verify_signature(kp.pubkey, PINNED_PAYLOAD, sig)
+    # where libsodium loaded, a silent fall back to OpenSSL shows as a call
+    assert calls == (["derive", "sign"] if crypto.ED25519_BACKEND == "openssl" else [])
