@@ -204,10 +204,9 @@ class CorruptStore(StoreError):
 class MissingDeleteEvidence(StoreError):
     """An interval is absent although no confirmed delete authorizes the gap."""
 
-    def __init__(self, intervals, detail: str = ""):
+    def __init__(self, intervals):
         self.intervals = tuple(intervals)
-        super().__init__(f"no delete evidence for interval(s) {list(self.intervals)}"
-                         + (f": {detail}" if detail else ""))
+        super().__init__(f"no delete evidence for interval(s) {list(self.intervals)}")
 
 
 class StoreLocked(StoreError):

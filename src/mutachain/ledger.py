@@ -9,10 +9,13 @@ leaves no partial state behind; mempool trials stage and never commit.
 Stages nest, so a sync can extend the chain by a whole run of segments
 all or nothing.
 
-Within a segment the interval's transactions are indexed before the
+Within a segment each interval transaction passes ``check_removable``,
+the one read-only register-input rule, and then ``close_interval``
+records the interval and indexes its txids as copies, all before the
 permanent body is applied.  A prepare in ``B_k`` may therefore name
 ``I_k`` itself, and a delete may chase a prepare confirmed earlier in
-the same body.
+the same body.  The duplicate index has one adder, ``close_interval``,
+and one remover, ``prune``.
 
 Deletion of interval ``I_x`` is authorized two ways:
 
@@ -301,7 +304,7 @@ class Chain:
             for tx in interval_txs:
                 validate_stateless(tx, check_signatures=check_signatures)
             for tx in interval_txs:
-                self.apply_removable(tx, height)
+                self.check_removable(tx)
         self.close_interval(height, h.interval_len, h.p_list, removable_blocks)
 
         for tx in block.txs:
@@ -312,11 +315,14 @@ class Chain:
 
     def close_interval(self, height: int, length: int, p_list: tuple[bytes, ...],
                        blocks: tuple[RemovableBlock, ...] | None) -> None:
-        """Record interval ``height`` as closed, so body rules can name
-        it; ``blocks`` None records an absent interval."""
+        """Record interval ``height`` as closed and index its removable
+        txids, so body rules can name it and find its copies; ``blocks``
+        None records an absent interval."""
+        txids = frozenset(tx.txid for rb in blocks or () for tx in rb.txs)
+        for txid in txids:
+            self._write(self._dup_index, txid, self._dup_index.get(txid, frozenset()) | {height})
         self._write(self._intervals, height, IntervalRecord(
-            length=length, p_list=p_list, blocks=blocks,
-            txids=frozenset(tx.txid for rb in blocks or () for tx in rb.txs)))
+            length=length, p_list=p_list, blocks=blocks, txids=txids))
 
     # ------------------------------------------------------------------
     # transaction rules
@@ -328,11 +334,8 @@ class Chain:
         return OutPoint(reg_txid, 0)
 
     def check_removable(self, tx: Transaction) -> None:
-        """Raise what ``apply_removable`` would for ``tx``, writing nothing:
-        a removable spends its signer's register output."""
-        self._check_register_input(tx)
-
-    def _check_register_input(self, tx: Transaction) -> None:
+        """Raise unless ``tx`` spends its signer's register output, writing
+        nothing: the input rule of removables, prepares and infos."""
         reg_txid = self._registrations.get(tx.signer)
         if reg_txid is None:
             raise UnknownRegisterRef("signer is not registered")
@@ -344,12 +347,6 @@ class Chain:
                     f"input {got.txid.hex()[:12]} was erased with its interval")
             raise UnknownRegisterRef(
                 f"input {got.txid.hex()[:12]}:{got.index} is not the signer's register output")
-
-    def apply_removable(self, tx: Transaction, height: int) -> None:
-        """Admit a removable transaction into interval ``height``."""
-        self.check_removable(tx)
-        self._write(self._dup_index, tx.txid,
-                    self._dup_index.get(tx.txid, frozenset()) | {height})
 
     def apply_body_tx(self, tx: Transaction, height: int) -> None:
         """Admit a permanent-body transaction confirmed at ``height``."""
@@ -373,7 +370,7 @@ class Chain:
             if self._intervals[x].blocks is not None:
                 self._write(self._unpruned, x, height)
         elif tx.kind is TxKind.INFO:
-            self._check_register_input(tx)
+            self.check_removable(tx)
             self._write(self._infos, tx.txid, consent.make_info_record(tx))
         elif tx.kind is TxKind.CONSENT:
             reg = self._register_outpoint(tx.signer)
@@ -399,7 +396,7 @@ class Chain:
         return rec
 
     def _validate_prepare(self, tx: Transaction) -> None:
-        self._check_register_input(tx)
+        self.check_removable(tx)
         rec = self._interval_for_removal(tx.payload.interval)
         if tx.signer not in rec.p_list:
             raise NotEligible(

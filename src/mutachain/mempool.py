@@ -2,9 +2,10 @@
 
 Admission trial-applies a body transaction in a chain stage that is
 never committed, and judges a removable by ``Chain.check_removable``,
-the rule ``apply_removable`` runs, which writes nothing.  Either way
-the mempool enforces exactly the rules a block would and leaves the
-chain as it found it.  Two queues feed candidates: the re-inclusion
+the one rule a replayed interval's transactions pass, which writes
+nothing.  Candidate assembly picks removables the same way.  Either
+way the mempool enforces exactly the rules a block would and leaves
+the chain as it found it.  Two queues feed candidates: the re-inclusion
 queue and the ordinary pending queue.  The re-inclusion queue holds
 byte-identical copies of a prepared interval's transactions signed by
 anyone but the preparer and held by no other live interval.
@@ -137,43 +138,43 @@ class Mempool:
         """Assemble the next segment from queued transactions.
 
         Fills up to ``max_interval_blocks`` removable blocks (re-imports
-        first), then the permanent body, trial-applying every pick so
+        first), each pick judged by the read-only ``check_removable``,
+        then closes the interval and trial-applies every body pick, so
         the result is valid by construction.  Transactions that do not
-        fit or do not apply stay queued.  The trials run in one chain
-        stage that is never committed.
+        fit or do not apply stay queued.  The close and the body trials
+        run in one chain stage that is never committed.
         """
         height = chain.height + 1
         chosen: list[Transaction] = []
         signers: set[bytes] = set()
         capacity = max_interval_blocks * MAX_BLOCK_TXS
+        for tx in self.pending():
+            if len(chosen) >= capacity:
+                break
+            if tx.kind is not TxKind.REMOVABLE:
+                continue
+            if len(signers | {tx.signer}) > MAX_P_LIST:
+                continue
+            try:
+                chain.check_removable(tx)
+            except LedgerError:
+                continue
+            chosen.append(tx)
+            signers.add(tx.signer)
+
+        interval: list[RemovableBlock] = []
+        anchor = chain.tip_hash
+        for start in range(0, len(chosen), MAX_BLOCK_TXS):
+            rb = build_removable_block(
+                interval=height, seq=len(interval) + 1, prev=anchor,
+                txs=chosen[start:start + MAX_BLOCK_TXS])
+            interval.append(rb)
+            anchor = rb.block_hash
+
+        p_list = compute_p_list(chosen)
         with chain.stage():
-            if max_interval_blocks > 0:
-                for tx in self.pending():
-                    if len(chosen) >= capacity:
-                        break
-                    if tx.kind is not TxKind.REMOVABLE:
-                        continue
-                    if len(signers | {tx.signer}) > MAX_P_LIST:
-                        continue
-                    try:
-                        chain.apply_removable(tx, height)
-                    except LedgerError:
-                        continue
-                    chosen.append(tx)
-                    signers.add(tx.signer)
-
-            interval: list[RemovableBlock] = []
-            anchor = chain.tip_hash
-            for start in range(0, len(chosen), MAX_BLOCK_TXS):
-                rb = build_removable_block(
-                    interval=height, seq=len(interval) + 1, prev=anchor,
-                    txs=chosen[start:start + MAX_BLOCK_TXS])
-                interval.append(rb)
-                anchor = rb.block_hash
-
             # the interval must be closed before body rules run, exactly
             # as segment admission does
-            p_list = compute_p_list(chosen)
             chain.close_interval(height, len(interval), p_list, tuple(interval))
 
             body: list[Transaction] = []

@@ -81,8 +81,8 @@ class FillResponse:
 
 
 class SimNode(Node):
-    def __init__(self, node_id: int, chain: Chain, store=None):
-        super().__init__(chain, Mempool(), store)
+    def __init__(self, node_id: int, chain: Chain):
+        super().__init__(chain, Mempool())
         self.id = node_id
         self.online = True
         # (chain, interval, block) -> (interval, block), or None to propose nothing
@@ -227,17 +227,12 @@ class SimNet:
 
     def __init__(self, num_nodes: int, genesis_txs=(),
                  params: ChainParams | None = None, *,
-                 max_interval_blocks: int = 1, propose_period: int = 1,
-                 stores: dict | None = None):
+                 max_interval_blocks: int = 1, propose_period: int = 1):
         self.params = params or ChainParams()
         self.max_interval_blocks = max_interval_blocks
         self.propose_period = propose_period
         base = Chain.bootstrap(genesis_txs, self.params)
-        self.nodes = [SimNode(i, base.copy(), store=(stores or {}).get(i))
-                      for i in range(num_nodes)]
-        for node in self.nodes:
-            if node.store is not None:
-                node.store.rebuild(node.chain)
+        self.nodes = [SimNode(i, base.copy()) for i in range(num_nodes)]
         self.step_no = 0
         self.events: list[dict] = []
         self._queues: dict[tuple[int, int], deque] = {}

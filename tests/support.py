@@ -130,6 +130,14 @@ def record_bodies(monkeypatch) -> dict:
 REF_DUMMY = OutPoint(digest(MARK + b"dummy-register"), 0)
 
 
+def attach_stores(net, stores: dict) -> None:
+    """Give each node of ``net`` that ``stores`` names its store, rebuilt
+    from the node's chain."""
+    for i, store in stores.items():
+        net.nodes[i].store = store
+        store.rebuild(net.nodes[i].chain)
+
+
 def rem_raw(k: KeyPair, data: bytes) -> Transaction:
     return build_removable(k, REF_DUMMY, data)
 

@@ -44,7 +44,8 @@ from oracles import (
     random_scenario,
 )
 from support import (
-    ALICE, BOB, CAROL, extend, fresh_chain, kp, record_bodies, record_deliveries, reg, rem,
+    ALICE, BOB, CAROL, attach_stores, extend, fresh_chain, kp, record_bodies, record_deliveries,
+    reg, rem,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -315,7 +316,8 @@ def test_criterion_8_physical_erasure(tmp_path):
               for i in range(3)}
     try:
         net = SimNet(3, (build_register(ALICE), build_register(BOB)),
-                     FAST, propose_period=2, stores=stores)
+                     FAST, propose_period=2)
+        attach_stores(net, stores)
         a_ref = net.nodes[0].chain.register_outpoint(ALICE.pubkey)
         b_ref = net.nodes[0].chain.register_outpoint(BOB.pubkey)
         net.submit(build_removable(ALICE, a_ref, b"one " + markers["doomed1"]))

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from mutachain import Mempool
 from mutachain.cli import main
+from mutachain.errors import DuplicateConsentChain, MempoolRejection
 from support import erase_body
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -183,6 +185,34 @@ def test_mine_reports_rejected_queue_state(runner, tmp_path):
     boot(runner, store)
     out = run(runner, "mine", "--store", store)   # nothing queued
     assert "0 body tx(s)" in out
+
+
+def test_mine_skips_a_queue_file_the_chain_refuses(runner, tmp_path, monkeypatch):
+    store = tmp_path / "chain"
+    boot(runner, store)
+    run(runner, "info", "bob", "terms", "--purposes", "analytics,ads", "--store", store)
+    run(runner, "mine", "--store", store)
+    # both open a consent chain from alice's register output; only the
+    # first fits in the block, and once it confirms the second is refused
+    run(runner, "consent", "alice", "terms", 1, "--store", store)
+    run(runner, "consent", "alice", "terms", 3, "--store", store)
+    assert "1 body tx(s)" in run(runner, "mine", "--store", store)
+    refused, = (store / "pending").glob("*.tx")
+    causes = []
+    submit = Mempool.submit
+
+    def spy(pool, tx, chain):
+        try:
+            submit(pool, tx, chain)
+        except MempoolRejection as exc:
+            causes.append(type(exc.cause))
+            raise
+    monkeypatch.setattr(Mempool, "submit", spy)
+    assert "0 body tx(s)" in run(runner, "mine", "--store", store)
+    assert causes == [DuplicateConsentChain]
+    assert list((store / "pending").glob("*.tx")) == [refused]
+    assert "pending 1" in run(runner, "status", "--store", store)
+    assert "value 1:" in run(runner, "consent-status", "alice", "terms", "--store", store)
 
 
 def test_unregistered_key_is_refused_by_name(runner, tmp_path):

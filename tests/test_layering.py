@@ -75,3 +75,36 @@ def test_only_the_node_prunes():
     assert callers("append_segment") == {
         ("node.py", "extend"), ("store.py", "rebuild"),
         ("verify.py", "_replay"), ("ledger.py", "bootstrap")}
+
+
+def is_dup_index(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_dup_index" \
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def test_only_closing_and_pruning_an_interval_write_the_duplicate_index():
+    # an interval's txids enter the index when close_interval records the
+    # interval and leave it when prune drops its body; every other rule,
+    # admission, candidate assembly and replay alike, only reads it
+    tree = ast.parse((SRC / "ledger.py").read_text())
+    chain = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Chain")
+    writers = set()
+    for method in chain.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+            continue
+        for node in ast.walk(method):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                    else [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "_write":
+                    targets = node.args[:1]
+                elif is_dup_index(node.func.value) and node.func.attr in (
+                        "pop", "popitem", "update", "setdefault", "clear", "__setitem__"):
+                    targets = [node.func.value]
+            if any(is_dup_index(t) or (isinstance(t, ast.Subscript) and is_dup_index(t.value))
+                   for t in targets):
+                writers.add(method.name)
+    assert writers == {"close_interval", "prune"}

@@ -15,8 +15,10 @@ from mutachain import (
     build_prepare,
     build_register,
     build_removable,
+    build_removable_block,
     digest,
     replay_segments,
+    verify_chain,
 )
 from mutachain.errors import (
     BlockShapeError,
@@ -106,6 +108,27 @@ def test_interval_chain_links_are_checked():
                             prev_removable=interval[0].block_hash)
     with pytest.raises(BrokenIntervalChain):
         ch.append_segment(interval, lying)
+
+
+def test_interval_hash_link_is_checked_on_its_own():
+    ch = fresh_chain(ALICE)
+    txs = [rem(ch, ALICE, bytes([i])) for i in range(3)]
+    interval, _ = make_segment(ch, txs, per_block=1)
+    # seq 2 has its tag and seq but links the tip, skipping seq 1; seq 3
+    # and the header link the blocks before them, so only that link breaks
+    skipping = build_removable_block(1, 2, ch.tip_hash, interval[1].txs)
+    last = build_removable_block(1, 3, skipping.block_hash, interval[2].txs)
+    forged = (interval[0], skipping, last)
+    _, block = make_segment(ch, txs, per_block=1, prev_removable=last.block_hash)
+    before = ch.copy()
+    with pytest.raises(BrokenIntervalChain, match="^link broken at seq 2$"):
+        ch.append_segment(forged, block)
+    assert vars(ch) == vars(before)
+    with pytest.raises(UnknownParent, match="no permanent block at height 1"):
+        ch.block_at(1)
+    report = verify_chain([((), ch.block_at(0)), (forged, block)])
+    assert not report.ok and report.height == 0
+    assert str(report) == "invalid at height 1: BrokenIntervalChain: link broken at seq 2"
 
 
 def test_interval_block_must_carry_its_own_interval_tag():
@@ -342,6 +365,10 @@ def test_erased_reference_is_named_for_what_it_was():
     leaning = build_removable(ALICE, OutPoint(only_copy.txid, 0), b"on gone state")
     with pytest.raises(RemovableTxDependsOnDeletedState):
         extend(ch, [leaning])
+    # an interval's txids are indexed when it closes, after its
+    # transactions are checked, so a copy beside the spender is no help
+    with pytest.raises(RemovableTxDependsOnDeletedState):
+        extend(ch, [only_copy, leaning])
     # named so only while no unpruned interval holds a copy of it
     extend(ch, [only_copy])                             # 4: the same bytes again
     with pytest.raises(UnknownRegisterRef):

@@ -33,7 +33,7 @@ from mutachain.simnet import (
     fault_wrong_p_list,
 )
 from support import (
-    ALICE, BOB, CAROL, cold_cache, count_signature_checks, make_segment,
+    ALICE, BOB, CAROL, attach_stores, cold_cache, count_signature_checks, make_segment,
     record_deliveries, store_holds,
 )
 
@@ -328,7 +328,8 @@ def away_and_back(stores=None, fork=False, own_slot=False):
     With ``fork`` it mines a block of its own on its old tip while away.
     It comes back just before a peer's slot, so the first news is an
     announcement, or with ``fork`` or ``own_slot`` in its own slot."""
-    net = SimNet(3, genesis(), FAST, propose_period=2, stores=stores)
+    net = SimNet(3, genesis(), FAST, propose_period=2)
+    attach_stores(net, stores or {})
     net.submit(rem(net, ALICE, b"held by two"))
     net.step(12)
     late = net.nodes[2]
@@ -464,7 +465,8 @@ def test_fork_below_the_tip_rebuilds_from_genesis(tmp_path, monkeypatch):
 
 def test_a_store_failing_after_the_chain_took_a_segment_is_no_rejection(tmp_path):
     with BlockStore(tmp_path / "s", create=True) as store:
-        net = SimNet(3, genesis(), FAST, stores={0: store})
+        net = SimNet(3, genesis(), FAST)
+        attach_stores(net, {0: store})
         # the store is one block ahead of node 0's chain
         store.append_segment(*make_segment(Chain.bootstrap(genesis(), FAST)))
         with pytest.raises(CorruptStore):

@@ -106,7 +106,9 @@ def test_uncommitted_inner_stage_undoes_only_its_own_writes():
         with ch.stage():
             ch.apply_body_tx(build_register(DAN), ch.height + 1)
             with ch.stage():
-                ch.apply_removable(rem(ch, BOB, b"trial"), ch.height + 1)
+                interval, _ = make_segment(ch, [rem(ch, BOB, b"trial")])
+                ch.close_interval(ch.height + 1, 1, (BOB.pubkey,), interval)
+                assert ch.tx_confirmed(rem(ch, BOB, b"trial").txid)
                 ch.apply_body_tx(build_delete(ALICE, 2), ch.height + 1)
             kept = ch.copy()
             ch.commit()

@@ -169,6 +169,37 @@ def test_prune_zeroes_the_body_frame_in_place(tmp_path):
     assert loaded.interval_blocks(1) is None
 
 
+def test_prune_before_any_read_locates_the_body_frame(tmp_path):
+    ch = fresh_chain(ALICE, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"purge me")])
+    extend(ch, body_txs=[build_delete(ALICE, 1)])
+    extend(ch)
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+    log = (root / "permanent.log").read_bytes()
+    start, end = body_frames(log)[1]
+    # neither load_chain nor segments() ran in this session: the prune
+    # reads the log itself to find the frame
+    with BlockStore(root) as store:
+        store.prune(1)
+    assert (root / "permanent.log").read_bytes() \
+        == log[:start] + erased_frame(start, end) + log[end:]
+    assert not store_holds(root, b"purge me")
+
+
+@pytest.mark.parametrize("x", [-1, 4])
+def test_prune_outside_the_stored_heights_is_corruption(tmp_path, x):
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, two_block_chain())      # heights 0 to 3
+    before = file_bytes(root)
+    with BlockStore(root) as store:
+        with pytest.raises(CorruptStore, match=f"interval {x} is not in this store"):
+            store.prune(x)
+    assert file_bytes(root) == before
+
+
 def test_torn_log_append_is_swept(tmp_path):
     ch = simple_chain()
     with BlockStore(tmp_path / "s", create=True) as store:
@@ -856,6 +887,27 @@ def test_undecodable_frame_past_the_mark_is_corruption(tmp_path):
         with pytest.raises(CorruptStore, match="undecodable log frame 3"):
             store.load_chain()
     assert file_bytes(root) == before
+
+
+def test_body_frame_that_checks_but_does_not_decode_is_corruption(tmp_path):
+    ch = two_block_chain()
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        fill(store, ch)
+    path = root / "permanent.log"
+    log = path.read_bytes()
+    start, end = body_frames(log)[2]
+    # interval 2's transaction gets an unknown kind tag, its first byte,
+    # under a frame head recomputed to match
+    body = bytearray(log[start + FRAME_HEAD.size:end])
+    body[body.index(ch.interval_txs(2)[0].encoded)] ^= 0xFF
+    path.write_bytes(log[:start] + log_frame(bytes(body)) + log[end:])
+    before = file_bytes(root)
+    for read in (BlockStore.load_chain, BlockStore.segments):
+        with BlockStore(root) as store:
+            with pytest.raises(CorruptStore, match="undecodable interval 2"):
+                read(store)
+        assert file_bytes(root) == before
 
 
 @pytest.mark.parametrize("at", [0, 3, 4, 8, 11, FRAME_HEAD.size])
