@@ -20,7 +20,6 @@ from .blocks import (
     compute_tx_root,
     header_overhead,
 )
-from .consent import ConsentChain, InfoRecord, labels_for_mask, mask_for_labels
 from .crypto import (
     HASH_SIZE,
     NULL_HASH,
@@ -35,10 +34,13 @@ from .crypto import (
 from .ledger import (
     Chain,
     ChainParams,
+    ConsentChain,
     DeleteRecord,
     IntervalRecord,
     IntervalStatus,
     PrepareRecord,
+    labels_for_mask,
+    mask_for_labels,
 )
 from .mempool import MAX_BLOCK_TXS, Mempool
 from .node import Node
@@ -66,12 +68,11 @@ __all__ = [
     "PermanentBlock", "PermanentHeader", "RemovableBlock", "RemovableHeader",
     "build_permanent_block", "build_removable_block",
     "compute_p_list", "compute_tx_root", "header_overhead",
-    "ConsentChain", "InfoRecord", "labels_for_mask", "mask_for_labels",
     "HASH_SIZE", "NULL_HASH", "PUBKEY_SIZE", "SIGNATURE_SIZE",
     "KeyPair", "digest", "keypair_from_seed", "sign_payload",
     "verify_signature",
-    "Chain", "ChainParams", "DeleteRecord", "IntervalRecord",
-    "IntervalStatus", "PrepareRecord",
+    "Chain", "ChainParams", "ConsentChain", "DeleteRecord", "IntervalRecord",
+    "IntervalStatus", "PrepareRecord", "labels_for_mask", "mask_for_labels",
     "Mempool", "Node",
     "Scenario", "entity_keypair", "run_scenario",
     "SimNet", "SimNode",

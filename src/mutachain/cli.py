@@ -6,8 +6,9 @@ transactions under ``pending/``, and the info-label registry in
 ``labels.json``.  A command that reads the chain runs in one session:
 the store opened and its chain loaded and verified once, trusting the
 signatures the store marks as checked; ``verify`` checks them all.
-Bad input ends a command with exit 1 and an error that names it, a
-``MutachainError`` as ``Error: <Class>: message``, never a traceback.
+Bad input ends a command with exit 1 and an error that names it, never
+a traceback; ``main`` names any ``MutachainError`` as
+``Error: <Class>: message``.
 Submission commands sign through ``Chain.sign``, which picks the input
 spent, and number each queue file one above the highest queued, so
 ``mine`` takes the queue in submission order.  The session's chain and
@@ -28,10 +29,9 @@ from pathlib import Path
 import click
 
 from .blocks import MAX_P_LIST, header_overhead
-from .consent import labels_for_mask
 from .crypto import KeyPair, keypair_from_seed
 from .errors import DecodingError, MempoolRejection, MutachainError, UnknownRegisterRef
-from .ledger import Chain, ChainParams
+from .ledger import Chain, ChainParams, labels_for_mask
 from .mempool import Mempool
 from .node import Node
 from .scenario import run_scenario
@@ -48,18 +48,9 @@ def _store_opt(fn):
 
 
 @contextmanager
-def _named_errors():
-    """End the command with exit 1, naming any ``MutachainError``."""
-    try:
-        yield
-    except MutachainError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-
-
-@contextmanager
 def _session(store_dir: str):
-    """The open store and its verified chain, with errors named."""
-    with _named_errors(), BlockStore(store_dir) as store:
+    """The open store and its verified chain."""
+    with BlockStore(store_dir) as store:
         yield store, store.load_chain()
 
 
@@ -72,8 +63,7 @@ def _unhex(text: str, what: str) -> bytes:
 
 def _seed_key(path: Path) -> KeyPair:
     seed = _unhex(path.read_text(errors="replace").strip(), f"key file {path.name}")
-    with _named_errors():
-        return keypair_from_seed(seed)
+    return keypair_from_seed(seed)
 
 
 def _key_path(store_dir: str, name: str) -> Path:
@@ -152,7 +142,18 @@ def _submit(store_dir: str, name: str, kind: TxKind, **fields) -> Transaction:
     return tx
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group that ends any command raising a
+    ``MutachainError`` with exit 1 and the error's class and message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MutachainError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """A chain with verifiably deletable block intervals."""
 
@@ -165,11 +166,10 @@ def main() -> None:
               help="Blocks an interval must age before pruning.")
 def init(store_dir: str, confirm_depth: int, delete_lock: int) -> None:
     """Create a store with an empty genesis."""
-    with _named_errors():
-        chain = Chain.bootstrap((), ChainParams(confirm_depth=confirm_depth,
-                                                delete_lock=delete_lock))
-        with BlockStore(store_dir, create=True) as store:
-            store.rebuild(chain)
+    chain = Chain.bootstrap((), ChainParams(confirm_depth=confirm_depth,
+                                            delete_lock=delete_lock))
+    with BlockStore(store_dir, create=True) as store:
+        store.rebuild(chain)
     click.echo(f"initialized {store_dir} (genesis {chain.tip_hash.hex()[:12]})")
 
 
@@ -190,8 +190,7 @@ def key_new(store_dir: str, name: str, seed_hex: str | None) -> None:
     if path.exists():
         raise click.ClickException(f"key {name!r} already exists")
     seed = _unhex(seed_hex, "--seed") if seed_hex else os.urandom(32)
-    with _named_errors():
-        kp = keypair_from_seed(seed)
+    kp = keypair_from_seed(seed)
     path.write_text(seed.hex() + "\n")
     click.echo(f"{name}: {kp.pubkey.hex()}")
 
@@ -253,7 +252,10 @@ def info(store_dir: str, name: str, label: str, purposes: str,
          controller: str | None) -> None:
     """Queue a consent schema and remember it as LABEL."""
     labels = _labels(store_dir)
-    tx = _submit(store_dir, name, TxKind.INFO, purposes=tuple(purposes.split(",")),
+    purpose_labels = tuple(purposes.split(","))
+    if "" in purpose_labels:
+        raise click.ClickException(f"--purposes {purposes!r} has an empty label")
+    tx = _submit(store_dir, name, TxKind.INFO, purposes=purpose_labels,
                  controller=(controller or name).encode("utf-8"))
     labels[label] = tx.txid.hex()
     (Path(store_dir) / "labels.json").write_text(
@@ -359,7 +361,7 @@ def consent_status(store_dir: str, name: str, info_label: str) -> None:
 def verify(store_dir: str) -> None:
     """Re-verify the whole stored history, every signature included."""
     # an audit: the store's own tip mark is not trusted here
-    with _named_errors(), BlockStore(store_dir) as store:
+    with BlockStore(store_dir) as store:
         report = verify_chain(store.segments(), store.params)
     if not report.ok:
         raise click.ClickException(str(report))
@@ -374,8 +376,7 @@ def verify(store_dir: str) -> None:
               help="Write node 0's final chain into a fresh store.")
 def scenario(file: str, report_path: str | None, store_into: str | None) -> None:
     """Execute a scenario file on a simulated network."""
-    with _named_errors():
-        scn = run_scenario(Path(file).read_text())
+    scn = run_scenario(Path(file).read_text())
     text = scn.net.report_json()
     if report_path:
         Path(report_path).write_text(text)
@@ -383,7 +384,7 @@ def scenario(file: str, report_path: str | None, store_into: str | None) -> None
     else:
         click.echo(text, nl=False)
     if store_into:
-        with _named_errors(), BlockStore(store_into, create=True) as store:
+        with BlockStore(store_into, create=True) as store:
             store.rebuild(scn.net.nodes[0].chain)
             click.echo(f"store digest {store.digest()}")
 

@@ -1,4 +1,4 @@
-"""Chain state: block admission, deletion authorization, pruning.
+"""Chain state: block admission, deletion authorization, pruning, consent chains.
 
 ``Chain`` holds the permanent spine plus one record per closed
 interval.  Blocks arrive as segments: the removable blocks of interval
@@ -45,6 +45,18 @@ grow with height.  A transaction that a pruned interval held and no
 unpruned one still holds is erased: the duplicate index keeps its txid
 with no interval, so an input naming it fails as
 ``RemovableTxDependsOnDeletedState`` after one lookup.
+
+Consent records sit on the spine, so they outlive any deletion.  An
+info publishes a controller and an ordered list of purpose labels; bit
+``k`` of a consent value (lowest bit first) grants the purpose at
+position ``k``, so an info with purposes ``("analytics", "ads")``
+accepts values 0 through 3 and value 1 grants analytics only.  Each
+subject runs at most one live consent chain per info.  The chain starts
+from the subject's reusable register output, every later consent spends
+the previous consent output, and value 0 revokes: a revoking consent
+produces no spendable output, closing the chain.  A new chain for the
+same subject and info may start from the register output again only
+after such a close.
 """
 
 from __future__ import annotations
@@ -52,7 +64,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from . import consent
 from .blocks import (
     PermanentBlock,
     RemovableBlock,
@@ -65,6 +76,9 @@ from .crypto import NULL_HASH, KeyPair
 from .errors import (
     BlockShapeError,
     BrokenIntervalChain,
+    ConsentInputSpent,
+    ConsentValueOutOfRange,
+    DuplicateConsentChain,
     DuplicateRegistration,
     IntervalAlreadyDeleted,
     IntervalLenMismatch,
@@ -77,11 +91,13 @@ from .errors import (
     PListMismatch,
     PrepareSignerMismatch,
     RemovableTxDependsOnDeletedState,
+    UnknownInfo,
     UnknownInterval,
     UnknownParent,
     UnknownRegisterRef,
 )
 from .tx import (
+    InfoPayload,
     OutPoint,
     Transaction,
     TxKind,
@@ -140,6 +156,44 @@ class DeleteRecord:
     prepare: bytes | None          # txid of the prepare it spent; None on the fast path
 
 
+@dataclass(frozen=True)
+class ConsentEvent:
+    txid: bytes
+    value: int
+    height: int
+
+
+@dataclass(frozen=True)
+class ConsentChain:
+    """State of one subject's chain under one info.  ``outpoint`` is the
+    spendable consent output, or None once value 0 closed the chain."""
+
+    outpoint: OutPoint | None
+    value: int
+    history: tuple[ConsentEvent, ...]
+
+    @property
+    def live(self) -> bool:
+        return self.outpoint is not None
+
+
+def mask_for_labels(info: InfoPayload, labels) -> int:
+    """Bitmask granting exactly the named purposes."""
+    mask = 0
+    for label in labels:
+        mask |= 1 << info.purposes.index(label)
+    return mask
+
+
+def labels_for_mask(info: InfoPayload, value: int) -> tuple[str, ...]:
+    """Purpose labels granted by ``value``, in schema order."""
+    if value >> len(info.purposes):
+        raise ConsentValueOutOfRange(
+            f"value {value} exceeds {len(info.purposes)} purposes")
+    return tuple(label for k, label in enumerate(info.purposes)
+                 if value >> k & 1)
+
+
 class _Stage:
     """The context manager ``Chain.stage`` returns."""
 
@@ -171,8 +225,8 @@ class Chain:
         self._blocks: dict[int, PermanentBlock] = {}
         self._intervals: dict[int, IntervalRecord] = {}
         self._registrations: dict[bytes, bytes] = {}     # pubkey -> register txid
-        self._infos: dict[bytes, consent.InfoRecord] = {}
-        self._consents: dict[tuple[bytes, bytes], consent.ConsentChain] = {}
+        self._infos: dict[bytes, InfoPayload] = {}       # info txid -> its payload
+        self._consents: dict[tuple[bytes, bytes], ConsentChain] = {}  # (subject, info txid) -> chain
         self._prepares: dict[bytes, PrepareRecord] = {}  # prepare txid -> record
         self._deletes: dict[int, DeleteRecord] = {}      # interval -> record, with its prepare
         self._unpruned: dict[int, int] = {}              # deleted interval, body held -> delete height
@@ -371,12 +425,9 @@ class Chain:
                 self._write(self._unpruned, x, height)
         elif tx.kind is TxKind.INFO:
             self.check_removable(tx)
-            self._write(self._infos, tx.txid, consent.make_info_record(tx))
+            self._write(self._infos, tx.txid, tx.payload)
         elif tx.kind is TxKind.CONSENT:
-            reg = self._register_outpoint(tx.signer)
-            updated = consent.apply_consent(tx, height, infos=self._infos,
-                                            chains=self._consents, register_outpoint=reg)
-            self._write(self._consents, (updated.subject, updated.info), updated)
+            self._validate_consent(tx, height)
         if tx.txid in self._permanent_txids:
             raise LedgerError(
                 f"transaction {tx.txid.hex()[:12]} already confirmed")
@@ -426,6 +477,38 @@ class Chain:
                 "prepare and delete are signed by different keys")
         self._check_duplicates(x, exclude=tx.signer)
         return op.txid
+
+    def _validate_consent(self, tx: Transaction, height: int) -> None:
+        """Check a consent against its info and the signer's chain under
+        it, then record the chain's new state."""
+        register = self._register_outpoint(tx.signer)
+        info_ref = tx.payload.info_ref
+        info = self._infos.get(info_ref.txid)
+        if info is None or info_ref.index != 0:
+            raise UnknownInfo(f"consent references unknown info {info_ref.txid.hex()[:12]}")
+        if tx.value >> len(info.purposes):
+            raise ConsentValueOutOfRange(
+                f"value {tx.value} exceeds {len(info.purposes)}-purpose schema")
+        key = (tx.signer, info_ref.txid)
+        trail = self._consents.get(key)
+        spent = tx.inputs[0]
+        if trail is not None and trail.live:
+            # continuation: must spend the chain's open output
+            if spent == register:
+                raise DuplicateConsentChain(
+                    "chain already live for this subject and info")
+            if spent != trail.outpoint:
+                raise ConsentInputSpent(
+                    f"input {spent.txid.hex()[:12]}:{spent.index} is not the open consent output")
+        elif spent != register:
+            # a fresh chain, or one reopened after a revocation
+            raise ConsentInputSpent(
+                "new consent chain must spend the subject's register output")
+        history = (trail.history if trail is not None else ()) + (
+            ConsentEvent(tx.txid, tx.value, height),)
+        self._write(self._consents, key, ConsentChain(
+            outpoint=OutPoint(tx.txid, 0) if tx.value != 0 else None,
+            value=tx.value, history=history))
 
     def _uncopied(self, x: int, exclude: bytes) -> list[Transaction]:
         """Transactions of ``I_x`` not signed by ``exclude`` that no other
@@ -543,10 +626,10 @@ class Chain:
             return build_info(key, ref, controller, purposes)
         return build_consent(key, ref, OutPoint(info, 0), value)
 
-    def info_record(self, txid: bytes) -> consent.InfoRecord | None:
+    def info_record(self, txid: bytes) -> InfoPayload | None:
         return self._infos.get(txid)
 
-    def consent_chain(self, subject: bytes, info: bytes) -> consent.ConsentChain | None:
+    def consent_chain(self, subject: bytes, info: bytes) -> ConsentChain | None:
         return self._consents.get((subject, info))
 
     def consent_grant(self, subject: bytes, info: bytes) -> int:

@@ -205,7 +205,7 @@ class _Parser:
             payload["interval"] = int(plain[1])
         elif word == "info":
             purposes = opts.get("purposes", "").split(",")
-            if purposes == [""]:
+            if "" in purposes:
                 self.fail(no, "info needs purposes=a,b,...")
             payload.update(purposes=tuple(purposes),
                           controller=opts.get("controller", plain[0]).encode("utf-8"))
@@ -219,8 +219,6 @@ class _Parser:
             self.fail(no, f"{plain[0]} is not registered yet")
         except EncodingError as exc:
             self.fail(no, f"{word} cannot be encoded: {exc}")
-        if word in ("removable", "info"):
-            scn.labels[plain[1]] = tx.txid
         try:
             net.submit(tx, via=via)
         except MempoolRejection as exc:
@@ -229,6 +227,9 @@ class _Parser:
                     f"{word} rejected: {type(exc).__name__}: {exc}",
                     line_no=no)
             scn.rejected.append((no, type(exc).__name__))
+            return
+        if word in ("removable", "info"):
+            scn.labels[plain[1]] = tx.txid
 
 
 def run_scenario(text: str) -> Scenario:

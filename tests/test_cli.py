@@ -311,6 +311,10 @@ STORE = object()   # stands for the booted store's path
                  "Error: unknown info label 'nolabel'", id="unknown-label"),
     pytest.param(_queued_info, ("consent-status", "alice", "terms", STORE),
                  "Error: info is not confirmed yet", id="info-unconfirmed"),
+    pytest.param(None, ("info", "bob", "terms", "--purposes", "", STORE),
+                 "Error: --purposes '' has an empty label", id="empty-purpose"),
+    pytest.param(None, ("info", "bob", "terms", "--purposes", "ads,", STORE),
+                 "Error: --purposes 'ads,' has an empty label", id="empty-last-purpose"),
 ])
 def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     store = tmp_path / "chain"

@@ -11,18 +11,16 @@ from mutachain import (
     labels_for_mask,
     mask_for_labels,
 )
-from mutachain.consent import InfoRecord
 from mutachain.errors import (
     ConsentInputSpent,
     ConsentValueOutOfRange,
     DuplicateConsentChain,
     UnknownInfo,
 )
+from mutachain.tx import InfoPayload
 from support import ALICE, BOB, CAROL, extend, fresh_chain, reg
 
-SCHEMA = InfoRecord(txid=digest(b"info"), signer=ALICE.pubkey,
-                    controller=BOB.pubkey,
-                    purposes=("analytics", "ads", "sharing"))
+SCHEMA = InfoPayload(controller=BOB.pubkey, purposes=("analytics", "ads", "sharing"))
 
 
 def test_mask_and_labels_are_inverse():

@@ -1,8 +1,10 @@
 """Only ledger.py reaches into a Chain's private members; every other
-module goes through its public methods.  Only the verifier feeds a
-chain interval bodies it never saw, and only the node prunes."""
+module goes through its public methods, and the ledger hands no Chain
+table to code outside Chain.  Only the verifier feeds a chain interval
+bodies it never saw, and only the node prunes."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mutachain"
@@ -108,3 +110,36 @@ def test_only_closing_and_pruning_an_interval_write_the_duplicate_index():
                    for t in targets):
                 writers.add(method.name)
     assert writers == {"close_interval", "prune"}
+
+
+def test_no_chain_table_is_handed_to_code_outside_the_chain():
+    # a rule that reads or writes a table lives in Chain, so no call in
+    # the ledger passes one of Chain's tables to a function defined
+    # elsewhere; builtins such as len and dict only count or copy
+    tree = ast.parse((SRC / "ledger.py").read_text())
+    chain = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Chain")
+    init = next(node for node in chain.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    tables = {node.target.attr for node in ast.walk(init)
+              if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Dict)}
+    assert {"_intervals", "_infos", "_consents", "_dup_index"} <= tables
+    methods = {node.name for node in chain.body if isinstance(node, ast.FunctionDef)}
+
+    def is_table(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in tables \
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+    offenders = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in dir(builtins):
+            continue
+        if isinstance(func, ast.Attribute) and func.attr in methods \
+                and isinstance(func.value, ast.Name) and func.value.id == "self":
+            continue
+        if any(is_table(arg) for arg in node.args + [kw.value for kw in node.keywords]):
+            offenders.append(f"ledger.py:{node.lineno} {ast.unparse(func)}")
+    assert offenders == []

@@ -105,6 +105,7 @@ def test_unauthorized_delete_with_nothing_to_delete_withholds_the_proposal():
     ("try", "try needs a directive"),
     ("params confirm_depth", "params takes key=value pairs only"),
     ("info A terms", "info needs purposes=a,b,..."),
+    ("info A terms purposes=a,,b", "info needs purposes=a,b,..."),
     ("consent A nolabel 1", "unknown info label 'nolabel'"),
     ("byzantine 0 unauthorized_delete key=Z", "unknown entity 'Z'"),
 ])
@@ -133,6 +134,26 @@ def test_try_prefix_tolerates_rejection():
         step
     """)
     assert sc.rejected and sc.rejected[0][1] == "AdmissionFailed"
+
+
+def test_a_refused_info_leaves_its_label_as_it_was():
+    with pytest.raises(ScenarioError) as err:
+        run_scenario("entity A B\ngenesis A B\ntry info A terms purposes=x,x\n"
+                     "consent B terms 1\n")
+    assert str(err.value) == "line 4: unknown info label 'terms'"
+    sc = run_scenario("""
+        entity A B
+        genesis A B
+        info A terms purposes=x
+        try info A terms purposes=y,y
+        step 2
+        consent B terms 1
+        step 2
+    """)
+    assert [no for no, _ in sc.rejected] == [5]
+    info = sc.labels["terms"]
+    assert sc.net.nodes[0].chain.info_record(info).purposes == ("x",)
+    assert sc.net.nodes[0].chain.consent_grant(sc.entities["B"].pubkey, info) == 1
     with pytest.raises(ScenarioError):
         run_scenario("entity A\ngenesis A\ndelete A 7\n")
 
