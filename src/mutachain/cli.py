@@ -186,12 +186,15 @@ def key() -> None:
 def key_new(store_dir: str, name: str, seed_hex: str | None) -> None:
     """Create a keypair and store its seed."""
     path = _key_path(store_dir, name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        raise click.ClickException(f"key {name!r} already exists")
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
     seed = _unhex(seed_hex, "--seed") if seed_hex else os.urandom(32)
     kp = keypair_from_seed(seed)
-    path.write_text(seed.hex() + "\n")
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except FileExistsError:
+        raise click.ClickException(f"key {name!r} already exists")
+    with os.fdopen(fd, "w") as out:
+        out.write(seed.hex() + "\n")
     click.echo(f"{name}: {kp.pubkey.hex()}")
 
 

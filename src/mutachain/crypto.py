@@ -59,20 +59,17 @@ def digest(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing key with its 32-byte public half.
-
-    ``seed`` is the private key material; two key pairs from the same
-    seed are interchangeable.  ``_secret`` is what the backend that
-    derived the pair signs with: libsodium's 64-byte secret key, or an
-    OpenSSL private key where libsodium did not load.
+    """Signing key with its 32-byte public half, made from a seed by
+    ``keypair_from_seed``; two key pairs from the same seed are
+    interchangeable.  ``_secret`` is the one private field, what the
+    backend that derived the pair signs with: libsodium's 64-byte secret
+    key, or an OpenSSL private key where libsodium did not load.
     """
 
-    seed: bytes
     pubkey: bytes
     _secret: bytes | Ed25519PrivateKey = field(repr=False, compare=False)
 
     def __post_init__(self):
-        assert len(self.seed) == SEED_SIZE
         assert len(self.pubkey) == PUBKEY_SIZE
         # libsodium reads 64 bytes through this pointer
         if isinstance(self._secret, bytes) and len(self._secret) != _SODIUM_SECRET_SIZE:
@@ -86,13 +83,13 @@ def keypair_from_seed(seed: bytes) -> KeyPair:
     seed = bytes(seed)
     if _sodium_keypair is None:
         private = Ed25519PrivateKey.from_private_bytes(seed)
-        return KeyPair(seed=seed, pubkey=private.public_key().public_bytes_raw(),
+        return KeyPair(pubkey=private.public_key().public_bytes_raw(),
                        _secret=private)
     pk = ctypes.create_string_buffer(PUBKEY_SIZE)
     sk = ctypes.create_string_buffer(_SODIUM_SECRET_SIZE)
     if _sodium_keypair(pk, sk, seed) != 0:
         raise RuntimeError("libsodium failed to derive an Ed25519 key pair")
-    return KeyPair(seed=seed, pubkey=pk.raw, _secret=sk.raw)
+    return KeyPair(pubkey=pk.raw, _secret=sk.raw)
 
 
 def sign_payload(kp: KeyPair, payload: bytes) -> bytes:

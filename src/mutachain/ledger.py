@@ -4,10 +4,11 @@
 interval.  Blocks arrive as segments: the removable blocks of interval
 ``I_k`` followed by the permanent block at height ``k`` that closes it.
 A segment is applied inside ``stage()``, which journals every write
-and undoes them unless the whole segment passed, so a rejected block
-leaves no partial state behind; mempool trials stage and never commit.
-Stages nest, so a sync can extend the chain by a whole run of segments
-all or nothing.
+and undoes them all if the block raises, so a rejected block leaves no
+partial state behind; mempool trials run in ``trial()``, which undoes
+on any exit.  A chain keeps one journal: a stage opened inside another
+joins it, so a sync can extend the chain by a whole run of segments all
+or nothing.
 
 Within a segment each interval transaction passes ``check_removable``,
 the one read-only register-input rule, and then ``close_interval``
@@ -195,26 +196,28 @@ def labels_for_mask(info: InfoPayload, value: int) -> tuple[str, ...]:
 
 
 class _Stage:
-    """The context manager ``Chain.stage`` returns."""
+    """The context manager ``Chain.stage`` and ``Chain.trial`` return."""
 
-    __slots__ = ("chain", "mine")
+    __slots__ = ("chain", "trial", "opened")
 
-    def __init__(self, chain: Chain):
-        self.chain = chain
+    def __init__(self, chain: Chain, trial: bool):
+        self.chain, self.trial = chain, trial
 
     def __enter__(self) -> None:
         chain = self.chain
-        chain._enclosing.append(chain._journal)
-        chain._journal = self.mine = []
+        self.opened = chain._journal is None
+        if self.opened:
+            chain._journal = []
+        elif self.trial:
+            raise LedgerError("a trial cannot open inside a stage")
 
-    def __exit__(self, *exc) -> None:
-        chain, mine = self.chain, self.mine
-        outer = chain._enclosing.pop()
-        if chain._journal is mine:
-            chain._journal = None
-            for entry in reversed(mine):
-                chain._write(*entry)
-        chain._journal = outer
+    def __exit__(self, failed, *exc) -> None:
+        chain = self.chain
+        if self.opened:
+            journal, chain._journal = chain._journal, None
+            if failed or self.trial:
+                for entry in reversed(journal):
+                    chain._write(*entry)
 
 
 class Chain:
@@ -232,8 +235,7 @@ class Chain:
         self._unpruned: dict[int, int] = {}              # deleted interval, body held -> delete height
         self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> unpruned intervals; empty once erased
         self._permanent_txids: dict[bytes, int] = {}     # txid -> height confirmed
-        self._journal: list | None = None                # undo entries of the innermost stage
-        self._enclosing: list = []                       # journals of the stages around it
+        self._journal: list | None = None                # undo entries of the open stage
 
     # ------------------------------------------------------------------
     # construction
@@ -258,19 +260,16 @@ class Chain:
     # staging
 
     def stage(self) -> _Stage:
-        """Apply changes to the live state; on exit undo them all unless
-        ``commit()`` was called inside.  Stages nest: an inner commit
-        hands its writes to the enclosing stage, which may still undo
-        them, and an inner stage left uncommitted undoes only its own."""
-        return _Stage(self)
+        """Apply changes to the live state, keeping them when the block
+        completes and undoing them all when it raises.  A stage opened
+        inside another joins it: only the outermost keeps or undoes, so
+        an error caught inside a stage leaves the writes made before it."""
+        return _Stage(self, False)
 
-    def commit(self) -> None:
-        """Keep everything written in the innermost open stage, for as
-        long as the stages around it keep it.  Call it once per stage."""
-        outer = self._enclosing[-1]
-        if outer is not None:
-            outer.extend(self._journal)
-        self._journal = outer
+    def trial(self) -> _Stage:
+        """A stage that undoes its writes on any exit; it cannot open
+        inside another stage, whose writes it could not tell apart."""
+        return _Stage(self, True)
 
     def _write(self, table: dict, key, value=None) -> None:
         """Set ``table[key]``, or delete it when ``value`` is None.  All
@@ -308,7 +307,6 @@ class Chain:
         ``check_signatures=False`` keeps every rule but the Ed25519 check."""
         with self.stage():
             self._apply_segment(tuple(removable_blocks), block, check_signatures)
-            self.commit()
 
     def append_gap_segment(self, block: PermanentBlock, *,
                            check_signatures: bool = True) -> None:
@@ -316,7 +314,6 @@ class Chain:
         ``verify.replay_segments`` settles whether a delete excuses it."""
         with self.stage():
             self._apply_segment(None, block, check_signatures)
-            self.commit()
 
     def _apply_segment(self, removable_blocks, block: PermanentBlock,
                        check_signatures: bool) -> None:

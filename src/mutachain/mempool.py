@@ -1,7 +1,7 @@
 """Pending transactions, re-inclusion, and block candidate assembly.
 
-Admission trial-applies a body transaction in a chain stage that is
-never committed, and judges a removable by ``Chain.check_removable``,
+Admission trial-applies a body transaction in ``Chain.trial``, which
+undoes every write, and judges a removable by ``Chain.check_removable``,
 the one rule a replayed interval's transactions pass, which writes
 nothing.  Candidate assembly picks removables the same way.  Either
 way the mempool enforces exactly the rules a block would and leaves
@@ -27,6 +27,7 @@ from .blocks import (
     build_removable_block,
     compute_p_list,
 )
+from .codec import U8_MAX
 from .crypto import NULL_HASH
 from .errors import (
     AdmissionFailed,
@@ -84,7 +85,7 @@ class Mempool:
             if tx.kind is TxKind.REMOVABLE:
                 chain.check_removable(tx)
             else:
-                with chain.stage():
+                with chain.trial():
                     chain.apply_body_tx(tx, chain.height + 1)
         except (MissingDuplicates, NotSoleOwnerAndNoPrepare) as exc:
             raise self._delete_timing(tx, chain, exc)
@@ -142,12 +143,13 @@ class Mempool:
         then closes the interval and trial-applies every body pick, so
         the result is valid by construction.  Transactions that do not
         fit or do not apply stay queued.  The close and the body trials
-        run in one chain stage that is never committed.
+        run in one ``Chain.trial``.  An interval holds at most ``U8_MAX``
+        blocks, as many as its header can count.
         """
         height = chain.height + 1
         chosen: list[Transaction] = []
         signers: set[bytes] = set()
-        capacity = max_interval_blocks * MAX_BLOCK_TXS
+        capacity = min(max_interval_blocks, U8_MAX) * MAX_BLOCK_TXS
         for tx in self.pending():
             if len(chosen) >= capacity:
                 break
@@ -172,7 +174,7 @@ class Mempool:
             anchor = rb.block_hash
 
         p_list = compute_p_list(chosen)
-        with chain.stage():
+        with chain.trial():
             # the interval must be closed before body rules run, exactly
             # as segment admission does
             chain.close_interval(height, len(interval), p_list, tuple(interval))

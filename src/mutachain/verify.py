@@ -62,9 +62,7 @@ def replay_segments(segments, params: ChainParams | None = None, *,
     if onto is None:
         return _replay(Chain(params), segments, check_signatures)
     with onto.stage():
-        _replay(onto, segments, check_signatures)
-        onto.commit()
-    return onto
+        return _replay(onto, segments, check_signatures)
 
 
 def _replay(chain: Chain, segments, check_signatures: bool) -> Chain:

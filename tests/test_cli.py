@@ -59,6 +59,20 @@ def test_key_management(runner, tmp_path):
     assert "alice" in listing and "fixed" in listing
 
 
+def test_a_new_seed_file_is_private_and_never_replaced(runner, tmp_path):
+    store = tmp_path / "chain"
+    run(runner, "init", "--store", store)
+    run(runner, "key", "new", "alice", "--store", store)
+    seed = store / "keys" / "alice.seed"
+    assert seed.stat().st_mode & 0o077 == 0
+    assert (store / "keys").stat().st_mode & 0o077 == 0
+    text = seed.read_text()
+    out = run(runner, "key", "new", "alice", "--store", store, "--seed", "11" * 32,
+              expect=1)
+    assert "key 'alice' already exists" in out
+    assert seed.read_text() == text and seed.stat().st_mode & 0o077 == 0
+
+
 def test_full_deletion_flow_erases_bytes_on_disk(runner, tmp_path):
     store = tmp_path / "chain"
     boot(runner, store)

@@ -419,8 +419,8 @@ def test_erased_input_is_told_from_an_unknown_one_by_one_lookup():
     finally:
         ch._intervals = intervals
 
-    # an undone prune stage gives back the verdict from before the prune
-    with ch.stage():
+    # a prune in a trial gives back the verdict from before the prune
+    with ch.trial():
         assert ch.prune() == [ch.height - 2]
         with pytest.raises(RemovableTxDependsOnDeletedState):
             ch.check_removable(on_last)

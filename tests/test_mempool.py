@@ -8,6 +8,7 @@ from mutachain import (
     BlockStore,
     ChainParams,
     Mempool,
+    Node,
     OutPoint,
     TxKind,
     build_delete,
@@ -16,6 +17,8 @@ from mutachain import (
     build_removable,
     digest,
 )
+from mutachain import mempool
+from mutachain.codec import U8_MAX
 from mutachain.errors import (
     AdmissionFailed,
     AlreadyKnown,
@@ -27,7 +30,7 @@ from mutachain.errors import (
     UnknownRegisterRef,
     UnknownSigner,
 )
-from support import ALICE, BOB, CAROL, REF_DUMMY, extend, fresh_chain, kp, reg, rem
+from support import ALICE, BOB, CAROL, DAN, REF_DUMMY, extend, fresh_chain, kp, reg, rem
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
@@ -237,6 +240,18 @@ def test_candidate_respects_block_capacity():
     assert len(interval) == 2
     assert sum(len(rb.txs) for rb in interval) == MAX_BLOCK_TXS + 3
     ch.append_segment(interval, block)
+
+
+def test_an_interval_holds_no_more_blocks_than_its_header_counts(monkeypatch):
+    monkeypatch.setattr(mempool, "MAX_BLOCK_TXS", 1)
+    signers = (ALICE, BOB, CAROL, DAN)
+    node = Node(fresh_chain(*signers), Mempool())
+    for i in range(U8_MAX + 1):
+        node.mempool.submit(rem(node.chain, signers[i % 4], b"%d" % i), node.chain)
+    interval, block = node.mempool.build_candidate(node.chain, 300)
+    assert len(interval) == block.header.interval_len == U8_MAX
+    node.extend([(interval, block)])
+    assert node.chain.height == block.height and len(node.mempool) == 1
 
 
 def test_zero_interval_blocks_mines_a_spine_only_block():

@@ -68,7 +68,7 @@ def grow(chain, data):
                 continue
             tx = build_delete(k, x, OutPoint(prep.txid, 0))
         try:
-            with chain.stage():     # never committed: a trial
+            with chain.trial():
                 extend(chain, removables, body + [tx])
         except LedgerError:
             continue

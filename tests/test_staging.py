@@ -1,5 +1,6 @@
-"""Trial application leaves no trace: every write a rejected or
-never-committed stage made is undone, for every transaction kind."""
+"""Trial application leaves no trace: every write a rejected stage or
+a trial made is undone, for every transaction kind.  A chain keeps one
+journal, which stages opened inside the outermost join."""
 
 import pytest
 
@@ -15,7 +16,7 @@ from mutachain import (
     build_register,
     build_removable,
 )
-from mutachain.errors import LedgerError, MempoolRejection
+from mutachain.errors import DuplicateRegistration, LedgerError, MempoolRejection
 from support import ALICE, BOB, CAROL, DAN, REF_DUMMY, extend, fresh_chain, make_segment, reg, rem
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
@@ -90,30 +91,58 @@ def test_trials_and_rejected_segments_leave_the_chain_untouched(case):
 def test_inner_commit_is_undone_when_the_outer_stage_is_left():
     ch, _ = world()
     before = ch.copy()
-    with ch.stage():
+    with ch.trial():
         with ch.stage():
             ch.apply_body_tx(build_register(DAN), ch.height + 1)
-            ch.commit()
-        extend(ch, [rem(ch, BOB, b"kept?")])    # append_segment nests a stage too
+        extend(ch, [rem(ch, BOB, b"kept?")])    # append_segment opens a stage too
         assert ch.registered(DAN.pubkey) and ch.height == before.height + 1
     assert vars(ch) == vars(before)
+    with pytest.raises(DuplicateRegistration):
+        with ch.trial():
+            extend(ch, [rem(ch, BOB, b"kept?")])
+            ch.apply_body_tx(build_register(ALICE), ch.height + 1)
+    assert vars(ch) == vars(before)
 
 
-def test_uncommitted_inner_stage_undoes_only_its_own_writes():
+def test_an_inner_stage_that_raises_undoes_every_write_back_to_the_outermost():
     ch, _ = world()
     before = ch.copy()
-    with ch.stage():                # never committed: the final check
+    with ch.stage():
+        journal = ch._journal
         with ch.stage():
             ch.apply_body_tx(build_register(DAN), ch.height + 1)
+            assert ch._journal is journal       # joined, no journal of its own
+        extend(ch, [rem(ch, BOB, b"kept")])
+    assert ch._journal is None
+    assert ch.registered(DAN.pubkey) and ch.height == before.height + 1
+    assert ch.tx_confirmed(rem(ch, BOB, b"kept").txid)
+
+    kept = ch.copy()
+    with pytest.raises(DuplicateRegistration):
+        with ch.stage():
+            extend(ch, [rem(ch, BOB, b"gone")])
             with ch.stage():
-                interval, _ = make_segment(ch, [rem(ch, BOB, b"trial")])
-                ch.close_interval(ch.height + 1, 1, (BOB.pubkey,), interval)
-                assert ch.tx_confirmed(rem(ch, BOB, b"trial").txid)
                 ch.apply_body_tx(build_delete(ALICE, 2), ch.height + 1)
-            kept = ch.copy()
-            ch.commit()
-        # the chain's tables; the journals of the open stages differ
-        assert vars(ch.copy()) == vars(kept)
-        assert ch.registered(DAN.pubkey) and ch.delete_record(2) is None
-        assert not ch.tx_confirmed(rem(ch, BOB, b"trial").txid)
-    assert vars(ch) == vars(before)
+                ch.apply_body_tx(build_register(DAN), ch.height + 1)
+    assert vars(ch) == vars(kept)
+    assert not ch.tx_confirmed(rem(ch, BOB, b"gone").txid) and ch.delete_record(2) is None
+
+
+def test_a_trial_cannot_open_inside_a_stage_and_writes_nothing():
+    ch, _ = world()
+    before = ch.copy()
+    with ch.stage():
+        ch.apply_body_tx(build_register(DAN), ch.height + 1)
+        inside, journal = ch.copy(), list(ch._journal)
+        with pytest.raises(LedgerError, match="a trial cannot open inside a stage"):
+            with ch.trial():
+                ch.apply_body_tx(build_delete(ALICE, 2), ch.height + 1)
+        assert vars(ch.copy()) == vars(inside) and ch._journal == journal
+    assert ch.registered(DAN.pubkey) and ch.delete_record(2) is None
+
+    ch = before
+    with ch.trial():        # a trial is a stage too
+        with pytest.raises(LedgerError, match="a trial cannot open inside a stage"):
+            with ch.trial():
+                pass
+    assert ch._journal is None and not ch.registered(DAN.pubkey)
