@@ -38,7 +38,6 @@ from .ledger import (
     DeleteRecord,
     IntervalRecord,
     IntervalStatus,
-    PrepareRecord,
     labels_for_mask,
     mask_for_labels,
 )
@@ -72,7 +71,7 @@ __all__ = [
     "KeyPair", "digest", "keypair_from_seed", "sign_payload",
     "verify_signature",
     "Chain", "ChainParams", "ConsentChain", "DeleteRecord", "IntervalRecord",
-    "IntervalStatus", "PrepareRecord", "labels_for_mask", "mask_for_labels",
+    "IntervalStatus", "labels_for_mask", "mask_for_labels",
     "Mempool", "Node",
     "Scenario", "entity_keypair", "run_scenario",
     "SimNet", "SimNode",

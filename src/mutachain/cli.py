@@ -62,6 +62,11 @@ def _unhex(text: str, what: str) -> bytes:
 
 
 def _seed_key(path: Path) -> KeyPair:
+    """The key pair of a seed file that only its owner can read."""
+    mode = path.stat().st_mode & 0o777
+    if mode & 0o077:
+        raise click.ClickException(
+            f"key file {path.name} has mode {mode:o}; run: chmod 600 {path}")
     seed = _unhex(path.read_text(errors="replace").strip(), f"key file {path.name}")
     return keypair_from_seed(seed)
 
@@ -187,7 +192,7 @@ def key_new(store_dir: str, name: str, seed_hex: str | None) -> None:
     """Create a keypair and store its seed."""
     path = _key_path(store_dir, name)
     path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    seed = _unhex(seed_hex, "--seed") if seed_hex else os.urandom(32)
+    seed = _unhex(seed_hex, "--seed") if seed_hex is not None else os.urandom(32)
     kp = keypair_from_seed(seed)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)

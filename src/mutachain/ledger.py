@@ -141,14 +141,6 @@ class IntervalRecord:
 
 
 @dataclass(frozen=True)
-class PrepareRecord:
-    txid: bytes
-    signer: bytes
-    interval: int
-    height: int
-
-
-@dataclass(frozen=True)
 class DeleteRecord:
     txid: bytes
     signer: bytes
@@ -228,13 +220,13 @@ class Chain:
         self._blocks: dict[int, PermanentBlock] = {}
         self._intervals: dict[int, IntervalRecord] = {}
         self._registrations: dict[bytes, bytes] = {}     # pubkey -> register txid
-        self._infos: dict[bytes, InfoPayload] = {}       # info txid -> its payload
         self._consents: dict[tuple[bytes, bytes], ConsentChain] = {}  # (subject, info txid) -> chain
-        self._prepares: dict[bytes, PrepareRecord] = {}  # prepare txid -> record
         self._deletes: dict[int, DeleteRecord] = {}      # interval -> record, with its prepare
         self._unpruned: dict[int, int] = {}              # deleted interval, body held -> delete height
         self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> unpruned intervals; empty once erased
-        self._permanent_txids: dict[bytes, int] = {}     # txid -> height confirmed
+        # permanent-body txid -> its transaction; never an interval
+        # transaction, whose payload must go when its interval is pruned
+        self._confirmed: dict[bytes, Transaction] = {}
         self._journal: list | None = None                # undo entries of the open stage
 
     # ------------------------------------------------------------------
@@ -378,12 +370,6 @@ class Chain:
     # ------------------------------------------------------------------
     # transaction rules
 
-    def _register_outpoint(self, signer: bytes) -> OutPoint:
-        reg_txid = self._registrations.get(signer)
-        if reg_txid is None:
-            raise UnknownRegisterRef("signer is not registered")
-        return OutPoint(reg_txid, 0)
-
     def check_removable(self, tx: Transaction) -> None:
         """Raise unless ``tx`` spends its signer's register output, writing
         nothing: the input rule of removables, prepares and infos."""
@@ -410,9 +396,6 @@ class Chain:
                     f"key {tx.signer.hex()[:12]} is already registered")
         elif tx.kind is TxKind.PREPARE:
             self._validate_prepare(tx)
-            self._write(self._prepares, tx.txid, PrepareRecord(
-                txid=tx.txid, signer=tx.signer,
-                interval=tx.payload.interval, height=height))
         elif tx.kind is TxKind.DELETE:
             x = tx.payload.interval
             self._write(self._deletes, x, DeleteRecord(
@@ -422,15 +405,14 @@ class Chain:
                 self._write(self._unpruned, x, height)
         elif tx.kind is TxKind.INFO:
             self.check_removable(tx)
-            self._write(self._infos, tx.txid, tx.payload)
         elif tx.kind is TxKind.CONSENT:
             self._validate_consent(tx, height)
-        if tx.txid in self._permanent_txids:
+        if tx.txid in self._confirmed:
             raise LedgerError(
                 f"transaction {tx.txid.hex()[:12]} already confirmed")
         if tx.kind is TxKind.REGISTER:
             self._write(self._registrations, tx.signer, tx.txid)
-        self._write(self._permanent_txids, tx.txid, height)
+        self._write(self._confirmed, tx.txid, tx)
 
     def _interval_for_removal(self, x: int) -> IntervalRecord:
         rec = self.interval_record(x)
@@ -462,13 +444,13 @@ class Chain:
                     f"interval {x} has other signers and no prepare is referenced")
             return None
         op = tx.inputs[0]
-        prep = self._prepares.get(op.txid)
-        if prep is None or op.index != 0:
+        prep = self._confirmed.get(op.txid)
+        if prep is None or prep.kind is not TxKind.PREPARE or op.index != 0:
             raise NotSoleOwnerAndNoPrepare(
                 "input does not reference a confirmed prepare output")
-        if prep.interval != x:
+        if prep.payload.interval != x:
             raise InvalidDelete(
-                f"prepare names interval {prep.interval}, delete names {x}")
+                f"prepare names interval {prep.payload.interval}, delete names {x}")
         if prep.signer != tx.signer:
             raise PrepareSignerMismatch(
                 "prepare and delete are signed by different keys")
@@ -478,9 +460,9 @@ class Chain:
     def _validate_consent(self, tx: Transaction, height: int) -> None:
         """Check a consent against its info and the signer's chain under
         it, then record the chain's new state."""
-        register = self._register_outpoint(tx.signer)
+        register = self.register_outpoint(tx.signer)
         info_ref = tx.payload.info_ref
-        info = self._infos.get(info_ref.txid)
+        info = self.info_record(info_ref.txid)
         if info is None or info_ref.index != 0:
             raise UnknownInfo(f"consent references unknown info {info_ref.txid.hex()[:12]}")
         if tx.value >> len(info.purposes):
@@ -596,9 +578,12 @@ class Chain:
     def registered(self, pubkey: bytes) -> bool:
         return pubkey in self._registrations
 
-    def register_outpoint(self, pubkey: bytes) -> OutPoint | None:
+    def register_outpoint(self, pubkey: bytes) -> OutPoint:
+        """The key's register output; ``UnknownRegisterRef`` if it has none."""
         txid = self._registrations.get(pubkey)
-        return OutPoint(txid, 0) if txid is not None else None
+        if txid is None:
+            raise UnknownRegisterRef("signer is not registered")
+        return OutPoint(txid, 0)
 
     def sign(self, kind: TxKind, key: KeyPair, *, data: bytes = b"", interval: int = 0,
              controller: bytes = b"", purposes: tuple[str, ...] = (),
@@ -614,7 +599,7 @@ class Chain:
             return build_delete(key, interval, OutPoint(preps[0].txid, 0) if preps else None)
         open_chain = self._consents.get((key.pubkey, info)) if kind is TxKind.CONSENT else None
         ref = open_chain.outpoint if open_chain is not None and open_chain.live \
-            else self._register_outpoint(key.pubkey)
+            else self.register_outpoint(key.pubkey)
         if kind is TxKind.REMOVABLE:
             return build_removable(key, ref, data)
         if kind is TxKind.PREPARE:
@@ -624,7 +609,9 @@ class Chain:
         return build_consent(key, ref, OutPoint(info, 0), value)
 
     def info_record(self, txid: bytes) -> InfoPayload | None:
-        return self._infos.get(txid)
+        """The payload of the confirmed info ``txid``, else None."""
+        tx = self._confirmed.get(txid)
+        return tx.payload if tx is not None and tx.kind is TxKind.INFO else None
 
     def consent_chain(self, subject: bytes, info: bytes) -> ConsentChain | None:
         return self._consents.get((subject, info))
@@ -633,24 +620,20 @@ class Chain:
         chain = self._consents.get((subject, info))
         return chain.value if chain is not None else 0   # 0 once closed, too
 
-    def prepare_record(self, txid: bytes) -> PrepareRecord | None:
-        return self._prepares.get(txid)
-
-    def prepares_for(self, signer: bytes, interval: int) -> list[PrepareRecord]:
-        """The signer's prepares for ``interval``; none once it has a delete."""
+    def prepares_for(self, signer: bytes, interval: int) -> list[Transaction]:
+        """The signer's confirmed prepare transactions for ``interval``;
+        none once it has a delete, which spent or outdated them all."""
         if interval in self._deletes:
             return []
-        return [p for p in self._prepares.values()
-                if p.signer == signer and p.interval == interval]
+        return [tx for tx in self._confirmed.values()
+                if tx.kind is TxKind.PREPARE and tx.signer == signer
+                and tx.payload.interval == interval]
 
     def delete_record(self, x: int) -> DeleteRecord | None:
         return self._deletes.get(x)
 
-    def delete_records(self) -> dict[int, DeleteRecord]:
-        return dict(self._deletes)
-
     def tx_confirmed(self, txid: bytes) -> bool:
         """Confirmed and still live somewhere (permanent, or a live copy)."""
-        if txid in self._permanent_txids:
+        if txid in self._confirmed:
             return True
         return any(j not in self._deletes for j in self._dup_index.get(txid, ()))

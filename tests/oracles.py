@@ -181,7 +181,8 @@ def full_history_no_loss_violations(chain, bodies) -> list[str]:
                 owners[tx.txid] = tx.signer
                 locations.setdefault(tx.txid, set()).add(x)
 
-    deleting = {rec.signer for rec in chain.delete_records().values()}
+    deleting = {rec.signer for x in range(chain.height + 1)
+                if (rec := chain.delete_record(x)) is not None}
     present = {x for x in range(1, chain.height + 1)
                if chain.interval_record(x).blocks is not None}
 

@@ -153,7 +153,8 @@ def test_criterion_4_no_loss_for_non_deleting_entities(monkeypatch):
         chain = sc.net.nodes[0].chain
         bad = full_history_no_loss_violations(chain, bodies)
         assert not bad, f"scenario {i}: " + "; ".join(bad)
-        deleting = {r.signer for r in chain.delete_records().values()}
+        deleting = {r.signer for x in range(chain.height + 1)
+                    if (r := chain.delete_record(x)) is not None}
         deleted = [x for x in range(1, chain.height + 1)
                    if chain.interval_record(x).status is IntervalStatus.DELETED]
         with_deletion += bool(deleted)

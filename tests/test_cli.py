@@ -73,6 +73,26 @@ def test_a_new_seed_file_is_private_and_never_replaced(runner, tmp_path):
     assert seed.read_text() == text and seed.stat().st_mode & 0o077 == 0
 
 
+def test_a_seed_file_others_can_read_is_refused_by_name(runner, tmp_path):
+    store = tmp_path / "chain"
+    run(runner, "init", "--store", store)
+    run(runner, "key", "new", "alice", "--store", store)
+    seed = store / "keys" / "alice.seed"
+    seed.chmod(0o644)   # as a seed written under umask 022 was
+    for args in (("register", "alice"), ("key", "list")):
+        result = runner.invoke(main, [*args, "--store", str(store)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.output == \
+            f"Error: key file alice.seed has mode 644; run: chmod 600 {seed}\n"
+    assert not list((store / "pending").glob("*.tx"))
+    assert seed.stat().st_mode & 0o777 == 0o644   # nothing repaired it
+    seed.chmod(0o600)
+    run(runner, "register", "alice", "--store", store)
+    assert run(runner, "key", "list", "--store", store).startswith("alice: ")
+    assert len(list((store / "pending").glob("*.tx"))) == 1
+
+
 def test_full_deletion_flow_erases_bytes_on_disk(runner, tmp_path):
     store = tmp_path / "chain"
     boot(runner, store)
@@ -298,6 +318,8 @@ STORE = object()   # stands for the booted store's path
                  "--seed 'zz' is not hex", id="hex-seed"),
     pytest.param(None, ("key", "new", "carol", "--seed", "11", STORE),
                  "EncodingError", id="short-seed"),
+    pytest.param(None, ("key", "new", "carol", "--seed", "", STORE),
+                 "EncodingError: seed must be 32 bytes, got 0", id="empty-seed"),
     pytest.param(_write_seed("zz\n"), ("register", "alice", STORE),
                  "alice.seed 'zz' is not hex", id="seed-file-not-hex"),
     pytest.param(_write_seed("zz\n"), ("key", "list", STORE),
@@ -342,6 +364,7 @@ def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert named in result.output
+    assert not (store / "keys" / "carol.seed").exists()
 
 
 def test_bad_chain_params_write_no_store(runner, tmp_path):

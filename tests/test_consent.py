@@ -7,6 +7,7 @@ from mutachain import (
     OutPoint,
     build_consent,
     build_info,
+    build_prepare,
     digest,
     labels_for_mask,
     mask_for_labels,
@@ -18,7 +19,7 @@ from mutachain.errors import (
     UnknownInfo,
 )
 from mutachain.tx import InfoPayload
-from support import ALICE, BOB, CAROL, extend, fresh_chain, reg
+from support import ALICE, BOB, CAROL, extend, fresh_chain, reg, rem
 
 SCHEMA = InfoPayload(controller=BOB.pubkey, purposes=("analytics", "ads", "sharing"))
 
@@ -82,10 +83,14 @@ def test_consent_value_bounded_by_schema():
 
 def test_consent_requires_known_info():
     ch, _ = chain_with_info()
-    ghost = OutPoint(digest(b"no such info"), 0)
-    tx = build_consent(ALICE, reg(ch, ALICE), ghost, 1)
-    with pytest.raises(UnknownInfo):
-        extend(ch, body_txs=[tx])
+    extend(ch, [rem(ch, ALICE, b"a")])
+    prep = build_prepare(ALICE, reg(ch, ALICE), 2)
+    extend(ch, body_txs=[prep])
+    # an unknown output, and a confirmed body output that is no info's
+    for ref in (OutPoint(digest(b"no such info"), 0), OutPoint(prep.txid, 0)):
+        tx = build_consent(ALICE, reg(ch, ALICE), ref, 1)
+        with pytest.raises(UnknownInfo):
+            extend(ch, body_txs=[tx])
 
 
 def test_second_fresh_chain_rejected_while_live():

@@ -7,6 +7,8 @@ import ast
 import builtins
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "mutachain"
 
 
@@ -79,15 +81,21 @@ def test_only_the_node_prunes():
         ("verify.py", "_replay"), ("ledger.py", "bootstrap")}
 
 
-def is_dup_index(node) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "_dup_index" \
-        and isinstance(node.value, ast.Name) and node.value.id == "self"
+@pytest.mark.parametrize("table, expected", [
+    # an interval's txids enter the duplicate index when close_interval
+    # records the interval and leave it when prune drops its body
+    ("_dup_index", {"close_interval", "prune"}),
+    # only a permanent body transaction is kept whole: an interval
+    # transaction kept there would outlive its erased interval
+    ("_confirmed", {"apply_body_tx"}),
+], ids=["_dup_index", "_confirmed"])
+def test_a_table_is_written_only_by_its_named_writers(table, expected):
+    # every other rule, admission, candidate assembly and replay alike,
+    # only reads the table
+    def is_table(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == table \
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
 
-
-def test_only_closing_and_pruning_an_interval_write_the_duplicate_index():
-    # an interval's txids enter the index when close_interval records the
-    # interval and leave it when prune drops its body; every other rule,
-    # admission, candidate assembly and replay alike, only reads it
     tree = ast.parse((SRC / "ledger.py").read_text())
     chain = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == "Chain")
@@ -103,13 +111,13 @@ def test_only_closing_and_pruning_an_interval_write_the_duplicate_index():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if node.func.attr == "_write":
                     targets = node.args[:1]
-                elif is_dup_index(node.func.value) and node.func.attr in (
+                elif is_table(node.func.value) and node.func.attr in (
                         "pop", "popitem", "update", "setdefault", "clear", "__setitem__"):
                     targets = [node.func.value]
-            if any(is_dup_index(t) or (isinstance(t, ast.Subscript) and is_dup_index(t.value))
+            if any(is_table(t) or (isinstance(t, ast.Subscript) and is_table(t.value))
                    for t in targets):
                 writers.add(method.name)
-    assert writers == {"close_interval", "prune"}
+    assert writers == expected
 
 
 def test_no_chain_table_is_handed_to_code_outside_the_chain():
@@ -123,7 +131,7 @@ def test_no_chain_table_is_handed_to_code_outside_the_chain():
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     tables = {node.target.attr for node in ast.walk(init)
               if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Dict)}
-    assert {"_intervals", "_infos", "_consents", "_dup_index"} <= tables
+    assert {"_intervals", "_confirmed", "_consents", "_dup_index"} <= tables
     methods = {node.name for node in chain.body if isinstance(node, ast.FunctionDef)}
 
     def is_table(node) -> bool:

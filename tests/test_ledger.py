@@ -49,7 +49,8 @@ def test_bootstrap_registers_genesis_keys():
     assert ch.registered(ALICE.pubkey) and ch.registered(BOB.pubkey)
     assert not ch.registered(CAROL.pubkey)
     assert ch.block_at(0).header.prev_permanent == NULL_HASH
-    assert ch.register_outpoint(CAROL.pubkey) is None
+    with pytest.raises(UnknownRegisterRef):
+        ch.register_outpoint(CAROL.pubkey)
 
 
 def test_appends_track_height_and_links():
@@ -288,8 +289,10 @@ def test_delete_by_non_preparer_rejected():
 def test_delete_input_must_be_a_confirmed_prepare():
     ch = fresh_chain(ALICE, BOB)
     extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")])
-    with pytest.raises(NotSoleOwnerAndNoPrepare):
-        extend(ch, body_txs=[build_delete(ALICE, 1, OutPoint(digest(b"?"), 0))])
+    # an unknown output, and a confirmed body output that is no prepare's
+    for spent in (OutPoint(digest(b"?"), 0), reg(ch, ALICE)):
+        with pytest.raises(NotSoleOwnerAndNoPrepare):
+            extend(ch, body_txs=[build_delete(ALICE, 1, spent)])
 
 
 def test_prepare_interval_must_match_delete_interval():

@@ -25,8 +25,9 @@ OPS = ("prepare", "fast-delete", "restricted-delete")
 
 def reference(chain):
     tip, params = chain.height, chain.params
-    return sorted(x for x, rec in chain.delete_records().items()
-                  if chain.interval_status(x) is IntervalStatus.PRESENT
+    return sorted(x for x in range(tip + 1)
+                  if (rec := chain.delete_record(x)) is not None
+                  and chain.interval_status(x) is IntervalStatus.PRESENT
                   and tip - rec.height >= params.confirm_depth
                   and tip - x >= params.delete_lock)
 

@@ -8,6 +8,7 @@ from mutachain import (
     ChainParams,
     IntervalStatus,
     OutPoint,
+    TxKind,
     build_delete,
     build_prepare,
     digest,
@@ -134,9 +135,12 @@ def test_replayed_prepare_inside_gap_interval_is_honored():
     ch, segments = deleted_history()
     rebuilt = replay_segments(segments, ch.params)
     assert rebuilt.delete_record(1).height == 3
-    delete_tx = segments[3][1].txs[-1]
-    prep = rebuilt.prepare_record(delete_tx.inputs[0].txid)
-    assert prep is not None and prep.interval == 1 and prep.height == 2
+    # the delete spent a prepare for interval 1 that block 2 confirmed
+    prep_txid = rebuilt.delete_record(1).prepare
+    assert prep_txid == segments[3][1].txs[-1].inputs[0].txid
+    prep = next(tx for tx in segments[2][1].txs if tx.txid == prep_txid)
+    assert prep.kind is TxKind.PREPARE and prep.payload.interval == 1
+    assert rebuilt.tx_confirmed(prep_txid)
     # spent by that very delete, so not offered for another one
     assert rebuilt.prepares_for(ALICE.pubkey, 1) == []
 
