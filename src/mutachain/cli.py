@@ -102,10 +102,12 @@ def _info_txid(store_dir: str, label: str) -> bytes:
     return _unhex(labels[label], f"labels.json entry {label!r}")
 
 
-def _pending(store_dir: str, chain: Chain) -> tuple[Mempool, list[tuple[Path, Transaction]]]:
+def _pending(store_dir: str, chain: Chain, report=None) -> tuple[Mempool, list[tuple[Path, Transaction]]]:
     """The queue files in order, and a pool holding the copies that the
     confirmed prepares of ``chain`` still owe, then those queue files
-    that ``chain`` still admits."""
+    that ``chain`` still admits.  A file that does not decode fails the
+    command, unless ``report`` is given: then it is handed a line naming
+    that file, and one naming each file ``chain`` refuses and why."""
     queue = Path(store_dir) / "pending"
     queue.mkdir(exist_ok=True)
     pool, queued = Mempool(), []
@@ -115,13 +117,19 @@ def _pending(store_dir: str, chain: Chain) -> tuple[Mempool, list[tuple[Path, Tr
         try:
             tx = Transaction.decode(path.read_bytes())
         except DecodingError as exc:
-            raise click.ClickException(
-                f"queue file pending/{path.name} does not decode: {exc}") from None
+            why = f"queue file pending/{path.name} does not decode: {exc}"
+            if report is None:
+                raise click.ClickException(why) from None
+            report(why)
+            continue
         queued.append((path, tx))
         try:
             pool.submit(tx, chain)
-        except MempoolRejection:
-            pass
+        except MempoolRejection as exc:
+            if report is not None:
+                cause = getattr(exc, "cause", None)
+                report(f"queue file pending/{path.name} is refused: {type(exc).__name__}"
+                       + (f" ({type(cause).__name__})" if cause else ""))
     return pool, queued
 
 
@@ -284,6 +292,7 @@ def consent(store_dir: str, name: str, info_label: str, value: int) -> None:
 @main.command()
 @_store_opt
 @click.option("--max-interval-blocks", default=1, show_default=True,
+              type=click.IntRange(min=0),
               help="Removable block budget for this segment.")
 def mine(store_dir: str, max_interval_blocks: int) -> None:
     """Assemble queued transactions into the next segment."""
@@ -311,12 +320,13 @@ def prune(store_dir: str) -> None:
 @main.command()
 @_store_opt
 def status(store_dir: str) -> None:
-    """Tip, parameters, and per-interval status."""
+    """Tip, parameters, queue, each queue file refused, and per-interval status."""
     with _session(store_dir) as (_, chain):
         p = chain.params
         click.echo(f"height {chain.height}, tip {chain.tip_hash.hex()[:16]}")
         click.echo(f"confirm_depth {p.confirm_depth}, delete_lock {p.delete_lock}")
         click.echo(f"pending {len(list(Path(store_dir).glob('pending/*.tx')))}")
+        _pending(store_dir, chain, report=click.echo)
         for x in range(1, chain.height + 1):
             rec = chain.interval_record(x)
             if rec.length == 0:

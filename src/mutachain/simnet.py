@@ -1,27 +1,28 @@
 """Deterministic in-process network of mining nodes.
 
-Time is a step counter.  Each step delivers every message queued in the
-previous step (per sender-receiver FIFO, receivers and senders walked
-in id order), then the slot's proposer assembles and announces a
-segment.  Nothing is random and nothing reads the clock, so a scenario
-replays to byte-identical reports.
+Time is a step counter.  Each step delivers every message queued in
+the previous step, ordered by sender id, then receiver id, then the
+order it was sent in; then the slot's proposer assembles and announces
+a segment.  Nothing is random and nothing reads the clock, so a
+scenario replays to byte-identical reports.
 
 Offline nodes receive nothing; messages addressed to them while down
 are lost, which is what forces the catch-up on rejoin.  It takes one
-round trip: a block locator (the node's blocks at tip, tip-1, tip-2,
-tip-4, ... and genesis) is answered with the peer's spine above the
-last block both hold and the bodies of the intervals the peer still
-holds, read from one snapshot of the peer.  Deleted intervals are
-never sent, a rejoining node just sees the delete evidence in the
-spine.  A suffix on the node's tip extends its chain in place, all or
-nothing; only a fork below the tip, which the peer sends from genesis,
-rebuilds the chain.  Every append and sync goes through
-``Node.extend``, which observes, stores and prunes; a ``SimNode`` adds
-only its network state and its event log.  A reply
-takes two steps, one per hop; a node still waiting after that asks
-again at the next announcement.  A node back online is such a node:
-until a reply has landed it holds gossip and announcements, to judge
-them once it has caught up and not against its stale tip, and it
+round trip: a block locator (the node's tip and genesis blocks) is
+answered with the peer's spine above that tip if the peer holds it,
+else from genesis if the peer shares genesis, and the bodies of the
+intervals the peer still holds, read from one snapshot of the peer.
+Two chains that share a block share genesis, so no other entry would
+change the answer.  Deleted intervals are never sent, a rejoining node
+just sees the delete evidence in the spine.  A suffix on the node's
+tip extends its chain in place, all or nothing; only a fork below the
+tip, which the peer sends from genesis, rebuilds the chain.  Every
+append and sync goes through ``Node.extend``, which observes, stores
+and prunes; a ``SimNode`` adds only its network state and its event
+log.  A reply takes two steps, one per hop; a node still waiting after
+that asks again at the next announcement.  A node back online is such
+a node: until a reply has landed it holds gossip and announcements, to
+judge them once it has caught up and not against its stale tip, and it
 proposes nothing unless no other online node has caught up.
 
 Gossip and announcements take one path: ``handle`` holds each in the
@@ -29,23 +30,24 @@ node's backlog, and ``_release_backlog`` admits or appends what it
 holds, at once for a caught-up node, after the reply for one that is
 catching up.
 
-The net holds protocol state only: nodes, queues, the step counter and
-the event log.  It keeps no copy of a body and no record of what it
-delivered, so a body every node has pruned is held by nothing the net
-reaches.  Tests that need such a record wrap
+The net holds protocol state only: nodes, one message list, the step
+counter and the event log.  It keeps no copy of a body and no record
+of what it delivered, so a body every node has pruned is held by
+nothing the net reaches.  Tests that need such a record wrap
 ``SimNode.handle`` or ``Node.extend`` themselves.
 
 Byzantine behaviour is modelled at proposal time: a node's ``fault``
 hook rewrites the segment it proposes, or withholds it (logged as a
-``withhold`` event), and honest nodes must reject what it announces.  ``fault_wrong_p_list`` and
-``fault_unauthorized_delete`` (bound to a key) are two such hooks.
+``withhold`` event), and honest nodes must reject what it announces.
+``fault_wrong_p_list`` and ``fault_unauthorized_delete`` (bound to a
+key) are two such hooks.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .blocks import PermanentBlock, RemovableBlock, compute_tx_root
 from .crypto import KeyPair
@@ -71,7 +73,7 @@ class BlockAnnounce:
 
 @dataclass(frozen=True)
 class SyncRequest:
-    locator: tuple[tuple[int, bytes], ...]   # (height, block hash), tip first
+    locator: tuple[tuple[int, bytes], ...]   # (height, block hash): tip, then genesis
 
 
 @dataclass(frozen=True)
@@ -132,15 +134,12 @@ class SimNode(Node):
             elif announce and (self._asked is None
                                or net.step_no > self._asked + REPLY_STEPS):
                 self._asked = net.step_no
-                tip = self.chain.height     # locator: tip, tip-1, tip-2, tip-4, ..., 0
-                heights = dict.fromkeys(max(tip - (1 << k >> 1), 0)
-                                        for k in range(tip.bit_length() + 2))
-                net.send(self.id, sender, SyncRequest(tuple(
-                    (h, self.chain.block_at(h).block_hash) for h in heights)))
+                net.send(self.id, sender, SyncRequest(tuple(   # one entry if tip is genesis
+                    {h: self.chain.block_at(h).block_hash for h in (self.chain.height, 0)}.items())))
         elif isinstance(msg, SyncRequest):
-            # the spine above the highest locator block on this chain, from
-            # genesis if that block is below the asker's tip (a fork), with
-            # every body still held; empty if nothing here is newer or shared
+            # the spine above the asker's tip if this chain holds it, else
+            # from genesis if that is shared (a fork), with every body still
+            # held; empty if nothing here is newer or shared
             tip, asker = self.chain.height, msg.locator[0][0]
             shared = next((h for h, hash_ in msg.locator
                            if 0 <= h <= tip and self.chain.block_at(h).block_hash == hash_), None)
@@ -235,20 +234,17 @@ class SimNet:
         self.nodes = [SimNode(i, base.copy()) for i in range(num_nodes)]
         self.step_no = 0
         self.events: list[dict] = []
-        self._queues: dict[tuple[int, int], deque] = {}
+        self._queue: list[tuple[int, int, object]] = []   # (sender, receiver, msg)
 
     # ------------------------------------------------------------------
     # fabric
 
     def log(self, node_id: int, **fields) -> None:
-        entry = {"step": self.step_no, "node": node_id}
-        entry.update(fields)
-        self.events.append(entry)
+        self.events.append({"step": self.step_no, "node": node_id, **fields})
 
     def send(self, sender: int, receiver: int, msg) -> None:
-        if not self.nodes[receiver].online:
-            return
-        self._queues.setdefault((sender, receiver), deque()).append(msg)
+        if self.nodes[receiver].online:
+            self._queue.append((sender, receiver, msg))
 
     def broadcast(self, sender: int, msg) -> None:
         for node in self.nodes:
@@ -269,10 +265,8 @@ class SimNet:
         node.online = online
         if not online:
             # the reply to a pending SyncRequest is lost with the queue
-            node._asked, node._backlog = None, []
-            for key in list(self._queues):
-                if key[1] == node_id:
-                    del self._queues[key]
+            node._backlog = []
+            self._queue = [m for m in self._queue if m[1] != node_id]
 
     def step(self, count: int = 1) -> None:
         for _ in range(count):
@@ -291,12 +285,10 @@ class SimNet:
             self.step_no += 1
 
     def _deliver(self) -> None:
-        batch, self._queues = self._queues, {}
-        for sender, receiver in sorted(batch):
-            node = self.nodes[receiver]
-            for msg in batch[(sender, receiver)]:
-                if node.online:
-                    node.handle(sender, msg, self)
+        batch, self._queue = self._queue, []
+        batch.sort(key=itemgetter(0, 1))     # stable: each pair in the order sent
+        for sender, receiver, msg in batch:
+            self.nodes[receiver].handle(sender, msg, self)
 
     # ------------------------------------------------------------------
     # reporting

@@ -245,7 +245,10 @@ def test_mine_skips_a_queue_file_the_chain_refuses(runner, tmp_path, monkeypatch
     assert "0 body tx(s)" in run(runner, "mine", "--store", store)
     assert causes == [DuplicateConsentChain]
     assert list((store / "pending").glob("*.tx")) == [refused]
-    assert "pending 1" in run(runner, "status", "--store", store)
+    out = run(runner, "status", "--store", store)
+    assert "pending 1\n" in out
+    assert f"queue file pending/{refused.name} is refused: AdmissionFailed " \
+        "(DuplicateConsentChain)\n" in out
     assert "value 1:" in run(runner, "consent-status", "alice", "terms", "--store", store)
 
 
@@ -294,8 +297,9 @@ def _unnumbered_queue_file(store):
 
 def _undecodable_queue_file(store):
     (store / "pending" / "000009_x.tx").write_text("garbage\n")
-    # status counts the queue files without decoding them
-    assert "pending 1" in run(CliRunner(), "status", "--store", store)
+    # status counts the queue files and names the one that does not decode
+    out = run(CliRunner(), "status", "--store", store)
+    assert "pending 1\nqueue file pending/000009_x.tx does not decode: " in out
 
 
 def _write_seed(text):
@@ -326,6 +330,9 @@ STORE = object()   # stands for the booted store's path
                  "alice.seed 'zz' is not hex", id="seed-file-listed"),
     pytest.param(_write_seed("1111\n"), ("register", "alice", STORE),
                  "EncodingError", id="seed-file-short"),
+    pytest.param(None, ("mine", "--max-interval-blocks", -1, STORE),
+                 "Invalid value for '--max-interval-blocks': -1 is not in the range x>=0",
+                 id="negative-interval-budget"),
     pytest.param(None, ("overhead", "--p-list", 5),
                  "--p-list 5 is outside 0..4", id="p-list-above"),
     pytest.param(None, ("overhead", "--p-list", -1),
@@ -361,7 +368,8 @@ def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     for a in args:
         argv += ["--store", str(store)] if a is STORE else [str(a)]
     result = runner.invoke(main, argv)
-    assert result.exit_code == 1, result.output
+    # a value click's own option type refuses is a usage error: exit 2
+    assert result.exit_code == (2 if "Invalid value for" in named else 1), result.output
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert named in result.output
     assert not (store / "keys" / "carol.seed").exists()
