@@ -44,7 +44,8 @@ from .errors import BlockShapeError, PListOverflow
 from .tx import SHAPES, Transaction
 
 MAX_P_LIST = 4
-# read in one step each: a permanent header up to its keys, a removable header
+# packed and read in one step each: a permanent header up to its keys, a
+# removable header
 _PERMANENT_HEAD = struct.Struct(f"<I{HASH_SIZE}s{HASH_SIZE}sBB")
 _REMOVABLE_HEADER = struct.Struct(f"<IB{HASH_SIZE}s{HASH_SIZE}s")
 
@@ -82,11 +83,8 @@ class PermanentHeader(_Header):
     tx_root: bytes
 
     def encode_into(self, w: codec.Writer) -> None:
-        w.u32(self.height)
-        w.fixed(self.prev_permanent, HASH_SIZE)
-        w.fixed(self.prev_removable, HASH_SIZE)
-        w.u8(self.interval_len)
-        w.short_count(len(self.p_list))
+        w.pack(_PERMANENT_HEAD, self.height, self.prev_permanent,
+               self.prev_removable, self.interval_len, len(self.p_list))
         for key in self.p_list:
             w.fixed(key, PUBKEY_SIZE)
         w.fixed(self.tx_root, HASH_SIZE)
@@ -112,10 +110,7 @@ class RemovableHeader(_Header):
     tx_root: bytes
 
     def encode_into(self, w: codec.Writer) -> None:
-        w.u32(self.interval)
-        w.u8(self.seq)
-        w.fixed(self.prev, HASH_SIZE)
-        w.fixed(self.tx_root, HASH_SIZE)
+        w.pack(_REMOVABLE_HEADER, self.interval, self.seq, self.prev, self.tx_root)
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "RemovableHeader":
@@ -134,7 +129,7 @@ class _Block(codec.Encoded):
 
     def encode_into(self, w: codec.Writer) -> None:
         w.fixed(self.header.encoded, len(self.header.encoded))
-        w.count(len(self.txs))
+        w.pack(codec.U16, len(self.txs))
         for tx in self.txs:
             w.fixed(tx.encoded, len(tx.encoded))
 

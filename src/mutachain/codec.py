@@ -12,10 +12,18 @@ Decoders rely on this and keep the bytes they read as the value's
 ``encoded`` (see ``Reader.since`` and ``decoded``, which skips the
 value's ``__init__``): a decoded value is never encoded again, and its
 hash is taken over the bytes on the wire.  A value rebuilt with
-``dataclasses.replace`` drops that cache and encodes afresh.  Each run
-of fixed-width fields (a transaction's kind, signer and input count, or
-its value and signature; an outpoint; a header up to its key list) is
-read by one ``Reader.unpack``: one bounds check and one ``struct`` call.
+``dataclasses.replace`` drops that cache and encodes afresh.
+
+Each run of fixed-width fields (a transaction's kind, signer and input
+count, or its value and signature; an outpoint; a header up to its key
+list) has one ``struct`` layout, stated once beside its type.  The
+encoder writes the run with one ``pack`` (or ``Writer.pack``), which
+checks every ``Ns`` width, since ``struct`` would pad or cut it, and
+turns ``struct.error`` into ``EncodingError``; the decoder reads it
+back with one ``Reader.unpack``: one bounds check and one ``struct``
+call.  Transactions and their parts encode to bytes directly, so a
+client signs what it built without a ``Writer``; headers and blocks
+accumulate in one.
 
 Layout rules (normative)
 ------------------------
@@ -39,16 +47,41 @@ everything written to disk or simulated wires.
 
 from __future__ import annotations
 
+import re
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import DecodingError, EncodingError
 
 U8_MAX = 0xFF
-U16_MAX = 0xFFFF
-U32_MAX = 0xFFFFFFFF
-U64_MAX = 0xFFFFFFFFFFFFFFFF
-_U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
+U8, U16, U32, U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
+
+
+@cache
+def _byte_fields(layout: struct.Struct) -> tuple[tuple[int, int], ...]:
+    """(position, width) of each ``Ns`` field of ``layout``, in order."""
+    fields, at = [], 0
+    for n, code in re.findall(r"(\d*)([a-zA-Z?])", layout.format):
+        if code == "s":
+            fields.append((at, int(n or 1)))
+            at += 1
+        elif code != "x":
+            at += int(n or 1)
+    return tuple(fields)
+
+
+def pack(layout: struct.Struct, *values) -> bytes:
+    """One run of fixed-width fields, the bytes ``Reader.unpack(layout)``
+    reads back as ``values``.  ``struct`` pads or cuts an ``Ns`` value to
+    N bytes, so each must be N bytes already; an integer out of its
+    field's range, or not an integer, raises too."""
+    for at, width in _byte_fields(layout):
+        if len(values[at]) != width:
+            raise EncodingError(f"expected {width} bytes, got {len(values[at])}")
+    try:
+        return layout.pack(*values)
+    except struct.error as exc:
+        raise EncodingError(f"{layout.format} run {values!r}: {exc}") from None
 
 
 class Writer:
@@ -57,43 +90,14 @@ class Writer:
     def __init__(self):
         self._parts: list[bytes] = []
 
-    def _int(self, value: int, fmt: str, limit: int, what: str) -> None:
-        if not isinstance(value, int) or value < 0 or value > limit:
-            raise EncodingError(f"{what} out of range: {value!r}")
-        self._parts.append(struct.pack(fmt, value))
-
-    def u8(self, value: int) -> None:
-        self._int(value, "<B", U8_MAX, "u8")
-
-    def u16(self, value: int) -> None:
-        self._int(value, "<H", U16_MAX, "u16")
-
-    def u32(self, value: int) -> None:
-        self._int(value, "<I", U32_MAX, "u32")
-
-    def u64(self, value: int) -> None:
-        self._int(value, "<Q", U64_MAX, "u64")
+    def pack(self, layout: struct.Struct, *values) -> None:
+        """Write one fixed-width run: the twin of ``Reader.unpack``."""
+        self._parts.append(pack(layout, *values))
 
     def fixed(self, data: bytes, width: int) -> None:
         if len(data) != width:
             raise EncodingError(f"expected {width} bytes, got {len(data)}")
         self._parts.append(bytes(data))
-
-    def byte_string(self, data: bytes) -> None:
-        if len(data) > U32_MAX:
-            raise EncodingError("byte-string exceeds u32 length range")
-        self.u32(len(data))
-        self._parts.append(bytes(data))
-
-    def count(self, n: int) -> None:
-        if n > U16_MAX:
-            raise EncodingError(f"collection exceeds u16 count range: {n}")
-        self.u16(n)
-
-    def short_count(self, n: int) -> None:
-        if n > U8_MAX:
-            raise EncodingError(f"collection exceeds u8 count range: {n}")
-        self.u8(n)
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
@@ -126,16 +130,16 @@ class Reader:
         return layout.unpack_from(self._data, start)
 
     def u8(self) -> int:
-        return self.unpack(_U8)[0]
+        return self.unpack(U8)[0]
 
     def u16(self) -> int:
-        return self.unpack(_U16)[0]
+        return self.unpack(U16)[0]
 
     def u32(self) -> int:
-        return self.unpack(_U32)[0]
+        return self.unpack(U32)[0]
 
     def u64(self) -> int:
-        return self.unpack(_U64)[0]
+        return self.unpack(U64)[0]
 
     def fixed(self, width: int) -> bytes:
         return self._take(width)
@@ -195,7 +199,5 @@ def decode_whole(cls, data: bytes):
 
 
 def encode_byte_string(data: bytes) -> bytes:
-    """Standalone length-prefixed byte-string (u32 length + bytes)."""
-    w = Writer()
-    w.byte_string(data)
-    return w.getvalue()
+    """Length-prefixed byte-string (u32 length + bytes)."""
+    return pack(U32, len(data)) + data

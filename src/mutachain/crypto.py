@@ -70,7 +70,9 @@ class KeyPair:
     _secret: bytes | Ed25519PrivateKey = field(repr=False, compare=False)
 
     def __post_init__(self):
-        assert len(self.pubkey) == PUBKEY_SIZE
+        if len(self.pubkey) != PUBKEY_SIZE:
+            raise EncodingError(f"public key must be {PUBKEY_SIZE} bytes, "
+                                f"got {len(self.pubkey)}")
         # libsodium reads 64 bytes through this pointer
         if isinstance(self._secret, bytes) and len(self._secret) != _SODIUM_SECRET_SIZE:
             raise ValueError("libsodium secret key must be 64 bytes")

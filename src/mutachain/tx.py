@@ -35,10 +35,15 @@ kind            u8 tag
 signer          32 (public key)
 inputs          u16 count + 34 per input (txid 32 + output index u16)
 output_count    u8
-payload         the kind's payload type, see its ``encode_into``
+payload         the kind's payload type, see its ``encoded``
 value           u64 (consent bitmask; 0 for every other kind)
 signature       64
 ==============  =====================================================
+
+Payload layouts: removable, the data as a byte-string; prepare and
+delete, the interval as a u32; info, the controller as a byte-string,
+then a u16 count and each purpose label as a byte-string of strict
+UTF-8; consent, the info outpoint (34 bytes).  Register has none.
 
 The signing payload is the same encoding with the signature omitted,
 a prefix of the full encoding as the signature is its last field;
@@ -80,7 +85,7 @@ class TxKind(IntEnum):
 
 
 _KIND_OF_TAG = {int(kind): kind for kind in TxKind}
-# the fixed runs a decoder reads in one step each
+# the fixed runs an encoder packs and a decoder reads in one step each
 _OUTPOINT = struct.Struct(f"<{HASH_SIZE}sH")           # txid, index
 _TX_HEAD = struct.Struct(f"<B{PUBKEY_SIZE}sH")         # kind, signer, input count
 _TX_TAIL = struct.Struct(f"<Q{SIGNATURE_SIZE}s")       # value, signature
@@ -94,11 +99,12 @@ class OutPoint:
     index: int = 0
 
     def __post_init__(self):
-        assert len(self.txid) == HASH_SIZE
+        if len(self.txid) != HASH_SIZE:
+            raise EncodingError(f"txid must be {HASH_SIZE} bytes, got {len(self.txid)}")
 
-    def encode_into(self, w: codec.Writer) -> None:
-        w.fixed(self.txid, HASH_SIZE)
-        w.u16(self.index)
+    @property
+    def encoded(self) -> bytes:
+        return codec.pack(_OUTPOINT, self.txid, self.index)
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "OutPoint":
@@ -109,8 +115,9 @@ class OutPoint:
 class RemovablePayload:
     data: bytes
 
-    def encode_into(self, w: codec.Writer) -> None:
-        w.byte_string(self.data)
+    @property
+    def encoded(self) -> bytes:
+        return codec.encode_byte_string(self.data)
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "RemovablePayload":
@@ -123,8 +130,9 @@ class IntervalPayload:
 
     interval: int
 
-    def encode_into(self, w: codec.Writer) -> None:
-        w.u32(self.interval)
+    @property
+    def encoded(self) -> bytes:
+        return codec.pack(codec.U32, self.interval)
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "IntervalPayload":
@@ -136,11 +144,15 @@ class InfoPayload:
     controller: bytes
     purposes: tuple[str, ...]
 
-    def encode_into(self, w: codec.Writer) -> None:
-        w.byte_string(self.controller)
-        w.count(len(self.purposes))
-        for label in self.purposes:
-            w.byte_string(label.encode("utf-8"))
+    @property
+    def encoded(self) -> bytes:
+        try:
+            labels = [label.encode("utf-8") for label in self.purposes]
+        except UnicodeEncodeError as exc:
+            raise EncodingError(f"purpose label is not UTF-8: {exc}") from None
+        return b"".join((codec.encode_byte_string(self.controller),
+                         codec.pack(codec.U16, len(labels)),
+                         *map(codec.encode_byte_string, labels)))
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "InfoPayload":
@@ -156,8 +168,9 @@ class InfoPayload:
 class ConsentPayload:
     info_ref: OutPoint
 
-    def encode_into(self, w: codec.Writer) -> None:
-        self.info_ref.encode_into(w)
+    @property
+    def encoded(self) -> bytes:
+        return self.info_ref.encoded
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "ConsentPayload":
@@ -207,7 +220,7 @@ SHAPES = {
 
 
 @dataclass(frozen=True)
-class Transaction(codec.Encoded):
+class Transaction:
     kind: TxKind
     signer: bytes
     inputs: tuple[OutPoint, ...]
@@ -215,6 +228,13 @@ class Transaction(codec.Encoded):
     payload: Payload
     value: int
     signature: bytes
+
+    @cached_property
+    def encoded(self) -> bytes:
+        """Written only for a transaction made field by field; a signed or
+        decoded one keeps the bytes it was signed or read as."""
+        return _encode_fields(self.kind, self.signer, self.inputs, self.output_count,
+                              self.payload) + codec.pack(_TX_TAIL, self.value, self.signature)
 
     @cached_property
     def txid(self) -> bytes:
@@ -225,26 +245,6 @@ class Transaction(codec.Encoded):
         """The bytes the signature covers: the encoding without its last
         field, the signature, so a slice of ``encoded``."""
         return self.encoded[:-SIGNATURE_SIZE]
-
-    def encode_into(self, w: codec.Writer) -> None:
-        self._encode_unsigned(w)
-        w.fixed(self.signature, SIGNATURE_SIZE)
-
-    def _encode_unsigned(self, w: codec.Writer) -> None:
-        w.u8(int(self.kind))
-        w.fixed(self.signer, PUBKEY_SIZE)
-        w.count(len(self.inputs))
-        for op in self.inputs:
-            op.encode_into(w)
-        w.u8(self.output_count)
-        expected = SHAPES[self.kind].payload
-        if not isinstance(self.payload, expected):
-            # another type's bytes would decode as something else
-            raise EncodingError(f"{self.kind.name} payload must be "
-                                f"{expected.__name__}, not {type(self.payload).__name__}")
-        if self.payload is not None:
-            self.payload.encode_into(w)
-        w.u64(self.value)
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "Transaction":
@@ -266,15 +266,32 @@ class Transaction(codec.Encoded):
     decode = classmethod(codec.decode_whole)
 
 
+def _encode_fields(kind: TxKind, signer: bytes, inputs: tuple[OutPoint, ...],
+                   output_count: int, payload: Payload) -> bytes:
+    """A transaction's encoding up to its value: the signing payload is
+    these bytes and the value, the encoding these, the value and the
+    signature."""
+    expected = SHAPES[kind].payload
+    if not isinstance(payload, expected):
+        # another type's bytes would decode as something else
+        raise EncodingError(f"{kind.name} payload must be "
+                            f"{expected.__name__}, not {type(payload).__name__}")
+    return b"".join((codec.pack(_TX_HEAD, kind, signer, len(inputs)),
+                     *[op.encoded for op in inputs],
+                     codec.pack(codec.U8, output_count),
+                     b"" if payload is None else payload.encoded))
+
+
 def _signed(kind: TxKind, signer: KeyPair, inputs: tuple[OutPoint, ...],
             payload: Payload, value: int = 0) -> Transaction:
-    fields = dict(kind=kind, signer=signer.pubkey, inputs=inputs,
-                  output_count=SHAPES[kind].outputs, payload=payload, value=value)
-    w = codec.Writer()
-    Transaction(**fields, signature=b"")._encode_unsigned(w)
-    body = w.getvalue()
+    """Encoded once, from the fields, and signed."""
+    outputs = SHAPES[kind].outputs
+    body = _encode_fields(kind, signer.pubkey, inputs, outputs, payload) \
+        + codec.pack(codec.U64, value)
     sig = sign_payload(signer, body)
-    return codec.decoded(Transaction, body + sig, **fields, signature=sig)
+    return codec.decoded(Transaction, body + sig, kind=kind, signer=signer.pubkey,
+                         inputs=inputs, output_count=outputs, payload=payload,
+                         value=value, signature=sig)
 
 
 def build_register(signer: KeyPair) -> Transaction:

@@ -358,6 +358,8 @@ STORE = object()   # stands for the booted store's path
                  "Error: --purposes '' has an empty label", id="empty-purpose"),
     pytest.param(None, ("info", "bob", "terms", "--purposes", "ads,", STORE),
                  "Error: --purposes 'ads,' has an empty label", id="empty-last-purpose"),
+    pytest.param(None, ("info", "bob", "terms", "--purposes", "ads,\udcff", STORE),
+                 "EncodingError: purpose label is not UTF-8", id="non-utf8-purpose"),
 ])
 def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     store = tmp_path / "chain"

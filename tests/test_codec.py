@@ -1,35 +1,38 @@
-"""Round trips and bounds for the canonical encoding primitives."""
+"""Round trips and bounds for the canonical encoding primitives: each
+fixed-width run is written by ``Writer.pack`` and read back by
+``Reader.unpack`` through one ``struct`` layout."""
 
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mutachain.codec import Reader, Writer, encode_byte_string
+from mutachain.codec import U8, U16, U32, U64, Reader, Writer, encode_byte_string
 from mutachain.errors import DecodingError, EncodingError
 
 WIDTHS = {"u8": (1, 0xFF), "u16": (2, 0xFFFF),
           "u32": (4, 0xFFFFFFFF), "u64": (8, 0xFFFFFFFFFFFFFFFF)}
+LAYOUTS = {"u8": U8, "u16": U16, "u32": U32, "u64": U64}
+
+
+def packed(name, value) -> bytes:
+    w = Writer()
+    w.pack(LAYOUTS[name], value)
+    return w.getvalue()
 
 
 @pytest.mark.parametrize("name,width,top", [(n, w, t) for n, (w, t) in WIDTHS.items()])
 def test_int_layout_little_endian(name, width, top):
-    w = Writer()
-    getattr(w, name)(1)
-    data = w.getvalue()
+    data = packed(name, 1)
     assert len(data) == width
     assert data[0] == 1 and all(b == 0 for b in data[1:])
-    w = Writer()
-    getattr(w, name)(top)
-    assert w.getvalue() == b"\xff" * width
+    assert packed(name, top) == b"\xff" * width
 
 
 @given(st.sampled_from(sorted(WIDTHS)), st.data())
 def test_int_round_trip(name, data):
     value = data.draw(st.integers(min_value=0, max_value=WIDTHS[name][1]))
-    w = Writer()
-    getattr(w, name)(value)
-    r = Reader(w.getvalue())
+    r = Reader(packed(name, value))
     assert getattr(r, name)() == value
     assert r.exhausted
 
@@ -37,11 +40,11 @@ def test_int_round_trip(name, data):
 @pytest.mark.parametrize("name", sorted(WIDTHS))
 def test_int_out_of_range(name):
     with pytest.raises(EncodingError):
-        getattr(Writer(), name)(WIDTHS[name][1] + 1)
+        packed(name, WIDTHS[name][1] + 1)
     with pytest.raises(EncodingError):
-        getattr(Writer(), name)(-1)
+        packed(name, -1)
     with pytest.raises(EncodingError):
-        getattr(Writer(), name)(1.5)
+        packed(name, 1.5)
 
 
 @given(st.binary(max_size=256))
@@ -68,17 +71,28 @@ def test_fixed_width_enforced():
         Writer().fixed(b"\x01" * 31, 32)
     with pytest.raises(DecodingError):
         Reader(b"\x01" * 31).fixed(32)
+    # struct would pad a short bytes field and cut a long one: pack refuses both
+    run = struct.Struct("<H32sB")
+    w = Writer()
+    w.pack(run, 7, b"\x01" * 32, 9)
+    assert Reader(w.getvalue()).unpack(run) == (7, b"\x01" * 32, 9)
+    for wrong in (b"\x01" * 31, b"\x01" * 33, b""):
+        with pytest.raises(EncodingError):
+            Writer().pack(run, 7, wrong, 9)
+    with pytest.raises(EncodingError):
+        Writer().pack(run, 7, "not bytes, 32 characters long...", 9)
 
 
 def test_counts_have_distinct_widths():
+    # a collection's count is a u16, a block key list's a u8
     w = Writer()
-    w.count(3)
-    w.short_count(3)
+    w.pack(U16, 3)
+    w.pack(U8, 3)
     assert w.getvalue() == b"\x03\x00\x03"
     with pytest.raises(EncodingError):
-        Writer().count(0x10000)
+        Writer().pack(U16, 0x10000)
     with pytest.raises(EncodingError):
-        Writer().short_count(0x100)
+        Writer().pack(U8, 0x100)
 
 
 def test_expect_end_catches_trailing_bytes():
@@ -96,7 +110,7 @@ def test_mixed_sequence_round_trip(fields):
     fields = [(name, value % (WIDTHS[name][1] + 1)) for name, value in fields]
     w = Writer()
     for name, value in fields:
-        getattr(w, name)(value)
+        w.pack(LAYOUTS[name], value)
     r = Reader(w.getvalue())
     for name, value in fields:
         assert getattr(r, name)() == value

@@ -26,6 +26,7 @@ from mutachain import (
     digest,
 )
 from mutachain import codec
+from mutachain import tx as tx_module
 from mutachain.errors import MutachainError
 from support import ALICE, BOB, REF_DUMMY, rem_raw
 
@@ -93,9 +94,9 @@ def fresh(value):
 
 
 def unsigned_encoding(tx: Transaction) -> bytes:
-    w = codec.Writer()
-    tx._encode_unsigned(w)
-    return w.getvalue()
+    """What ``_signed`` signs: the fields up to the value, then the value."""
+    return tx_module._encode_fields(tx.kind, tx.signer, tx.inputs, tx.output_count,
+                                    tx.payload) + codec.pack(codec.U64, tx.value)
 
 
 @settings(max_examples=400, deadline=None)

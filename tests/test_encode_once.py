@@ -7,12 +7,12 @@ from collections import Counter
 
 import pytest
 
+from mutachain import tx as tx_module
 from mutachain import (
     BlockStore,
     Mempool,
     PermanentHeader,
     RemovableHeader,
-    Transaction,
     verify_chain,
 )
 from support import ALICE, fresh_chain, rem
@@ -28,12 +28,13 @@ def encodes(monkeypatch):
     def count(owner, name):
         original = getattr(owner, name)
 
-        def counted(self, w):
+        def counted(*args):
             counts[f"{owner.__name__}.{name}"] += 1
-            return original(self, w)
+            return original(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    count(Transaction, "_encode_unsigned")
+    # a transaction's fields up to its value: signed once, or encoded whole
+    count(tx_module, "_encode_fields")
     count(PermanentHeader, "encode_into")
     count(RemovableHeader, "encode_into")
     return counts
@@ -69,6 +70,6 @@ def test_a_built_transaction_is_encoded_once_from_mempool_to_chain(tmp_path, enc
     assert ch.interval_record(1).txids == {tx.txid}
     assert len(interval) == 1
     # each header is encoded once too: the stored block writes its bytes
-    assert encodes == Counter({"Transaction._encode_unsigned": 1,
+    assert encodes == Counter({"mutachain.tx._encode_fields": 1,
                                "PermanentHeader.encode_into": 1,
                                "RemovableHeader.encode_into": 1})

@@ -70,9 +70,7 @@ def test_txid_covers_the_signature():
 
 def test_outpoint_encoding_is_34_bytes():
     import mutachain.codec as codec
-    w = codec.Writer()
-    OutPoint(digest(b"x"), 5).encode_into(w)
-    data = w.getvalue()
+    data = OutPoint(digest(b"x"), 5).encoded
     assert len(data) == HASH_SIZE + 2
     assert data[-2:] == b"\x05\x00"
     back = OutPoint.decode_from(codec.Reader(data))
@@ -183,6 +181,16 @@ def test_a_payload_of_another_type_cannot_be_encoded(kind):
     for payload in others.values():
         with pytest.raises(EncodingError):
             violating(built, payload=payload).encoded
+
+
+def test_a_purpose_label_that_is_not_utf8_is_an_encoding_error():
+    # a lone surrogate, as a command line's undecodable byte arrives
+    with pytest.raises(EncodingError, match="not UTF-8"):
+        build_info(ALICE, REF, b"controller", ("ads", "\udcff"))
+    built = sample(TxKind.INFO)
+    bad = txmod.InfoPayload(built.payload.controller, ("\ud800",))
+    with pytest.raises(EncodingError, match="not UTF-8"):
+        violating(built, payload=bad).encoded
 
 
 @pytest.mark.parametrize("rule,make", RULE_CASES, ids=[r for r, _ in RULE_CASES])
