@@ -227,6 +227,8 @@ class Chain:
         # permanent-body txid -> its transaction; never an interval
         # transaction, whose payload must go when its interval is pruned
         self._confirmed: dict[bytes, Transaction] = {}
+        # (signer, interval) -> that signer's confirmed prepares for it
+        self._prepares: dict[tuple[bytes, int], tuple[Transaction, ...]] = {}
         self._journal: list | None = None                # undo entries of the open stage
 
     # ------------------------------------------------------------------
@@ -283,7 +285,8 @@ class Chain:
 
     @property
     def tip_hash(self) -> bytes:
-        return self._blocks[self.height].block_hash if self._blocks else NULL_HASH
+        blocks = self._blocks
+        return blocks[len(blocks) - 1].block_hash if blocks else NULL_HASH
 
     def block_at(self, height: int) -> PermanentBlock:
         if height not in self._blocks:
@@ -363,7 +366,8 @@ class Chain:
         None records an absent interval."""
         txids = frozenset(tx.txid for rb in blocks or () for tx in rb.txs)
         for txid in txids:
-            self._write(self._dup_index, txid, self._dup_index.get(txid, frozenset()) | {height})
+            at = self._dup_index.get(txid)
+            self._write(self._dup_index, txid, at | {height} if at else frozenset((height,)))
         self._write(self._intervals, height, IntervalRecord(
             length=length, p_list=p_list, blocks=blocks, txids=txids))
 
@@ -412,6 +416,9 @@ class Chain:
                 f"transaction {tx.txid.hex()[:12]} already confirmed")
         if tx.kind is TxKind.REGISTER:
             self._write(self._registrations, tx.signer, tx.txid)
+        elif tx.kind is TxKind.PREPARE:
+            key = (tx.signer, tx.payload.interval)
+            self._write(self._prepares, key, self._prepares.get(key, ()) + (tx,))
         self._write(self._confirmed, tx.txid, tx)
 
     def _interval_for_removal(self, x: int) -> IntervalRecord:
@@ -531,6 +538,8 @@ class Chain:
         which are themselves ``delete_lock`` blocks old, both from the tip."""
         # the whole table is read: a stage undo re-inserts a key at the
         # end, so its order is not the order of delete heights
+        if not self._unpruned:
+            return []
         tip, params = self.height, self.params
         return sorted(x for x, at in self._unpruned.items()
                       if tip - at >= params.confirm_depth
@@ -625,9 +634,7 @@ class Chain:
         none once it has a delete, which spent or outdated them all."""
         if interval in self._deletes:
             return []
-        return [tx for tx in self._confirmed.values()
-                if tx.kind is TxKind.PREPARE and tx.signer == signer
-                and tx.payload.interval == interval]
+        return list(self._prepares.get((signer, interval), ()))
 
     def delete_record(self, x: int) -> DeleteRecord | None:
         return self._deletes.get(x)
@@ -636,4 +643,7 @@ class Chain:
         """Confirmed and still live somewhere (permanent, or a live copy)."""
         if txid in self._confirmed:
             return True
-        return any(j not in self._deletes for j in self._dup_index.get(txid, ()))
+        at = self._dup_index.get(txid)
+        if not at:      # never an interval transaction, or erased
+            return False
+        return any(j not in self._deletes for j in at)

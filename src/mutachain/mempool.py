@@ -70,14 +70,15 @@ class Mempool:
             validate_stateless(tx)
         except TxValidationError as exc:
             raise StatelessInvalid(exc)
-        if tx.txid in self:
-            raise AlreadyKnown(f"{tx.txid.hex()[:12]} is already queued")
-        if chain.tx_confirmed(tx.txid):
-            raise AlreadyKnown(f"{tx.txid.hex()[:12]} is already confirmed")
+        txid = tx.txid
+        if txid in self._pending or txid in self._reinclude:
+            raise AlreadyKnown(f"{txid.hex()[:12]} is already queued")
+        if chain.tx_confirmed(txid):
+            raise AlreadyKnown(f"{txid.hex()[:12]} is already confirmed")
         if tx.kind is not TxKind.REGISTER and not chain.registered(tx.signer):
             raise UnknownSigner(f"key {tx.signer.hex()[:12]} is not registered")
         self._check_stateful(tx, chain)
-        self._pending[tx.txid] = tx
+        self._pending[txid] = tx
         self._queue_copies(tx, chain)
 
     def _check_stateful(self, tx: Transaction, chain: Chain) -> None:
@@ -155,7 +156,7 @@ class Mempool:
                 break
             if tx.kind is not TxKind.REMOVABLE:
                 continue
-            if len(signers | {tx.signer}) > MAX_P_LIST:
+            if tx.signer not in signers and len(signers) >= MAX_P_LIST:
                 continue
             try:
                 chain.check_removable(tx)

@@ -334,12 +334,25 @@ _VERDICTS_MAX = 1 << 16
 def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> None:
     """Shape rules plus signature check; no ledger lookups.
 
-    The shape rules run on every call; the signature reaches Ed25519 only
-    when its txid has no verdict yet, and a false verdict is kept too.
+    A txid with a verdict answers at once: only bytes that passed the
+    shape rules get one, and the txid digests every field those rules
+    read.  Otherwise the shape rules run, and the signature reaches
+    Ed25519; its verdict is kept, a false one too.  A transaction whose
+    fields do not encode has no txid and goes straight to the shape rules.
     Raises ``ShapeViolation`` naming the broken rule, or ``BadSignature``.
-    ``check_signatures=False`` skips the signature and the verdict table,
-    for bytes whose signature this node already checked (see ``BlockStore``).
+    ``check_signatures=False`` runs the shape rules and skips the
+    signature and the verdict table, for bytes whose signature this node
+    already checked (see ``BlockStore``).
     """
+    if check_signatures:
+        try:
+            ok = _VERDICTS.get(tx.txid)
+        except EncodingError:
+            ok = None
+        if ok:
+            return
+        if ok is not None:
+            raise BadSignature(f"signature invalid for tx kind {tx.kind.name}")
     kind = tx.kind
     if tx.value != 0 and kind is not TxKind.CONSENT:
         raise ShapeViolation("value-only-on-consent")
@@ -359,11 +372,9 @@ def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> Non
             raise ShapeViolation("info-purposes-unique")
     if not check_signatures:
         return
-    ok = _VERDICTS.get(tx.txid)
-    if ok is None:
-        ok = verify_signature(tx.signer, tx.signing_payload, tx.signature)
-        if len(_VERDICTS) >= _VERDICTS_MAX:
-            _VERDICTS.popitem(last=False)
-        _VERDICTS[tx.txid] = ok
+    ok = verify_signature(tx.signer, tx.signing_payload, tx.signature)
+    if len(_VERDICTS) >= _VERDICTS_MAX:
+        _VERDICTS.popitem(last=False)
+    _VERDICTS[tx.txid] = ok
     if not ok:
         raise BadSignature(f"signature invalid for tx kind {kind.name}")

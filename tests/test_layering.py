@@ -88,7 +88,9 @@ def test_only_the_node_prunes():
     # only a permanent body transaction is kept whole: an interval
     # transaction kept there would outlive its erased interval
     ("_confirmed", {"apply_body_tx"}),
-], ids=["_dup_index", "_confirmed"])
+    # a prepare is indexed by its signer and interval as it confirms
+    ("_prepares", {"apply_body_tx"}),
+], ids=["_dup_index", "_confirmed", "_prepares"])
 def test_a_table_is_written_only_by_its_named_writers(table, expected):
     # every other rule, admission, candidate assembly and replay alike,
     # only reads the table

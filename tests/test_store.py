@@ -17,6 +17,7 @@ from mutachain import (
     OutPoint,
     build_delete,
     build_prepare,
+    digest,
     verify_chain,
 )
 from mutachain.cli import main
@@ -674,6 +675,37 @@ def test_verify_chain_accepts_loaded_segments(tmp_path):
     with BlockStore(tmp_path / "s") as store:
         report = verify_chain(store.segments(), store.params)
     assert report.ok and report.deleted == 1
+
+
+def test_tx_confirmed_answers_alike_on_the_live_and_the_loaded_chain(tmp_path):
+    # interval 1 erased; interval 2 deleted but not yet pruned, its bob
+    # transaction copied into interval 3; interval 4 live
+    ch = fresh_chain(ALICE, BOB, params=ChainParams(confirm_depth=2, delete_lock=0))
+    gone = rem(ch, ALICE, b"gone")
+    extend(ch, [gone])                                                 # 1
+    doomed, bobs = rem(ch, ALICE, b"doomed"), rem(ch, BOB, b"bobs")
+    extend(ch, [doomed, bobs])                                         # 2
+    prep = build_prepare(ALICE, reg(ch, ALICE), 2)
+    extend(ch, [bobs], [prep, build_delete(ALICE, 1)])                 # 3
+    live = rem(ch, ALICE, b"live")
+    extend(ch, [live], [build_delete(ALICE, 2, OutPoint(prep.txid, 0))])  # 4
+    extend(ch)                                                         # 5
+    assert ch.prune() == [1]
+    assert ch.interval_status(2) is IntervalStatus.PRESENT and ch.delete_record(2)
+    with BlockStore(tmp_path / "s", create=True) as store:
+        store.rebuild(ch)
+    with BlockStore(tmp_path / "s") as store:
+        loaded = store.load_chain()
+    expected = {
+        prep.txid: True,             # a body transaction
+        live.txid: True,             # a live interval transaction
+        bobs.txid: True,             # a copy whose first interval is deleted, not pruned
+        doomed.txid: False,          # held only by that deleted interval
+        gone.txid: False,            # erased with its interval
+        digest(b"unknown"): False,   # never seen
+    }
+    for chain in (ch, loaded):
+        assert {txid: chain.tx_confirmed(txid) for txid in expected} == expected
 
 
 # ----------------------------------------------------------------------

@@ -284,3 +284,47 @@ def test_unchecked_validation_neither_reads_nor_fills_the_table(cold_cache, monk
     validate_stateless(tx, check_signatures=False)    # the false verdict is not read
     with pytest.raises(BadSignature):
         validate_stateless(tx)
+
+
+def rejection(tx: Transaction, **kw):
+    """(class, rule, message) of what ``validate_stateless`` raises, else None."""
+    try:
+        validate_stateless(tx, **kw)
+    except (ShapeViolation, BadSignature) as exc:
+        return type(exc), getattr(exc, "rule", None), str(exc)
+    return None
+
+
+VERDICT_CASES = {
+    # no txid: the fields do not encode
+    "wrong-payload-type": lambda: violating(
+        build_removable(ALICE, REF, b"d"), payload=INTERVAL.payload),
+    "bad-signature": lambda: violating(
+        build_removable(ALICE, REF, b"d"), signature=bytes(SIGNATURE_SIZE)),
+    "value-on-non-consent": lambda: violating(build_prepare(ALICE, REF, 1), value=1),
+    "flipped-signature-byte": lambda: Transaction.decode(
+        flipped(sample(TxKind.CONSENT).encoded, len(sample(TxKind.CONSENT).encoded) - 1)),
+}
+
+
+@pytest.mark.parametrize("make", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+def test_a_rejection_is_the_same_with_a_cold_and_a_warm_verdict_table(make, cold_cache):
+    tx = make()
+    cold = rejection(tx)
+    assert cold is not None
+    if cold[0] is ShapeViolation:
+        # a verdict is kept only for bytes that passed the shape rules
+        assert not txmod._VERDICTS
+    for kind in TxKind:
+        validate_stateless(sample(kind))
+    assert rejection(tx) == cold
+    assert rejection(make()) == cold       # another object with the same fields
+
+    # unchecked: the shape rules alone, and the table is neither read nor filled
+    table = dict(txmod._VERDICTS)
+    expected = cold if cold[0] is ShapeViolation else None
+    assert rejection(tx, check_signatures=False) == expected
+    assert dict(txmod._VERDICTS) == table
+    cold_cache()
+    assert rejection(make(), check_signatures=False) == expected
+    assert not txmod._VERDICTS
