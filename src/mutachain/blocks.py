@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import codec
 from .crypto import HASH_SIZE, NULL_HASH, PUBKEY_SIZE, digest
@@ -44,10 +44,15 @@ from .errors import BlockShapeError, PListOverflow
 from .tx import SHAPES, Transaction
 
 MAX_P_LIST = 4
-# packed and read in one step each: a permanent header up to its keys, a
-# removable header
+# packed and read in one step each: a permanent header up to its keys,
+# then its keys and tx_root; a removable header
 _PERMANENT_HEAD = struct.Struct(f"<I{HASH_SIZE}s{HASH_SIZE}sBB")
 _REMOVABLE_HEADER = struct.Struct(f"<IB{HASH_SIZE}s{HASH_SIZE}s")
+
+
+@cache
+def _keys_and_root(keys: int) -> struct.Struct:
+    return struct.Struct(f"<{f'{PUBKEY_SIZE}s' * keys}{HASH_SIZE}s")
 
 
 def compute_tx_root(txs: tuple[Transaction, ...] | list[Transaction]) -> bytes:
@@ -67,7 +72,10 @@ def compute_p_list(interval_txs) -> tuple[bytes, ...]:
     return tuple(keys)
 
 
-class _Header(codec.Encoded):
+class _Header:
+    """A header's ``encoded`` is written at most once, or kept by its
+    decoder."""
+
     @cached_property
     def block_hash(self) -> bytes:
         return digest(self.encoded)
@@ -82,24 +90,23 @@ class PermanentHeader(_Header):
     p_list: tuple[bytes, ...]
     tx_root: bytes
 
-    def encode_into(self, w: codec.Writer) -> None:
-        w.pack(_PERMANENT_HEAD, self.height, self.prev_permanent,
-               self.prev_removable, self.interval_len, len(self.p_list))
-        for key in self.p_list:
-            w.fixed(key, PUBKEY_SIZE)
-        w.fixed(self.tx_root, HASH_SIZE)
+    @cached_property
+    def encoded(self) -> bytes:
+        return b"".join((
+            codec.pack(_PERMANENT_HEAD, self.height, self.prev_permanent,
+                       self.prev_removable, self.interval_len, len(self.p_list)),
+            codec.pack(_keys_and_root(len(self.p_list)), *self.p_list, self.tx_root)))
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "PermanentHeader":
         start = r.pos
         height, prev_permanent, prev_removable, interval_len, keys = r.unpack(
             _PERMANENT_HEAD)
-        p_list = tuple(r.fixed(PUBKEY_SIZE) for _ in range(keys))
-        tx_root = r.fixed(HASH_SIZE)
+        *p_list, tx_root = r.unpack(_keys_and_root(keys))
         return codec.decoded(
             cls, r.since(start), height=height, prev_permanent=prev_permanent,
             prev_removable=prev_removable, interval_len=interval_len,
-            p_list=p_list, tx_root=tx_root)
+            p_list=tuple(p_list), tx_root=tx_root)
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,9 @@ class RemovableHeader(_Header):
     prev: bytes
     tx_root: bytes
 
-    def encode_into(self, w: codec.Writer) -> None:
-        w.pack(_REMOVABLE_HEADER, self.interval, self.seq, self.prev, self.tx_root)
+    @cached_property
+    def encoded(self) -> bytes:
+        return codec.pack(_REMOVABLE_HEADER, self.interval, self.seq, self.prev, self.tx_root)
 
     @classmethod
     def decode_from(cls, r: codec.Reader) -> "RemovableHeader":
@@ -120,18 +128,17 @@ class RemovableHeader(_Header):
                              prev=prev, tx_root=tx_root)
 
 
-class _Block(codec.Encoded):
+class _Block:
     """A header, then the body: a u16 count and each transaction."""
 
     @property
     def block_hash(self) -> bytes:
         return self.header.block_hash
 
-    def encode_into(self, w: codec.Writer) -> None:
-        w.fixed(self.header.encoded, len(self.header.encoded))
-        w.pack(codec.U16, len(self.txs))
-        for tx in self.txs:
-            w.fixed(tx.encoded, len(tx.encoded))
+    @cached_property
+    def encoded(self) -> bytes:
+        return b"".join((self.header.encoded, codec.pack(codec.U16, len(self.txs)),
+                         *[tx.encoded for tx in self.txs]))
 
     @staticmethod
     def _body_from(r: codec.Reader) -> tuple[Transaction, ...]:

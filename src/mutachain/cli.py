@@ -394,10 +394,18 @@ def verify(store_dir: str) -> None:
               help="Write node 0's final chain into a fresh store.")
 def scenario(file: str, report_path: str | None, store_into: str | None) -> None:
     """Execute a scenario file on a simulated network."""
-    scn = run_scenario(Path(file).read_text())
+    try:
+        source = Path(file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"scenario file {file} is not UTF-8: {exc}") from None
+    scn = run_scenario(source)
     text = scn.net.report_json()
     if report_path:
-        Path(report_path).write_text(text)
+        try:
+            Path(report_path).write_text(text)
+        except OSError as exc:
+            raise click.ClickException(
+                f"cannot write report {report_path}: {exc.strerror}") from None
         click.echo(f"report written to {report_path}")
     else:
         click.echo(text, nl=False)

@@ -17,13 +17,12 @@ hash is taken over the bytes on the wire.  A value rebuilt with
 Each run of fixed-width fields (a transaction's kind, signer and input
 count, or its value and signature; an outpoint; a header up to its key
 list) has one ``struct`` layout, stated once beside its type.  The
-encoder writes the run with one ``pack`` (or ``Writer.pack``), which
-checks every ``Ns`` width, since ``struct`` would pad or cut it, and
-turns ``struct.error`` into ``EncodingError``; the decoder reads it
-back with one ``Reader.unpack``: one bounds check and one ``struct``
-call.  Transactions and their parts encode to bytes directly, so a
-client signs what it built without a ``Writer``; headers and blocks
-accumulate in one.
+encoder writes the run with one ``pack``, which checks every ``Ns``
+width, since ``struct`` would pad or cut it, and turns ``struct.error``
+into ``EncodingError``; the decoder reads it back with one
+``Reader.unpack``: one bounds check and one ``struct`` call.  Every
+value encodes straight to bytes, the runs ``pack`` returned joined in
+field order, so a client signs what it built in one pass.
 
 Layout rules (normative)
 ------------------------
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import re
 import struct
-from functools import cache, cached_property
+from functools import cache
 
 from .errors import DecodingError, EncodingError
 
@@ -82,25 +81,6 @@ def pack(layout: struct.Struct, *values) -> bytes:
         return layout.pack(*values)
     except struct.error as exc:
         raise EncodingError(f"{layout.format} run {values!r}: {exc}") from None
-
-
-class Writer:
-    """Accumulates one canonical encoding."""
-
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def pack(self, layout: struct.Struct, *values) -> None:
-        """Write one fixed-width run: the twin of ``Reader.unpack``."""
-        self._parts.append(pack(layout, *values))
-
-    def fixed(self, data: bytes, width: int) -> None:
-        if len(data) != width:
-            raise EncodingError(f"expected {width} bytes, got {len(data)}")
-        self._parts.append(bytes(data))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
 
 
 class Reader:
@@ -177,17 +157,6 @@ def decoded(cls, wire: bytes, /, **fields):
     value = object.__new__(cls)
     object.__setattr__(value, "__dict__", fields)   # a frozen value's setattr raises
     return value
-
-
-class Encoded:
-    """Base of a value that writes itself with ``encode_into``: its
-    ``encoded`` is written at most once, or kept by its decoder."""
-
-    @cached_property
-    def encoded(self) -> bytes:
-        w = Writer()
-        self.encode_into(w)
-        return w.getvalue()
 
 
 def decode_whole(cls, data: bytes):

@@ -42,13 +42,19 @@ device.  The erased frame keeps the body's length.  Zeroed bytes stay
 allocated; nothing punches holes in the log.
 
 Failures are crash-only: a process may die at any point, and the disk
-keeps what was fsynced before it.  Only the last append can be unsynced,
-so only the log's final segment can be torn: cut short by EOF, or its
-bytes lost (zeros or junk) where the file kept its new size.  A prune
-cut short can leave one body frame below the tip partly zeroed.  A frame
-is whole when its head and payload pass their checks.  Loading reads the
-log as follows, and at or below its last whole segment erases only the
-bodies whose delete it proves:
+keeps what was fsynced before it.  The crash model, which
+``tests/test_store_crash.py`` enumerates write by write for whole
+sessions: every write to a file before its last fsync persists, and
+each later one persists whole, not at all, or torn at a 512-byte
+boundary; a new name or a rename persists once the root is fsynced,
+and before that may or may not, never ahead of the names made before
+it.  Only the last append can be unsynced, so only the log's final
+segment can be torn: cut short by EOF, or its bytes lost (zeros or
+junk) where the file kept its new size.  A prune cut short can leave
+one body frame partly zeroed, the tip's too.  A frame is whole when its
+head and payload pass their checks.  Loading reads the log as follows,
+and at or below its last whole segment erases only the bodies whose
+delete it proves:
 
 * the bytes below the mark's ``log_bytes`` must be ``height + 1``
   segments whose permanent frames are whole and decode; anything else is
@@ -65,7 +71,13 @@ bodies whose delete it proves:
 * a body frame that is not whole but is followed by a whole frame where
   its length says it ends is served as a gap, as is a whole erased one.
   A prune never rewrites a body frame's length, so a prune cut short
-  leaves that length intact.
+  leaves that length intact;
+* a body frame that is not whole and whose length ends the log is the
+  tip's, torn by its append or by a prune.  ``load_chain`` serves it as
+  a gap first; if the replay then names it in ``MissingDeleteEvidence``,
+  no delete backs it, and it reads the log again with that segment as
+  the torn last append.  ``segments``, which runs no replay, reads it
+  as a torn append at once.
 
 The replay accepts a gap only where a confirmed delete backs it, and
 raises ``MissingDeleteEvidence`` otherwise.  ``load_chain`` truncates a
@@ -87,9 +99,6 @@ signature.  Someone who can rewrite the log can rewrite the mark too,
 so it costs no trust a node does not already place in its own disk.
 Audits never trust it: ``mutachain verify`` and ``verify.verify_chain``
 check every signature.
-
-``crash_hook`` is a test seam: when set, it is called with a named
-point before each mutation step and may raise to simulate a crash.
 """
 
 from __future__ import annotations
@@ -191,7 +200,6 @@ def _checked_manifest(manifest) -> dict:
 class BlockStore:
     def __init__(self, root, *, create: bool = False):
         self.root = Path(root)
-        self.crash_hook: Callable[[str], None] | None = None
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
             if (self.root / MANIFEST).exists():
@@ -260,10 +268,6 @@ class BlockStore:
     # ------------------------------------------------------------------
     # helpers
 
-    def _crash(self, point: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(point)
-
     def _sync_root(self) -> None:
         """Make the root's entries (new names, renames) durable."""
         fd = os.open(self.root, os.O_RDONLY)
@@ -273,7 +277,6 @@ class BlockStore:
             os.close(fd)
 
     def _write_manifest(self) -> None:
-        self._crash("manifest")
         text = json.dumps(self._manifest, sort_keys=True, indent=2) + "\n"
         tmp = self.root / (MANIFEST + ".tmp")
         _write_synced(tmp, text.encode("utf-8"), "wb")
@@ -328,7 +331,6 @@ class BlockStore:
         if block.header.interval_len:
             body = log_frame(b"".join(codec.encode_byte_string(rb.encoded)
                                       for rb in removable_blocks or ()))
-        self._crash("log-append")
         _write_synced(self.root / LOG, frame + body, "ab")
         offset = self._manifest["log_bytes"] + len(frame)
         if body:
@@ -344,7 +346,6 @@ class BlockStore:
             self.segments()     # locate the bodies
         if not 0 <= x <= self.height:
             raise CorruptStore(f"interval {x} is not in this store")
-        self._crash("prune-overwrite")
         if x in self._bodies:
             self._erase(*self._bodies[x])
 
@@ -368,16 +369,17 @@ class BlockStore:
     def segments(self) -> list:
         """Committed segments, one per whole segment of the log; truncates
         a torn final segment and overwrites nothing."""
-        segments, _, repair = self._read()
+        segments, _, repair = self._read(tail_gap=False)
         repair()
         return segments
 
-    def _read(self) -> tuple[list, list, Callable[[], None]]:
+    def _read(self, tail_gap: bool) -> tuple[list, list, Callable[[], None]]:
         """Committed segments, the heights of the damaged body frames served
         as gaps, and the repair that truncates a torn final segment and
         records where the bodies are.  The repair is run once the segments
         are accepted, so a load that fails leaves the store as it found
-        it."""
+        it.  With ``tail_gap`` a damaged body frame whose length ends the
+        log is served as a gap too, else as a torn append."""
         log_path = self.root / LOG
         try:
             raw = log_path.read_bytes()
@@ -412,7 +414,8 @@ class BlockStore:
             body = _framed(view, end)
             # a prune keeps the length, so it holds in a frame it cut short
             after = end + FRAME_HEAD.size + int.from_bytes(raw[end:end + 4], "little")
-            if body is None and _framed(view, after) is None:
+            if body is None and _framed(view, after) is None \
+                    and not (tail_gap and after == len(raw)):
                 if end < committed:
                     raise CorruptStore(f"damaged body frame {x} in the committed log")
                 if not _ends_the_log(view, end):
@@ -458,17 +461,22 @@ class BlockStore:
         every signature unless the tip marks this log.  A body frame a
         prune cut short is erased once its delete is proven.  The loaded
         tip becomes the tip the next mark names."""
-        segments, damaged, repair = self._read()
-        tip = segments[-1][1].block_hash.hex() if segments else None
-        try:
-            chain = verify.replay_segments(
-                segments, self.params,
-                check_signatures=self._manifest.get("tip") != tip)
-        except MissingDeleteEvidence:
-            raise
-        except MutachainError as exc:
-            raise CorruptStore(
-                f"stored chain does not verify: {type(exc).__name__}: {exc}")
+        # a damaged body frame that ends the log is read first as a prune
+        # cut short, which a delete must back, and else as a torn append
+        for tail_gap in (True, False):
+            segments, damaged, repair = self._read(tail_gap)
+            tip = segments[-1][1].block_hash.hex() if segments else None
+            try:
+                chain = verify.replay_segments(
+                    segments, self.params,
+                    check_signatures=self._manifest.get("tip") != tip)
+                break
+            except MissingDeleteEvidence as exc:
+                if damaged[-1:] != [len(segments) - 1] or exc.intervals[-1] != damaged[-1]:
+                    raise
+            except MutachainError as exc:
+                raise CorruptStore(
+                    f"stored chain does not verify: {type(exc).__name__}: {exc}")
         repair()
         for x in damaged:
             self._erase(*self._bodies[x])

@@ -377,6 +377,24 @@ def test_bad_input_fails_by_name(runner, tmp_path, setup, args, named):
     assert not (store / "keys" / "carol.seed").exists()
 
 
+@pytest.mark.parametrize("text, report, named", [
+    pytest.param(b"entity A\ngenesis A\n\xff\n", None, "bad.scn is not UTF-8", id="not-utf8"),
+    pytest.param(b"entity A\ngenesis A\n", "missing/report.json",
+                 "cannot write report {}: No such file or directory", id="report-dir-missing"),
+])
+def test_bad_scenario_input_fails_by_name(runner, tmp_path, text, report, named):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(text)
+    args = ["scenario", str(scn)]
+    if report:
+        args += ["--report", str(tmp_path / report)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.output.startswith("Error: ")
+    assert named.format(tmp_path / str(report)) in result.output
+
+
 def test_bad_chain_params_write_no_store(runner, tmp_path):
     store = tmp_path / "chain"
     out = run(runner, "init", "--store", store, "--delete-lock", -1, expect=1)

@@ -1,5 +1,5 @@
 """Round trips and bounds for the canonical encoding primitives: each
-fixed-width run is written by ``Writer.pack`` and read back by
+fixed-width run is written by ``pack`` and read back by
 ``Reader.unpack`` through one ``struct`` layout."""
 
 import struct
@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from mutachain.codec import U8, U16, U32, U64, Reader, Writer, encode_byte_string
+from mutachain.codec import U8, U16, U32, U64, Reader, encode_byte_string, pack
 from mutachain.errors import DecodingError, EncodingError
 
 WIDTHS = {"u8": (1, 0xFF), "u16": (2, 0xFFFF),
@@ -16,9 +16,7 @@ LAYOUTS = {"u8": U8, "u16": U16, "u32": U32, "u64": U64}
 
 
 def packed(name, value) -> bytes:
-    w = Writer()
-    w.pack(LAYOUTS[name], value)
-    return w.getvalue()
+    return pack(LAYOUTS[name], value)
 
 
 @pytest.mark.parametrize("name,width,top", [(n, w, t) for n, (w, t) in WIDTHS.items()])
@@ -64,35 +62,29 @@ def test_truncated_byte_string_rejected(data):
 
 
 def test_fixed_width_enforced():
-    w = Writer()
-    w.fixed(b"\x01" * 32, 32)
-    assert w.getvalue() == b"\x01" * 32
+    key = struct.Struct("32s")
+    assert pack(key, b"\x01" * 32) == b"\x01" * 32
     with pytest.raises(EncodingError):
-        Writer().fixed(b"\x01" * 31, 32)
+        pack(key, b"\x01" * 31)
     with pytest.raises(DecodingError):
         Reader(b"\x01" * 31).fixed(32)
     # struct would pad a short bytes field and cut a long one: pack refuses both
     run = struct.Struct("<H32sB")
-    w = Writer()
-    w.pack(run, 7, b"\x01" * 32, 9)
-    assert Reader(w.getvalue()).unpack(run) == (7, b"\x01" * 32, 9)
+    assert Reader(pack(run, 7, b"\x01" * 32, 9)).unpack(run) == (7, b"\x01" * 32, 9)
     for wrong in (b"\x01" * 31, b"\x01" * 33, b""):
         with pytest.raises(EncodingError):
-            Writer().pack(run, 7, wrong, 9)
+            pack(run, 7, wrong, 9)
     with pytest.raises(EncodingError):
-        Writer().pack(run, 7, "not bytes, 32 characters long...", 9)
+        pack(run, 7, "not bytes, 32 characters long...", 9)
 
 
 def test_counts_have_distinct_widths():
     # a collection's count is a u16, a block key list's a u8
-    w = Writer()
-    w.pack(U16, 3)
-    w.pack(U8, 3)
-    assert w.getvalue() == b"\x03\x00\x03"
+    assert pack(U16, 3) + pack(U8, 3) == b"\x03\x00\x03"
     with pytest.raises(EncodingError):
-        Writer().pack(U16, 0x10000)
+        pack(U16, 0x10000)
     with pytest.raises(EncodingError):
-        Writer().pack(U8, 0x100)
+        pack(U8, 0x100)
 
 
 def test_expect_end_catches_trailing_bytes():
@@ -108,10 +100,7 @@ def test_expect_end_catches_trailing_bytes():
                 max_size=8))
 def test_mixed_sequence_round_trip(fields):
     fields = [(name, value % (WIDTHS[name][1] + 1)) for name, value in fields]
-    w = Writer()
-    for name, value in fields:
-        w.pack(LAYOUTS[name], value)
-    r = Reader(w.getvalue())
+    r = Reader(b"".join(pack(LAYOUTS[name], value) for name, value in fields))
     for name, value in fields:
         assert getattr(r, name)() == value
     r.expect_end()

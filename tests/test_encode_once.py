@@ -4,6 +4,7 @@ when it is signed and never again on its way through a mempool and a
 chain."""
 
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -33,10 +34,20 @@ def encodes(monkeypatch):
             return original(*args)
         monkeypatch.setattr(owner, name, counted)
 
+    def count_cached(owner, name):
+        original = vars(owner)[name].func
+
+        def counted(self):
+            counts[f"{owner.__name__}.{name}"] += 1
+            return original(self)
+        spy = cached_property(counted)
+        spy.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, spy)
+
     # a transaction's fields up to its value: signed once, or encoded whole
     count(tx_module, "_encode_fields")
-    count(PermanentHeader, "encode_into")
-    count(RemovableHeader, "encode_into")
+    count_cached(PermanentHeader, "encoded")
+    count_cached(RemovableHeader, "encoded")
     return counts
 
 
@@ -71,5 +82,5 @@ def test_a_built_transaction_is_encoded_once_from_mempool_to_chain(tmp_path, enc
     assert len(interval) == 1
     # each header is encoded once too: the stored block writes its bytes
     assert encodes == Counter({"mutachain.tx._encode_fields": 1,
-                               "PermanentHeader.encode_into": 1,
-                               "RemovableHeader.encode_into": 1})
+                               "PermanentHeader.encoded": 1,
+                               "RemovableHeader.encoded": 1})

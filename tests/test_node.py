@@ -1,5 +1,7 @@
 """Node.extend: all or nothing, then observe, persist and prune."""
 
+import os
+
 import pytest
 
 from mutachain import BlockStore, ChainParams, Mempool, Node, build_delete
@@ -73,19 +75,19 @@ def test_a_fork_no_taller_than_the_tip_changes_nothing(tmp_path):
         assert store.load_chain().tip_hash == other.chain.tip_hash
 
 
-def test_prune_erases_what_a_crash_between_append_and_prune_left(tmp_path):
+def test_prune_erases_what_a_crash_between_append_and_prune_left(tmp_path, monkeypatch):
     chain = fresh_chain(ALICE, params=FAST)
     node = stored_node(tmp_path / "s", chain)
     with node.store:
         node.extend([make_segment(chain, [rem(chain, ALICE, b"erase me")])])
         node.extend([make_segment(chain, body_txs=[build_delete(ALICE, 1)])])
 
-        def crash(point):
-            if point == "prune-overwrite":
-                raise Crash(point)
-        node.store.crash_hook = crash
+        def crash(*args):
+            raise Crash("pwrite")
+        monkeypatch.setattr(os, "pwrite", crash)
         with pytest.raises(Crash):
             node.extend([make_segment(chain)])   # appended, then the prune dies
+        monkeypatch.undo()
     with BlockStore(tmp_path / "s") as store:
         assert store.height == 3
         assert store_holds(store.root, b"erase me")

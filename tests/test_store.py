@@ -14,6 +14,7 @@ from mutachain import (
     BlockStore,
     ChainParams,
     IntervalStatus,
+    Node,
     OutPoint,
     build_delete,
     build_prepare,
@@ -33,12 +34,18 @@ from support import (
     extend, fresh_chain, make_segment, reg, rem, segment_spans, store_holds,
 )
 from test_simnet import away_and_back
+from test_store_crash import ROOT, Recorder, crash_states, materialize
 
 FAST = ChainParams(confirm_depth=1, delete_lock=0)
 
 
 class Crash(RuntimeError):
     pass
+
+
+def crash_call(*args):
+    """Stands for an ``os`` call the process died in."""
+    raise Crash()
 
 
 def fill(store, ch):
@@ -235,38 +242,40 @@ def test_manifest_behind_the_log_truncates_nothing(tmp_path):
     assert (tmp_path / "s" / "permanent.log").read_bytes() == log
 
 
-def test_crash_mid_segment_append_is_truncated(tmp_path):
+def test_crash_mid_segment_append_is_truncated(tmp_path, monkeypatch):
     ch = simple_chain()
     root = tmp_path / "s"
     with BlockStore(root, create=True) as store:
         store.set_params(ch.params)
         store.append_segment((), ch.block_at(0))
         log = (root / "permanent.log").read_bytes()
-        hits = {"n": 0}
-
-        def bomb(point):
-            if point == "log-append":
-                hits["n"] += 1
-                raise Crash(point)
-
-        store.crash_hook = bomb
-        with pytest.raises(Crash):
+        monkeypatch.setattr(os, "fsync", crash_call)
+        with Recorder(root) as rec, pytest.raises(Crash):
             store.append_segment(ch.interval_record(1).blocks, ch.block_at(1))
-        assert hits["n"] == 1
-        # the segment goes out in one write after the hook: nothing of it
-        # reached the log, and nothing was committed
+        monkeypatch.undo()
+        # the segment goes out in one write, committed by one fsync: the
+        # crash in it committed nothing
+        fid, segment = rec.fid("permanent.log"), rec.ops[0][3]
+        assert rec.ops == [("write", fid, len(log), segment), ("fsync", fid)]
+        assert segment.startswith(log_frame(ch.block_at(1).encoded))
         assert store.height == 0
-        assert (root / "permanent.log").read_bytes() == log
+    # the write lost, whole, or torn at any sector: only the whole
+    # segment loads, and a torn one is truncated
+    for state in crash_states(rec.base, rec.ops[:1]):
+        materialize(state, tmp_path / "crash")
+        with BlockStore(tmp_path / "crash") as store:
+            height = store.load_chain().height
+        after = (tmp_path / "crash" / "permanent.log").read_bytes()
+        assert (height, after) == ((1, log + segment) if after == log + segment else (0, log))
     # a write cut after the permanent frame, its body frame never written
-    with open(root / "permanent.log", "ab") as fh:
-        fh.write(log_frame(ch.block_at(1).encoded))
+    (root / "permanent.log").write_bytes(log + log_frame(ch.block_at(1).encoded))
     with BlockStore(root) as store:
         loaded = store.load_chain()   # the torn segment is truncated
         assert loaded.height == 0
     assert (root / "permanent.log").read_bytes() == log
 
 
-def test_crash_mid_prune_completes_on_load(tmp_path):
+def test_crash_mid_prune_completes_on_load(tmp_path, monkeypatch):
     ch = fresh_chain(ALICE, params=FAST)
     extend(ch, [rem(ch, ALICE, b"going"), rem(ch, ALICE, b"gone")],
            per_block=1)
@@ -275,14 +284,10 @@ def test_crash_mid_prune_completes_on_load(tmp_path):
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, ch)
         assert ch.prune() == [1]
-
-        def bomb(point):
-            if point == "prune-overwrite":
-                raise Crash(point)
-
-        store.crash_hook = bomb
+        monkeypatch.setattr(os, "pwrite", crash_call)
         with pytest.raises(Crash):
             store.prune(1)
+        monkeypatch.undo()
         # the crash came before the overwrite, so the interval is whole
         assert store_holds(store.root, b"going") and store_holds(store.root, b"gone")
     with BlockStore(tmp_path / "s") as store:
@@ -310,7 +315,7 @@ def prune_cut_short(root, x, cut):
 
 
 @pytest.mark.parametrize("cut", [6, FRAME_HEAD.size + 3, "half"])
-def test_prune_cut_short_is_erased_by_the_load_that_proves_its_delete(tmp_path, cut):
+def test_prune_cut_short_is_erased_by_the_load_that_proves_its_delete(tmp_path, monkeypatch, cut):
     # 6 bytes leave a head that fails its check, whose length a prune
     # never changes; more leave a whole head over a body half zeroed
     ch = fresh_chain(ALICE, BOB, params=FAST)
@@ -321,13 +326,10 @@ def test_prune_cut_short_is_erased_by_the_load_that_proves_its_delete(tmp_path, 
     with BlockStore(root, create=True) as store:
         fill(store, ch)
         assert ch.prune() == [1]
-
-        def bomb(point):
-            if point == "prune-overwrite":
-                raise Crash(point)
-        store.crash_hook = bomb
+        monkeypatch.setattr(os, "pwrite", crash_call)
         with pytest.raises(Crash):
             store.prune(1)
+        monkeypatch.undo()
     log, torn = prune_cut_short(root, 1, cut)
     # the audit path serves the frame as a gap and leaves it as it was
     with BlockStore(root) as store:
@@ -350,6 +352,46 @@ def test_prune_cut_short_is_erased_by_the_load_that_proves_its_delete(tmp_path, 
         with pytest.raises(MissingDeleteEvidence):
             store.load_chain()
     assert file_bytes(root) == before
+
+
+@pytest.mark.parametrize("marked", [True, False], ids=["marked", "same-session"])
+def test_prune_of_the_tip_cut_short_is_erased_by_the_load_that_proves_its_delete(
+        tmp_path, monkeypatch, marked):
+    # interval 1's body is deleted in its own block, so the prune that
+    # follows its append overwrites the log's last frame; the overwrite
+    # is cut after its first sector, leaving a damaged frame that runs
+    # to the end of the log, as a torn append would
+    ch = fresh_chain(ALICE, params=ChainParams(confirm_depth=0, delete_lock=0))
+    root = tmp_path / "s"
+    with BlockStore(root, create=True) as store:
+        store.rebuild(ch)
+        segment = make_segment(ch, [rem(ch, ALICE, b"going" * 400)], [build_delete(ALICE, 1)])
+        if marked:
+            store.append_segment(*segment)     # closed with the body whole
+    store = BlockStore(root)
+    node = Node(store.load_chain(), store=store)
+    real_pwrite = os.pwrite
+
+    def torn(fd, data, offset):
+        real_pwrite(fd, data[:512], offset)
+        raise Crash("pwrite")
+    monkeypatch.setattr(os, "pwrite", torn)
+    with pytest.raises(Crash):
+        if marked:
+            node.prune()
+        else:
+            node.extend([segment])
+    monkeypatch.undo()
+    crash(store)
+    torn_log = (root / "permanent.log").read_bytes()
+    start, end = body_frames(torn_log)[1]
+    assert end == len(torn_log) and torn_log[start:end] != erased_frame(start, end)
+    # the load serves the frame as a gap, proves its delete, and erases it
+    with BlockStore(root) as store:
+        loaded = store.load_chain()
+    assert loaded.height == 1 and loaded.interval_blocks(1) is None
+    assert (root / "permanent.log").read_bytes() == torn_log[:start] + erased_frame(start, end)
+    assert not store_holds(root, b"going")
 
 
 def test_erasure_reaches_every_link_and_open_descriptor(tmp_path):
@@ -540,7 +582,7 @@ def test_manifest_missing_a_field_is_corruption(tmp_path):
         assert store.height == -1
 
 
-def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
+def test_commit_and_erasure_are_durable(tmp_path):
     # a new name (the log, the renamed manifest) reaches the disk only
     # with an fsync of the directory that holds it; an append and a
     # prune each change the log alone and end with one fsync of it
@@ -549,60 +591,39 @@ def test_commit_and_erasure_are_durable(tmp_path, monkeypatch):
     extend(ch, body_txs=[build_delete(ALICE, 1)])
     extend(ch)
     root = tmp_path / "s"
-    calls = []      # (event, the root's names when it happened)
-    real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
-    real_pwrite = os.pwrite
-
-    def names():
-        return frozenset(os.listdir(root)) - {".lock"}
-
-    def fsync(fd):
-        st = os.fstat(fd)
-        name = "root" if os.path.samestat(st, os.stat(root)) else next(
-            n for n in os.listdir(root) if os.path.samestat(st, os.stat(root / n)))
-        calls.append((f"fsync {name}", names()))
-        real_fsync(fd)
-
-    def replace(src, dst):
-        real_replace(src, dst)
-        calls.append(("replace", names()))
-
-    def unlink(path, missing_ok=False):
-        real_unlink(path, missing_ok=missing_ok)
-        calls.append(("unlink", names()))
-
-    def pwrite(fd, data, offset):
-        calls.append(("pwrite", names()))
-        return real_pwrite(fd, data, offset)
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "replace", replace)
-    monkeypatch.setattr(os, "pwrite", pwrite)
-    monkeypatch.setattr(Path, "unlink", unlink)
-    with BlockStore(root, create=True) as store:
-        fill(store, ch)
-        appended = len(calls)
-        assert ch.prune() == [1]
-        store.prune(1)
-        assert [event for event, _ in calls[appended:]] == ["pwrite", "fsync permanent.log"]
-    events = [event for event, _ in calls]
-    assert events.count("replace") == 3     # create, params, close
-    assert events.count("fsync root") == 3
-    assert events.count("unlink") == 0
+    with Recorder(root) as rec:
+        with BlockStore(root, create=True) as store:
+            fill(store, ch)
+            appended = len(rec.ops)
+            assert ch.prune() == [1]
+            store.prune(1)
+            log = rec.fid("permanent.log")
+            start, end = body_frames((root / "permanent.log").read_bytes())[1]
+            assert rec.ops[appended:] == [("write", log, start, erased_frame(start, end)),
+                                          ("fsync", log)]
+    kinds = [op[0] for op in rec.ops]
+    assert kinds.count("rename") == 3       # create, params, close
+    assert rec.ops.count(("fsync", ROOT)) == 3
+    assert kinds.count("unlink") == 0
     # one fsync per append, whatever its interval holds, and one per prune
-    assert events.count("fsync permanent.log") == ch.height + 2
-    for k, event in enumerate(events):
-        if event == "replace":
-            assert events[k + 1:k + 2] == ["fsync root"], (k, events)
+    assert rec.ops.count(("fsync", log)) == ch.height + 2
+    for k, op in enumerate(rec.ops):
+        if op[0] == "rename":
+            assert rec.ops[k + 1:k + 2] == [("fsync", ROOT)], (k, rec.ops)
     # every name a log frame commits was made durable before it, and no
     # name is left unsynced at the end
-    synced = frozenset()
-    for event, present in calls:
-        if event == "fsync root":
-            synced = present
-        elif event == "fsync permanent.log":
-            assert present <= synced, (present, synced)
-    assert names() == synced
+    names, synced = set(), frozenset()
+    for op in rec.ops:
+        if op[0] == "create":
+            names.add(op[1])
+        elif op[0] == "rename":
+            names.discard(op[1])
+            names.add(op[2])
+        elif op == ("fsync", ROOT):
+            synced = frozenset(names)
+        elif op == ("fsync", log):
+            assert names <= synced, (names, synced)
+    assert names == synced == {"manifest.json", "permanent.log"}
 
 
 def test_tampered_block_file_fails_load(tmp_path):
@@ -788,16 +809,20 @@ def test_rebuilt_store_carries_a_matching_mark(tmp_path, monkeypatch):
     ch = erased_chain()
     with BlockStore(tmp_path / "s", create=True) as store:
         fill(store, simple_chain())
+        log = store.root / "permanent.log"
+        real_fsync = os.fsync
 
-        def crash(point):
-            if point == "log-append":
-                raise Crash(point)
-        store.crash_hook = crash
+        def fsync(fd):
+            # the rebuild's first append: it emptied and synced the log first
+            if os.path.samestat(os.fstat(fd), os.stat(log)) and log.stat().st_size:
+                raise Crash("log-append")
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", fsync)
         with pytest.raises(Crash):
             store.rebuild(ch)
+        monkeypatch.undo()
         # the empty store committed first carries no mark
         assert tip_mark(store.root) is None
-        store.crash_hook = None
         store.rebuild(ch)
     assert tip_mark(tmp_path / "s") == ch.tip_hash.hex()
     calls = count_signature_checks(monkeypatch)

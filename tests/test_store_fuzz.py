@@ -202,18 +202,26 @@ def test_mutated_store_loads_or_fails_without_erasing(template, mutation):
             assert (log_path.read_bytes() if log_path.is_file() else None) == log
         else:
             loaded = log_path.read_bytes()
-            spans = frames(loaded)
-            assert len(loaded) <= len(log)
-            assert len(spans) == chain.height + 1 + sum(x <= chain.height for x in BODIED)
-            # a frame may change only where the replay proved a delete,
-            # and only to an erased body frame
-            erased = {x: span for x, span in body_frames(loaded).items()
-                      if loaded[span[0]:span[1]] != log[span[0]:span[1]]}
-            assert all(chain.delete_record(x) is not None
-                       and loaded[start:end] == erased_frame(start, end)
-                       for x, (start, end) in erased.items()), erased
-            changed = [span for span in spans if loaded[span[0]:span[1]] != log[span[0]:span[1]]]
-            assert changed == sorted(erased.values())
+            check_load(log, loaded, chain)
             # only the damaged last segment of a torn append may be dropped
             assert all(end <= len(loaded) for start, _, end in segment_spans(stored)
                        if log[start:end] == stored[start:end]), (segment_spans(stored), len(loaded))
+
+
+def check_load(log: bytes, loaded: bytes, chain) -> None:
+    """What a load of ``chain`` that succeeded may have done to the log
+    ``log``, leaving ``loaded``: cut it short, and rewrite as erased a
+    body frame whose delete the replay proved, and nothing else."""
+    spans = frames(loaded)
+    assert len(loaded) <= len(log)
+    bodied = sum(chain.block_at(x).header.interval_len > 0 for x in range(chain.height + 1))
+    assert len(spans) == chain.height + 1 + bodied
+    # a frame may change only where the replay proved a delete, and only
+    # to an erased body frame
+    erased = {x: span for x, span in body_frames(loaded).items()
+              if loaded[span[0]:span[1]] != log[span[0]:span[1]]}
+    assert all(chain.delete_record(x) is not None
+               and loaded[start:end] == erased_frame(start, end)
+               for x, (start, end) in erased.items()), erased
+    changed = [span for span in spans if loaded[span[0]:span[1]] != log[span[0]:span[1]]]
+    assert changed == sorted(erased.values())
