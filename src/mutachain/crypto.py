@@ -24,6 +24,13 @@ guard fences off old releases that checked only the top bits of S, so
 the verdicts are OpenSSL's while an honest signature costs one
 libsodium call, about half of OpenSSL's.  ``ED25519_BACKEND`` names
 the library that answers first.
+
+Only libsodium's checks run well on several threads at once: its
+``ctypes`` calls release the GIL, while OpenSSL's calls through
+``cryptography`` hold it, so two threads of them run no faster than
+one.  ``tx.validate_all`` therefore splits a segment's cold checks over
+the usable cores only where libsodium answers first; neither library
+offers an Ed25519 batch check.
 """
 
 from __future__ import annotations

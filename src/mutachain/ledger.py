@@ -32,7 +32,8 @@ A replayed history may lack interval bodies (gaps).  Only headers
 survive pruning, so a gap ``j != x`` whose delete has not confirmed
 yet counts as a copy of ``I_x``'s data for each signer in its p_list;
 if ``I_x`` is a gap, any undeleted ``j != x`` naming the signer counts.
-A live chain's gaps all carry their deletes, so it excuses nothing.
+A live chain's gaps all carry their deletes, so it excuses nothing, and
+its table of gaps awaiting a delete is empty.
 
 A confirmed delete does not remove anything by itself.  ``prune`` drops
 an interval's body once the delete is ``confirm_depth`` blocks deep and
@@ -108,7 +109,7 @@ from .tx import (
     build_prepare,
     build_register,
     build_removable,
-    validate_stateless,
+    validate_all,
 )
 
 
@@ -223,6 +224,7 @@ class Chain:
         self._consents: dict[tuple[bytes, bytes], ConsentChain] = {}  # (subject, info txid) -> chain
         self._deletes: dict[int, DeleteRecord] = {}      # interval -> record, with its prepare
         self._unpruned: dict[int, int] = {}              # deleted interval, body held -> delete height
+        self._open_gaps: dict[int, tuple[bytes, ...]] = {}  # gap with no delete yet -> its p_list
         self._dup_index: dict[bytes, frozenset[int]] = {}  # removable txid -> unpruned intervals; empty once erased
         # permanent-body txid -> its transaction; never an interval
         # transaction, whose payload must go when its interval is pruned
@@ -347,14 +349,12 @@ class Chain:
             if compute_p_list(interval_txs) != h.p_list:
                 raise PListMismatch(
                     "header p_list does not match the interval's signers")
-            for tx in interval_txs:
-                validate_stateless(tx, check_signatures=check_signatures)
+            validate_all(interval_txs, check_signatures)
             for tx in interval_txs:
                 self.check_removable(tx)
         self.close_interval(height, h.interval_len, h.p_list, removable_blocks)
 
-        for tx in block.txs:
-            validate_stateless(tx, check_signatures=check_signatures)
+        validate_all(block.txs, check_signatures)
         for tx in block.txs:
             self.apply_body_tx(tx, height)
         self._write(self._blocks, height, block)
@@ -368,6 +368,8 @@ class Chain:
         for txid in txids:
             at = self._dup_index.get(txid)
             self._write(self._dup_index, txid, at | {height} if at else frozenset((height,)))
+        if blocks is None:
+            self._write(self._open_gaps, height, p_list)
         self._write(self._intervals, height, IntervalRecord(
             length=length, p_list=p_list, blocks=blocks, txids=txids))
 
@@ -407,6 +409,8 @@ class Chain:
                 height=height, prepare=self._validate_delete(tx)))
             if self._intervals[x].blocks is not None:
                 self._write(self._unpruned, x, height)
+            else:
+                self._write(self._open_gaps, x)
         elif tx.kind is TxKind.INFO:
             self.check_removable(tx)
         elif tx.kind is TxKind.CONSENT:
@@ -514,17 +518,23 @@ class Chain:
     def _check_duplicates(self, x: int, exclude: bytes) -> None:
         """Raise ``MissingDuplicates`` unless every signer of ``I_x`` but
         ``exclude`` keeps a copy of its data outside ``I_x``, judging gaps
-        by their headers alone (see the module docstring)."""
+        by their headers alone (see the module docstring).  With ``I_x``'s
+        body present only a gap still awaiting its delete can cover a
+        signer, so only ``_open_gaps`` is read; a live chain has none."""
         rec = self._intervals[x]
         missing = self._uncopied(x, exclude)
-        uncovered = set(rec.p_list) - {exclude} if rec.blocks is None \
-            else {tx.signer for tx in missing}
-        for j, other in reversed(self._intervals.items()):
+        if rec.blocks is None:
+            uncovered = set(rec.p_list) - {exclude}
+            others = ((j, other.p_list) for j, other in reversed(self._intervals.items())
+                      if j not in self._deletes)
+        else:
+            uncovered = {tx.signer for tx in missing}
+            others = self._open_gaps.items()
+        for j, p_list in others:
             if not uncovered:
                 return
-            if j != x and j not in self._deletes \
-                    and (other.blocks is None or rec.blocks is None):
-                uncovered -= set(other.p_list)
+            if j != x:
+                uncovered -= set(p_list)
         if uncovered:
             raise MissingDuplicates(
                 [tx.txid for tx in missing if tx.signer in uncovered],

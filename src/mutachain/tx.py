@@ -53,8 +53,10 @@ signature included, so byte-identical re-broadcasts share one id.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -62,6 +64,7 @@ from types import NoneType
 
 from . import codec
 from .crypto import (
+    ED25519_BACKEND,
     HASH_SIZE,
     PUBKEY_SIZE,
     SIGNATURE_SIZE,
@@ -330,6 +333,12 @@ def build_consent(signer: KeyPair, input_ref: OutPoint, info_ref: OutPoint,
 _VERDICTS: OrderedDict[bytes, bool] = OrderedDict()
 _VERDICTS_MAX = 1 << 16
 
+# usable cores, counted once; macOS has no sched_getaffinity
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_pid = 0
+
 
 def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> None:
     """Shape rules plus signature check; no ledger lookups.
@@ -337,12 +346,15 @@ def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> Non
     A txid with a verdict answers at once: only bytes that passed the
     shape rules get one, and the txid digests every field those rules
     read.  Otherwise the shape rules run, and the signature reaches
-    Ed25519; its verdict is kept, a false one too.  A transaction whose
-    fields do not encode has no txid and goes straight to the shape rules.
+    Ed25519 on the calling thread; its verdict is kept, a false one too.
+    A transaction whose fields do not encode has no txid and goes
+    straight to the shape rules.
     Raises ``ShapeViolation`` naming the broken rule, or ``BadSignature``.
     ``check_signatures=False`` runs the shape rules and skips the
     signature and the verdict table, for bytes whose signature this node
-    already checked (see ``BlockStore``).
+    already checked (see ``BlockStore``).  ``validate_all`` runs this
+    over a segment's transactions with their cold signatures checked on
+    every core.
     """
     if check_signatures:
         try:
@@ -353,6 +365,47 @@ def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> Non
             return
         if ok is not None:
             raise BadSignature(f"signature invalid for tx kind {tx.kind.name}")
+    _check_shape(tx)
+    if not check_signatures:
+        return
+    ok = verify_signature(tx.signer, tx.signing_payload, tx.signature)
+    _keep(tx.txid, ok)
+    if not ok:
+        raise BadSignature(f"signature invalid for tx kind {tx.kind.name}")
+
+
+def validate_all(txs, check_signatures: bool = True) -> None:
+    """``validate_stateless`` over ``txs`` in order, raising what the
+    first failing one raises, once the signatures that loop may send to
+    Ed25519 have all been checked at once.  A batch whose every
+    transaction has a true verdict, as an appended segment's have after
+    ``Mempool.submit``, costs one scan: ``validate_stateless`` would
+    pass each of them at once.
+
+    Where libsodium answers first, those checks are split over the
+    usable cores: the calling thread takes one share and a pool of
+    ``_CORES - 1`` threads the rest.  libsodium's ``ctypes`` calls
+    release the GIL, so the shares run side by side; OpenSSL's calls
+    through ``cryptography`` hold it, so a host without libsodium, or
+    with one core, checks them all on the calling thread.  The
+    verdicts are ``verify_signature``'s either way, and only the
+    calling thread keeps them, each as the loop reaches its
+    transaction, so the verdict table fills as the serial loop fills it.
+    """
+    fresh = None
+    if check_signatures:
+        cold = _unjudged(txs)
+        if cold is None:
+            return
+        fresh = _judge(cold)
+    for tx in txs:
+        # every unjudged transaction comes before one without a txid
+        if fresh and tx.txid in fresh:
+            _keep(tx.txid, fresh.pop(tx.txid))
+        validate_stateless(tx, check_signatures=check_signatures)
+
+
+def _check_shape(tx: Transaction) -> None:
     kind = tx.kind
     if tx.value != 0 and kind is not TxKind.CONSENT:
         raise ShapeViolation("value-only-on-consent")
@@ -370,11 +423,59 @@ def validate_stateless(tx: Transaction, *, check_signatures: bool = True) -> Non
                                  f"{n} labels, need 1..{MAX_PURPOSES}")
         if len(set(tx.payload.purposes)) != n:
             raise ShapeViolation("info-purposes-unique")
-    if not check_signatures:
-        return
-    ok = verify_signature(tx.signer, tx.signing_payload, tx.signature)
+
+
+def _keep(txid: bytes, ok: bool) -> None:
     if len(_VERDICTS) >= _VERDICTS_MAX:
         _VERDICTS.popitem(last=False)
-    _VERDICTS[tx.txid] = ok
-    if not ok:
-        raise BadSignature(f"signature invalid for tx kind {kind.name}")
+    _VERDICTS[txid] = ok
+
+
+def _unjudged(txs) -> list[Transaction] | None:
+    """The transactions of ``txs`` that have no verdict, in order, each
+    txid once, up to the first that a shape rule or a kept false
+    verdict fails, or that has no txid; None when every one has a true
+    verdict."""
+    cold = {}
+    for tx in txs:
+        try:
+            ok = _VERDICTS.get(tx.txid)
+        except EncodingError:
+            break
+        if ok:
+            continue
+        if ok is False:
+            break
+        try:
+            _check_shape(tx)
+        except ShapeViolation:
+            break
+        cold.setdefault(tx.txid, tx)
+    else:
+        if not cold:
+            return None
+    return list(cold.values())
+
+
+def _judge(txs: list[Transaction]) -> dict[bytes, bool]:
+    """Each transaction's txid and signature verdict, checked in
+    ``shares`` runs at once, the calling thread's first."""
+    shares = min(_CORES, len(txs)) if ED25519_BACKEND != "openssl" else 1
+    if shares < 2:
+        return {tx.txid: ok for tx, ok in zip(txs, _signatures_ok(txs))}
+    global _pool, _pool_pid
+    if _pool is None or _pool_pid != os.getpid():
+        # a forked child has the pool object but none of its threads
+        _pool, _pool_pid = ThreadPoolExecutor(_CORES - 1), os.getpid()
+    size = -(-len(txs) // shares)
+    runs = [_pool.submit(_signatures_ok, txs[at:at + size])
+            for at in range(size, len(txs), size)]
+    oks = _signatures_ok(txs[:size])
+    for run in runs:
+        oks += run.result()
+    return {tx.txid: ok for tx, ok in zip(txs, oks)}
+
+
+def _signatures_ok(txs: list[Transaction]) -> list[bool]:
+    # through this module's name, so a wrapper put there sees every check
+    return [verify_signature(tx.signer, tx.signing_payload, tx.signature) for tx in txs]

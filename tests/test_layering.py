@@ -90,7 +90,10 @@ def test_only_the_node_prunes():
     ("_confirmed", {"apply_body_tx"}),
     # a prepare is indexed by its signer and interval as it confirms
     ("_prepares", {"apply_body_tx"}),
-], ids=["_dup_index", "_confirmed", "_prepares"])
+    # a gap enters as close_interval records it without a body and
+    # leaves as its delete confirms, so a live chain keeps none
+    ("_open_gaps", {"close_interval", "apply_body_tx"}),
+], ids=["_dup_index", "_confirmed", "_prepares", "_open_gaps"])
 def test_a_table_is_written_only_by_its_named_writers(table, expected):
     # every other rule, admission, candidate assembly and replay alike,
     # only reads the table

@@ -1,5 +1,7 @@
 """Admission rules, re-inclusion, and candidate assembly."""
 
+import sys
+
 import pytest
 
 from mutachain import (
@@ -112,6 +114,44 @@ def test_premature_delete_waits_for_duplicates():
         pool.submit(tx, ch)
     extend(ch, [b_tx])                   # duplicate lands
     pool.submit(tx, ch)
+
+
+def refused_delete(height: int) -> tuple[int, str]:
+    """The lines one refused restricted delete executes in ``submit`` on
+    a chain of ``height``, and its message: Alice prepared interval 1,
+    whose copy of Bob's data has not confirmed, and Carol fills every
+    other interval above it."""
+    ch = fresh_chain(ALICE, BOB, CAROL, params=FAST)
+    extend(ch, [rem(ch, ALICE, b"a"), rem(ch, BOB, b"b")])
+    prep = build_prepare(ALICE, reg(ch, ALICE), 1)
+    extend(ch, body_txs=[prep])
+    while ch.height < height:
+        extend(ch, [rem(ch, CAROL, b"c%d" % ch.height)] if ch.height % 2 else [])
+    pool, delete = Mempool(), build_delete(ALICE, 1, OutPoint(prep.txid, 0))
+    with pytest.raises(PrematureDelete):
+        pool.submit(delete, ch)             # the signature's verdict is kept
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+    before = sys.gettrace()
+    sys.settrace(count)
+    try:
+        with pytest.raises(PrematureDelete) as refused:
+            pool.submit(delete, ch)
+    finally:
+        sys.settrace(before)
+    return lines, str(refused.value)
+
+
+def test_a_refused_delete_costs_the_same_at_every_height():
+    # a restricted delete whose duplicates are missing reads only the
+    # gaps that await a delete, and a live chain has none
+    low, high = refused_delete(20), refused_delete(240)
+    assert low[1] == high[1]
+    assert abs(low[0] - high[0]) <= 0.02 * max(low[0], high[0])
 
 
 def test_delete_for_unknown_interval_is_plainly_rejected():

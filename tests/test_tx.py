@@ -1,6 +1,10 @@
 """Transaction construction, canonical bytes, and shape rules."""
 
 import dataclasses
+import os
+import threading
+import time
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +24,12 @@ from mutachain import (
     digest,
     validate_stateless,
 )
+from mutachain import ledger
 from mutachain import tx as txmod
 from mutachain.errors import BadSignature, DecodingError, EncodingError, ShapeViolation
-from support import ALICE, BOB, cold_cache, count_signature_checks, kp
+from support import (
+    ALICE, BOB, CAROL, cold_cache, count_signature_checks, fresh_chain, kp, make_segment, reg,
+)
 
 REF = OutPoint(digest(b"some-register"), 0)
 INFO_REF = OutPoint(digest(b"some-info"), 0)
@@ -328,3 +335,136 @@ def test_a_rejection_is_the_same_with_a_cold_and_a_warm_verdict_table(make, cold
     cold_cache()
     assert rejection(make(), check_signatures=False) == expected
     assert not txmod._VERDICTS
+
+
+# ----------------------------------------------------------------------
+# validate_all: a segment's cold signatures checked on every core
+
+
+def split_segment(interval_defect=None, body_defect=None):
+    """A segment of five removables in three blocks and three infos on a
+    chain of Alice, Bob and Carol; a defect is (position, fields)."""
+    chain = fresh_chain(ALICE, BOB, CAROL)
+    keys = (ALICE, BOB, CAROL, ALICE, BOB)
+    removables = [build_removable(k, reg(chain, k), b"split %d" % i)
+                  for i, k in enumerate(keys)]
+    infos = [build_info(k, reg(chain, k), b"ctl", ("a",)) for k in (ALICE, BOB, CAROL)]
+    for txs, defect in ((removables, interval_defect), (infos, body_defect)):
+        if defect is not None:
+            at, fields = defect
+            txs[at] = violating(txs[at], **fields)
+    return make_segment(chain, removables, infos, per_block=2)
+
+
+def judged(segment, mode, monkeypatch):
+    """What appending ``segment`` to a fresh chain raises (class, message),
+    the txids whose verdicts it kept, in table order, and the signatures
+    it checked, with
+    ``mode`` "serial" (one ``validate_stateless`` after another), "off"
+    (one core), "on" (two) or "warm" (two, keeping the verdicts of the
+    run before)."""
+    chain = fresh_chain(ALICE, BOB, CAROL)
+    if mode != "warm":
+        txmod._VERDICTS.clear()
+    known = set(txmod._VERDICTS)
+    with monkeypatch.context() as m:
+        if mode == "serial":
+            def serial(txs, check_signatures=True):
+                for tx in txs:
+                    validate_stateless(tx, check_signatures=check_signatures)
+            m.setattr(ledger, "validate_all", serial)
+        m.setattr(txmod, "_CORES", 1 if mode == "off" else 2)
+        calls = count_signature_checks(m)
+        try:
+            chain.append_segment(*segment)
+            error = None
+        except Exception as exc:
+            error = (type(exc), str(exc))
+    return error, [k for k in txmod._VERDICTS if k not in known], [args[2] for args in calls]
+
+
+DEFECTS = {"forged": {"signature": bytes(SIGNATURE_SIZE)}, "shape": {"value": 1}}
+SPLIT_CASES = [None] + [
+    (where, at, name) for where, n in (("interval", 5), ("body", 3))
+    for at in range(n) for name in DEFECTS]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: "clean" if c is None
+                         else f"{c[0]}-{c[1]}-{c[2]}")
+def test_the_split_judges_a_segment_as_the_serial_loop_does(case, cold_cache, monkeypatch):
+    if case is None:
+        segment = split_segment()
+    else:
+        where, at, name = case
+        defect = (at, DEFECTS[name])
+        segment = split_segment(*((defect, None) if where == "interval" else (None, defect)))
+    serial = judged(segment, "serial", monkeypatch)
+    off = judged(segment, "off", monkeypatch)
+    on = judged(segment, "on", monkeypatch)
+    warm = judged(segment, "warm", monkeypatch)
+    assert off[:2] == serial[:2] and on[:2] == serial[:2]
+    assert warm == (serial[0], [], [])      # the kept verdicts answer for every check
+    if case is None:
+        assert serial[0] is None and len(serial[1]) == 8
+    else:
+        assert serial[0][0] is (BadSignature if name == "forged" else ShapeViolation)
+    for *_, checked in (off, on):
+        # each cold signature reaches Ed25519 once, the serial loop's among them
+        assert len(checked) == len(set(checked))
+        assert set(serial[2]) <= set(checked)
+        if case is None:
+            assert sorted(checked) == sorted(serial[2])
+
+
+def checking_threads(setattr_) -> set:
+    """The ids of the threads that run each Ed25519 check from here on."""
+    threads, real = set(), txmod.verify_signature
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+    setattr_(txmod, "verify_signature", spy)
+    return threads
+
+
+@pytest.mark.skipif(txmod.ED25519_BACKEND == "openssl" or txmod._CORES < 2,
+                    reason="the checks split only where libsodium answers on 2+ cores")
+def test_a_cold_segment_is_checked_on_more_than_one_thread(cold_cache, monkeypatch):
+    segment = split_segment()
+    chain = fresh_chain(ALICE, BOB, CAROL)
+    cold_cache()
+    threads = checking_threads(monkeypatch.setattr)
+    chain.append_segment(*segment)
+    assert len(threads) > 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_checks_a_cold_segment_with_a_pool_of_its_own(cold_cache, monkeypatch):
+    monkeypatch.setattr(txmod, "_CORES", 2)
+    fresh_chain(ALICE, BOB, CAROL).append_segment(*split_segment())
+    split = txmod.ED25519_BACKEND != "openssl"
+    assert (txmod._pool is not None) is split       # the pool has run where it can
+    segment, chain = split_segment(), fresh_chain(ALICE, BOB, CAROL)
+    cold_cache()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)   # forking with threads alive
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            threads = checking_threads(setattr)
+            chain.append_segment(*segment)
+            code = 0 if len(threads) == (2 if split else 1) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the child hung checking a cold segment")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
